@@ -1,46 +1,32 @@
-// E12 (ablation) — design choices of the chromatic-map solver.
+// E12 (ablation) — the two engines of the chromatic-map solver.
 //
-// The solver exposes its search strategy through SolverConfig: the seed's
-// plain backtracker (SolverConfig::naive()) against forward checking with
-// MRV/degree variable ordering, the incremental layers on top of FC —
-// the constraint-evaluation cache (core/eval_cache.h) and nogood
-// learning (core/nogood_store.h) — and a portfolio race. This bench pits
-// the engine ladder against the Proposition 9.2 instance — the chromatic
-// simplicial approximation K(T) -> L_t for n = 2, t = 1 — across the two
-// orthogonal problem ablations the seed measured: identity fixing of R_0
-// and radial-projection candidate guidance.
+// The solver has two engines: fast, and naive as the reference.
+// SolverConfig::naive() is the seed's plain backtracker;
+// SolverConfig::fast() adds forward checking with MRV/degree variable
+// ordering, the constraint-evaluation cache (core/eval_cache.h), nogood
+// learning (core/nogood_store.h) and conflict-directed backjumping.
+// This bench pits them against each other on the Proposition 9.2
+// instance — the chromatic simplicial approximation K(T) -> L_t for
+// n = 2, t = 1 — across the two orthogonal problem ablations the seed
+// measured: identity fixing of R_0 and radial-projection candidate
+// guidance.
 //
 // Per problem cell it prints one row per engine:
-//   naive            — the seed backtracker (baseline);
-//   FC               — forward checking + MRV, caches and nogoods OFF
-//                      (the PR-2 engine, kept as the wall-time baseline
-//                      for the incremental layers);
-//   FC+cache         — plus the evaluation cache;
-//   FC+cache+nogoods — plus nogood learning (the PR-3 shipped engine);
-//   +backjump        — plus conflict-directed backjumping
-//                      (SolverConfig::fast(), the shipped default);
+//   naive            — the seed backtracker (the reference);
+//   shipped          — SolverConfig::fast();
 //   warm re-solve    — the shipped engine re-solving with a
 //                      SharedNogoodPool its own cold run populated
-//                      (cross-solve nogood reuse);
-//   portfolio x2     — two diversified shipped searches racing (the
-//                      shipped race now trades nogoods mid-flight:
-//                      SolverConfig::live_exchange).
-// After the cells, a dedicated exchange-ablation section races the
-// free-R_0 *unguided* instance with the mid-flight exchange off vs on —
-// the one report instance whose race runs long enough for the trade to
-// reach the settling thread (see the section comment) — and a
-// nogood-lifecycle section measures the PR-6 knobs on the same
-// instance: Luby restarts off vs forced-frequent, and a deliberately
-// tiny nogood store with GC off (the legacy at-capacity learning
-// freeze) vs on (`restarts:` / `gc:` summary lines, gated by CI).
+//                      (cross-solve nogood reuse).
 // Rows report found/exhausted, backtracks, backjumps, nogood
-// prunings/recordings, pool seeding, exchange traffic, cache hit rates,
-// and wall time; the summary lines compare naive vs the shipped engine
-// (backtracks), FC vs the layered engines (wall time), backjump-off vs
-// -on (backtracks — strictly fewer is the PR-4 acceptance bar), cold vs
-// warm (reuse), and the portfolio with the exchange off vs on (the PR-5
-// mid-flight number; CI fails on a regression past the race-noise
-// slack).
+// prunings/recordings, pool seeding, cache hit rates, and wall time;
+// the summary lines compare cold vs warm (reuse) and naive vs shipped
+// (backtracks and wall time). A cell where one engine proves the
+// opposite of what the other found prints "solver bug" (gated by CI).
+//
+// The per-knob ablations of the removed engine settings (plain FC, the
+// cache and learning rungs, the portfolio race, the mid-flight
+// exchange, Luby restarts, GC off) are kept as historical tables in
+// docs/PERFORMANCE.md.
 //
 // Usage: bench_csp_ablation [extra_stages] [gbench args...]
 // `extra_stages` (default 2) is the number of stabilization stages past
@@ -129,10 +115,6 @@ void print_cell(const char* engine, const Cell& c) {
     if (n.pool_seeded != 0) {
         std::cout << ", pool " << n.pool_seeded << " seeded";
     }
-    if (n.exchange_published != 0 || n.exchange_imported != 0) {
-        std::cout << ", exchange " << n.exchange_published
-                  << " published / " << n.exchange_imported << " imported";
-    }
     if (n.eval_cache_hits + n.eval_cache_misses != 0) {
         const double rate =
             100.0 * static_cast<double>(n.eval_cache_hits) /
@@ -140,29 +122,6 @@ void print_cell(const char* engine, const Cell& c) {
         std::cout << ", cache " << static_cast<int>(rate) << "% hits";
     }
     std::cout << (c.exhausted || c.found ? "" : " (budget hit)") << "\n";
-}
-
-/// The engine ladder of one problem cell (see the header comment).
-SolverConfig fc_plain_config(std::size_t budget) {
-    SolverConfig c = SolverConfig::fast(budget);
-    c.eval_cache = false;
-    c.nogood_learning = false;
-    c.backjumping = false;
-    c.allowed_lru_capacity = 0;
-    return c;
-}
-
-SolverConfig fc_cache_config(std::size_t budget) {
-    SolverConfig c = SolverConfig::fast(budget);
-    c.nogood_learning = false;
-    c.backjumping = false;
-    return c;
-}
-
-SolverConfig fc_nogoods_config(std::size_t budget) {
-    SolverConfig c = SolverConfig::fast(budget);
-    c.backjumping = false;
-    return c;
 }
 
 void print_report() {
@@ -186,16 +145,9 @@ void print_report() {
         std::cout << c.name << ":\n";
         const Cell naive =
             run_cell(problem, SolverConfig::naive(c.budget));
-        print_cell("naive (seed backtracker)   ", naive);
-        const Cell fc_plain = run_cell(problem, fc_plain_config(c.budget));
-        print_cell("FC (PR-2 engine, no cache) ", fc_plain);
-        const Cell fc_cache = run_cell(problem, fc_cache_config(c.budget));
-        print_cell("FC+cache                   ", fc_cache);
-        const Cell fc_nogoods =
-            run_cell(problem, fc_nogoods_config(c.budget));
-        print_cell("FC+cache+nogoods (PR-3)    ", fc_nogoods);
+        print_cell("naive (reference)          ", naive);
         const Cell fast = run_cell(problem, SolverConfig::fast(c.budget));
-        print_cell("FC+cache+nogoods+backjump  ", fast);
+        print_cell("shipped (fast)             ", fast);
         // Cross-solve reuse: the shipped engine against a pool its own
         // cold run populated (the cold run repeats the `fast` cell, plus
         // publishing).
@@ -204,48 +156,7 @@ void print_report() {
         const Cell cold = run_cell(pooled_problem, SolverConfig::fast(c.budget));
         const Cell warm = run_cell(pooled_problem, SolverConfig::fast(c.budget));
         print_cell("warm re-solve (shared pool)", warm);
-        const Cell portfolio =
-            run_cell(problem, SolverConfig::portfolio(2, c.budget));
-        print_cell("portfolio x2 (shipped race)", portfolio);
 
-        // The incremental layers must not change what is found, only how
-        // fast; a divergence is a solver bug ONLY when the not-found
-        // side proved unsatisfiability (exhausted) — a budget-limited
-        // plain FC losing to the nogood engine is legitimate pruning.
-        const auto settled_disagree = [&fc_plain](const Cell& layered) {
-            return layered.found != fc_plain.found &&
-                   (layered.found ? fc_plain.exhausted : layered.exhausted);
-        };
-        if (settled_disagree(fc_cache) || settled_disagree(fc_nogoods) ||
-            settled_disagree(fast) || settled_disagree(warm)) {
-            std::cout << "    cache-vs-plain: engines DISAGREE on "
-                         "satisfiability — solver bug\n";
-        } else if (fc_cache.found != fc_plain.found ||
-                   fast.found != fc_plain.found) {
-            std::cout << "    cache-vs-plain: plain FC inconclusive at its "
-                         "budget; the layered engine settled the instance "
-                         "(wall times not comparable)\n";
-        } else if (fc_plain.millis > 0.0 && fast.millis > 0.0) {
-            std::cout << "    FC wall time: " << fc_plain.millis << " -> "
-                      << fc_cache.millis << " ms (cache) -> "
-                      << fc_nogoods.millis << " ms (cache+nogoods) -> "
-                      << fast.millis << " ms (+backjump), speedup x"
-                      << (fc_plain.millis / fast.millis) << "\n";
-        }
-        // The two PR-4 summary lines: backjumping (vs the PR-3 engine on
-        // the same problem) and cross-solve reuse (cold vs warm against
-        // one pool).
-        if (fast.found == fc_nogoods.found &&
-            fast.exhausted == fc_nogoods.exhausted) {
-            const std::size_t off = fc_nogoods.counters.backtracks;
-            const std::size_t on = fast.counters.backtracks;
-            std::cout << "    backjumping: " << off << " -> " << on
-                      << " backtracks ("
-                      << (on < off ? "strictly fewer"
-                                   : on == off ? "equal"
-                                               : "MORE — regression")
-                      << "), " << fast.counters.backjumps << " jumps\n";
-        }
         if (cold.found == warm.found && cold.exhausted == warm.exhausted) {
             std::cout << "    nogood reuse: cold "
                       << cold.counters.backtracks << " -> warm "
@@ -253,14 +164,20 @@ void print_report() {
                       << warm.counters.pool_seeded
                       << " nogoods seeded from the " << "pool)\n";
         }
-        const bool loser_exhausted =
-            naive.found ? fast.exhausted : naive.exhausted;
-        if (naive.found != fast.found && loser_exhausted) {
+        // The engines must agree on what is found; a divergence is a
+        // solver bug ONLY when the not-found side proved
+        // unsatisfiability (exhausted) — a budget-limited engine losing
+        // to the other is legitimate.
+        const auto settled_disagree = [](const Cell& a, const Cell& b) {
+            return a.found != b.found && (a.found ? b.exhausted : a.exhausted);
+        };
+        if (settled_disagree(naive, fast) || settled_disagree(naive, warm) ||
+            settled_disagree(fast, warm)) {
             // One engine proved the opposite of what the other found.
             std::cout << "    old-vs-new: engines DISAGREE on "
                          "satisfiability — solver bug\n";
         } else if (naive.found != fast.found) {
-            const char* loser = naive.found ? "FC+MRV" : "naive";
+            const char* loser = naive.found ? "shipped" : "naive";
             const Cell& found_cell = naive.found ? naive : fast;
             const Cell& lost_cell = naive.found ? fast : naive;
             std::cout << "    old-vs-new: " << loser
@@ -275,8 +192,8 @@ void print_report() {
                          "exhausted without a witness or a refutation); "
                          "backtrack counts not comparable\n";
         } else if (!naive.found && naive.exhausted != fast.exhausted) {
-            const char* settled = naive.exhausted ? "naive" : "FC+MRV";
-            const char* hit = naive.exhausted ? "FC+MRV" : "naive";
+            const char* settled = naive.exhausted ? "naive" : "shipped";
+            const char* hit = naive.exhausted ? "shipped" : "naive";
             std::cout << "    old-vs-new: " << settled
                       << " proved unsatisfiability; " << hit
                       << " budgeted out (counts not comparable)\n";
@@ -292,117 +209,6 @@ void print_report() {
                       << "), " << naive.millis << " -> " << fast.millis
                       << " ms\n";
         }
-    }
-
-    // --- the mid-flight exchange ablation (PR 5) -----------------------
-    // Measured on the free-R_0 UNGUIDED problem, deliberately not one of
-    // the ladder cells above: it is the instance where the shipped
-    // engine still searches long enough (hundreds of backtracks) for
-    // the racing threads' mid-flight learning to reach the settling
-    // thread before it finishes — on the radial-guided cells the race
-    // settles too fast for any exchange to matter, which would make
-    // this comparison vacuous. Counters report the settling thread, so
-    // both numbers are one coherent search's account; they are racy by
-    // nature (imports interleave differently run to run), so the
-    // regression verdict allows race noise — only an exchange-on count
-    // beyond twice the exchange-off count plus a small floor prints the
-    // regression marker (which fails CI).
-    {
-        std::cout << "exchange ablation (free R_0, unguided candidates, "
-                     "x2 threads):\n";
-        const auto problem = inst.problem(false, false);
-        SolverConfig race_off = SolverConfig::portfolio(2, 8000000);
-        race_off.live_exchange = false;
-        const Cell off_cell = run_cell(problem, race_off);
-        print_cell("portfolio x2 (no exchange) ", off_cell);
-        const Cell on_cell =
-            run_cell(problem, SolverConfig::portfolio(2, 8000000));
-        print_cell("portfolio x2 +exchange     ", on_cell);
-        if (off_cell.found == on_cell.found &&
-            off_cell.exhausted == on_cell.exhausted) {
-            const std::size_t off = off_cell.counters.backtracks;
-            const std::size_t on = on_cell.counters.backtracks;
-            std::cout << "    exchange: x2 threads, off " << off
-                      << " -> on " << on << " backtracks ("
-                      << on_cell.counters.exchange_published
-                      << " published / "
-                      << on_cell.counters.exchange_imported << " imported"
-                      << (on > 2 * off + 128
-                              ? ") — MORE: exchange regression\n"
-                              : on < off ? ", reduced)\n"
-                                         : ", within race noise)\n");
-        } else {
-            std::cout << "    exchange: cells disagree on settling "
-                         "(budget artifacts); backtracks not comparable\n";
-        }
-    }
-
-    // --- the nogood-lifecycle ablation (PR 6) --------------------------
-    // Same free-R_0 unguided instance as the exchange section, for the
-    // same reason: its search runs long enough that restarts actually
-    // fire and a tiny store actually fills. Single-threaded, so every
-    // number here is deterministic.
-    //
-    // restarts: the shipped engine with the Luby schedule forced
-    // frequent (unit = 16 backtracks) vs off. A restarted search replays
-    // the identical DFS with a superset of the learned conflicts, so the
-    // verdict is pinned; the backtrack count may move either way (the
-    // replays re-spend budget, the extra nogoods prune), and only a
-    // blow-up past twice the off count plus a floor is a regression.
-    //
-    // gc: the shipped engine against a deliberately tiny store (8
-    // entries), with collection off — the legacy dead end where a full
-    // store rejects every further conflict — vs on, where collections
-    // evict the least active half and recording continues past the cap.
-    // GC can only admit conflicts the frozen store rejected, so fewer
-    // recordings with GC on is a regression.
-    {
-        std::cout << "nogood lifecycle ablation (free R_0, unguided "
-                     "candidates):\n";
-        const auto problem = inst.problem(false, false);
-        SolverConfig restarts_off = SolverConfig::fast(8000000);
-        restarts_off.restarts = false;
-        const Cell r_off = run_cell(problem, restarts_off);
-        print_cell("shipped, restarts off      ", r_off);
-        SolverConfig restarts_on = SolverConfig::fast(8000000);
-        restarts_on.restart_unit = 16;
-        const Cell r_on = run_cell(problem, restarts_on);
-        print_cell("shipped, Luby unit=16      ", r_on);
-        if (r_off.found == r_on.found && r_off.exhausted == r_on.exhausted) {
-            const std::size_t off = r_off.counters.backtracks;
-            const std::size_t on = r_on.counters.backtracks;
-            std::cout << "    restarts: off " << off << " -> on " << on
-                      << " backtracks (" << r_on.counters.restarts
-                      << " restarts"
-                      << (on > 2 * off + 128
-                              ? ") — MORE: restart regression\n"
-                              : on < off ? ", reduced)\n" : ", bounded)\n");
-        } else {
-            std::cout << "    restarts: cells disagree on settling "
-                         "(budget artifacts); backtracks not comparable — "
-                         "solver bug if both settled\n";
-        }
-
-        SolverConfig frozen = SolverConfig::fast(8000000);
-        frozen.nogood_capacity = 8;
-        frozen.nogood_gc = false;
-        const Cell gc_off = run_cell(problem, frozen);
-        print_cell("tiny store (8), GC off     ", gc_off);
-        SolverConfig collected = frozen;
-        collected.nogood_gc = true;
-        const Cell gc_on = run_cell(problem, collected);
-        print_cell("tiny store (8), GC on      ", gc_on);
-        const std::size_t frozen_recorded = gc_off.counters.nogoods_recorded;
-        const std::size_t live_recorded = gc_on.counters.nogoods_recorded;
-        std::cout << "    gc: capacity 8, off " << frozen_recorded
-                  << " recorded (frozen at the cap) -> on " << live_recorded
-                  << " recorded / " << gc_on.counters.nogoods_evicted
-                  << " evicted"
-                  << (live_recorded < frozen_recorded
-                          ? " — FEWER: gc regression\n"
-                          : live_recorded > collected.nogood_capacity
-                                ? ", learning continued past the cap\n"
-                                : ", store never filled at this size\n");
     }
     std::cout << std::endl;
 }
@@ -426,16 +232,6 @@ void BM_SolverFast(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SolverFast)->Unit(benchmark::kMillisecond);
-
-void BM_SolverFcPlain(benchmark::State& state) {
-    const Instance& inst = instance();
-    const auto problem = inst.problem(true, true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::solve_chromatic_map(problem, fc_plain_config(1000000)));
-    }
-}
-BENCHMARK(BM_SolverFcPlain)->Unit(benchmark::kMillisecond);
 
 void BM_SolverFastUnguided(benchmark::State& state) {
     const Instance& inst = instance();

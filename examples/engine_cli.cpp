@@ -5,9 +5,6 @@
 //   example_engine_cli --list          # list scenarios (nothing built)
 //   example_engine_cli --threads 4     # shard width (default 2)
 //   example_engine_cli --no-pool       # disable cross-solve nogood reuse
-//   example_engine_cli --no-restarts   # disable Luby restarts in the CSP
-//   example_engine_cli --no-gc         # full nogood store rejects instead
-//                                      # of collecting (pre-GC behavior)
 //   example_engine_cli --pool-file learned.pool lt-2-1-res1
 //                                      # persist the pool across processes
 //   example_engine_cli --json          # machine-readable reports (one
@@ -22,7 +19,8 @@
 // gact_fuzz and gact_client):
 //   0  the batch completed — including unsolvable / budget-exhausted
 //      verdicts, which are answers, not failures
-//   2  usage error (unknown scenario, contradictory flags)
+//   2  usage error (unknown scenario, contradictory flags, a --threads
+//      value that is not a positive integer)
 //   3  internal error (exception during solve or reporting)
 //
 // Every solvability question the other examples answer by hand is one
@@ -53,6 +51,7 @@
 #include "engine/engine.h"
 #include "engine/report_json.h"
 #include "engine/scenario_registry.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -72,15 +71,13 @@ void print_report(const engine::SolveReport& report) {
         std::cout << "      " << t.stage << ": " << t.millis << " ms\n";
     }
     // The nogood-lifecycle counters, printed only when the solve
-    // actually learned something: restart/GC behavior is otherwise
-    // invisible from the verdict line.
+    // actually learned something: GC behavior is otherwise invisible
+    // from the verdict line.
     const core::SearchCounters& c = report.counters;
-    if (c.nogoods_recorded != 0 || c.restarts != 0 ||
-        c.nogoods_evicted != 0) {
+    if (c.nogoods_recorded != 0 || c.nogoods_evicted != 0) {
         std::cout << "      nogoods: " << c.nogoods_recorded
                   << " recorded, " << c.nogoods_evicted << " evicted, "
-                  << c.restarts << " restarts, " << c.nogood_prunings
-                  << " prunings\n";
+                  << c.nogood_prunings << " prunings\n";
     }
 }
 
@@ -100,8 +97,6 @@ int main(int argc, char** argv) {
         engine::ScenarioRegistry::standard();
     unsigned threads = 2;
     bool no_pool = false;
-    bool no_restarts = false;
-    bool no_gc = false;
     bool json_output = false;
     std::string pool_file;
     std::vector<engine::Scenario> scenarios;
@@ -116,21 +111,16 @@ int main(int argc, char** argv) {
             no_pool = true;
             continue;
         }
-        if (std::strcmp(argv[i], "--no-restarts") == 0) {
-            no_restarts = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--no-gc") == 0) {
-            no_gc = true;
-            continue;
-        }
         if (std::strcmp(argv[i], "--pool-file") == 0 && i + 1 < argc) {
             pool_file = argv[++i];
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (threads == 0) threads = 1;
+            if (!util::parse_positive_count(argv[++i], threads)) {
+                std::cerr << "usage error: bad --threads '" << argv[i]
+                          << "' (a positive integer)\n";
+                return 2;
+            }
             continue;
         }
         std::string why;
@@ -155,10 +145,6 @@ int main(int argc, char** argv) {
     }
     if (scenarios.empty()) scenarios = registry.quick();
     const bool use_pool = !no_pool;
-    for (engine::Scenario& s : scenarios) {
-        if (no_restarts) s.options.solver.restarts = false;
-        if (no_gc) s.options.solver.nogood_gc = false;
-    }
 
     try {
     // One pool for the whole run: scoping by problem identity keeps

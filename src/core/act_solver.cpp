@@ -80,22 +80,4 @@ ActResult run_act_search(const tasks::Task& task, int max_k,
     return out;
 }
 
-// The deprecated shims forward verbatim; suppress the self-referential
-// deprecation warnings their definitions would otherwise emit.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-ActResult solve_act(const tasks::Task& task, int max_k,
-                    std::size_t max_backtracks_per_depth) {
-    return run_act_search(task, max_k,
-                          SolverConfig::fast(max_backtracks_per_depth));
-}
-
-ActResult solve_act(const tasks::Task& task, int max_k,
-                    const SolverConfig& config) {
-    return run_act_search(task, max_k, config);
-}
-
-#pragma GCC diagnostic pop
-
 }  // namespace gact::core

@@ -42,35 +42,16 @@ struct ActResult {
 /// searches start with the association warm.
 ///
 /// When `nogood_pool` is non-null, every depth's solve additionally
-/// seeds its nogood stores (one per portfolio thread) from the pool and
-/// publishes what it learns, under a scope derived from the task name
-/// and the depth. Scoping per depth is what keeps reuse sound: a
-/// conflict proven against the Chr^k constraint structure says nothing
-/// about Chr^{k+1} (deeper subdivisions admit strictly more maps), so
-/// only re-solves of the same (task, depth) problem — repeated engine
-/// runs, bench re-runs, equivalence sweeps — share learning.
+/// seeds its nogood store from the pool and publishes what it learns,
+/// under a scope derived from the task name and the depth. Scoping per
+/// depth is what keeps reuse sound: a conflict proven against the Chr^k
+/// constraint structure says nothing about Chr^{k+1} (deeper
+/// subdivisions admit strictly more maps), so only re-solves of the same
+/// (task, depth) problem — repeated engine runs, bench re-runs,
+/// equivalence sweeps — share learning.
 ActResult run_act_search(const tasks::Task& task, int max_k,
                          const SolverConfig& config,
                          SharedNogoodPool* nogood_pool = nullptr);
-
-/// @brief Deprecated pre-engine entry point; forwards to
-/// run_act_search.
-[[deprecated(
-    "use gact::engine::Engine (engine/engine.h) for the unified "
-    "verdict/report surface, or core::run_act_search for the raw "
-    "search")]]
-ActResult solve_act(const tasks::Task& task, int max_k,
-                    const SolverConfig& config);
-
-/// @brief Deprecated convenience overload of the pre-engine entry
-/// point; forwards to run_act_search with the default engine and the
-/// given per-depth backtrack budget.
-[[deprecated(
-    "use gact::engine::Engine (engine/engine.h) for the unified "
-    "verdict/report surface, or core::run_act_search for the raw "
-    "search")]]
-ActResult solve_act(const tasks::Task& task, int max_k,
-                    std::size_t max_backtracks_per_depth = 2000000);
 
 /// @brief Build the Corollary 7.1 constraint problem at a fixed depth
 /// (exposed for tests and benchmarks).

@@ -1,17 +1,11 @@
 #include "core/chromatic_csp.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <random>
-#include <thread>
 #include <unordered_set>
 
 #include "core/eval_cache.h"
 #include "core/nogood_store.h"
 #include "exec/cancel.h"
-#include "exec/task_group.h"
 #include "topology/adjacency_index.h"
 #include "util/require.h"
 
@@ -22,7 +16,7 @@ namespace gact::core {
 // field changes sizeof and lands here. When this assert fires, extend
 // add() below AND the populated-struct round-trip in
 // tests/solver_cache_test.cpp, then bump the expected count.
-static_assert(sizeof(SearchCounters) == 12 * sizeof(std::size_t),
+static_assert(sizeof(SearchCounters) == 9 * sizeof(std::size_t),
               "SearchCounters gained or lost a field: update "
               "SearchCounters::add() (every accumulation site funnels "
               "through it) and the round-trip test, then adjust this "
@@ -33,12 +27,9 @@ void SearchCounters::add(const SearchCounters& other) noexcept {
     nogood_prunings += other.nogood_prunings;
     nogoods_recorded += other.nogoods_recorded;
     nogoods_evicted += other.nogoods_evicted;
-    restarts += other.restarts;
     backjumps += other.backjumps;
     pool_seeded += other.pool_seeded;
     pool_published += other.pool_published;
-    exchange_published += other.exchange_published;
-    exchange_imported += other.exchange_imported;
     eval_cache_hits += other.eval_cache_hits;
     eval_cache_misses += other.eval_cache_misses;
 }
@@ -83,8 +74,8 @@ std::vector<VertexId> initial_domain(const ChromaticMapProblem& problem,
 
 /// Initial candidate lists for every domain vertex, computed once per
 /// solve: the candidate_order closures can be expensive (exact rational
-/// geometry in the L_t pipeline), and portfolio threads all start from
-/// the same base order.
+/// geometry in the L_t pipeline), and every component starts from the
+/// same base order.
 using DomainMap = std::unordered_map<VertexId, std::vector<VertexId>>;
 
 DomainMap all_initial_domains(const ChromaticMapProblem& problem) {
@@ -93,21 +84,6 @@ DomainMap all_initial_domains(const ChromaticMapProblem& problem) {
         domains.emplace(v, initial_domain(problem, v));
     }
     return domains;
-}
-
-/// The leaf constraint test shared by both engines: the image of a fully
-/// assigned simplex must be a simplex of the codomain lying inside
-/// sigma's constraint complex.
-bool image_constraint_holds(
-    const ChromaticMapProblem& problem,
-    const std::unordered_map<VertexId, VertexId>& assignment,
-    const Simplex& sigma) {
-    std::vector<VertexId> image;
-    image.reserve(sigma.size());
-    for (VertexId v : sigma.vertices()) image.push_back(assignment.at(v));
-    const Simplex img(std::move(image));
-    if (!problem.codomain->contains(img)) return false;
-    return problem.allowed(sigma).contains(img);
 }
 
 /// Free-vertex connected components (free-free adjacency): independent
@@ -191,7 +167,7 @@ Decomposition decompose(const ChromaticMapProblem& problem,
 
 // ---------------------------------------------------------------------------
 // Naive engine: the seed's plain chronological backtracker, kept verbatim
-// as the SolverConfig::naive() baseline.
+// as the SolverConfig::naive() reference.
 // ---------------------------------------------------------------------------
 
 struct NaiveSearcher {
@@ -210,8 +186,15 @@ struct NaiveSearcher {
     std::size_t max_backtracks = 0;
     bool exhausted = true;
 
+    /// The image of a fully assigned simplex must be a simplex of the
+    /// codomain lying inside sigma's constraint complex.
     bool constraint_holds(const Simplex& sigma) const {
-        return image_constraint_holds(problem, assignment, sigma);
+        std::vector<VertexId> image;
+        image.reserve(sigma.size());
+        for (VertexId v : sigma.vertices()) image.push_back(assignment.at(v));
+        const Simplex img(std::move(image));
+        if (!problem.codomain->contains(img)) return false;
+        return problem.allowed(sigma).contains(img);
     }
 
     bool assign(std::size_t idx) {
@@ -291,8 +274,6 @@ bool naive_solve_component(const ChromaticMapProblem& problem,
     }
 
     const bool found = s.assign(0);
-    // Same fields-covered accumulation path as the portfolio merge's
-    // add_counters: everything funnels through SearchCounters::add.
     result.counters.add(s.counters);
     if (!s.exhausted) result.exhausted = false;
     if (found) {
@@ -303,79 +284,36 @@ bool naive_solve_component(const ChromaticMapProblem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// Forward-checking engine with configurable variable/value ordering.
+// Fast engine: forward checking with MRV/degree branching, memoized
+// constraint evaluation, nogood learning, conflict-directed backjumping.
 // ---------------------------------------------------------------------------
 
-/// One portfolio thread's view of the solve's LiveNogoodExchange:
-/// cursor into the shared log, tallies, and the bookkeeping that keeps
-/// imported nogoods out of this thread's own-learning accounting (they
-/// are neither re-published to the cross-solve pool by this thread —
-/// their prover publishes them — nor counted as nogoods_recorded).
-/// Owned by solve_single and shared by the thread's per-component
-/// searchers, so the cursor survives component boundaries.
-struct ExchangeSession {
-    LiveNogoodExchange* exchange = nullptr;
-    NogoodStore* store = nullptr;  // this thread's own store
-    unsigned source = 0;           // this thread's publish tag
-    std::size_t max_import_literals = 0;
-    std::size_t cursor = 0;
-    std::size_t published = 0;
-    std::size_t imported = 0;
-    /// Store indices filled by imports, ascending (the store is
-    /// append-only, so each import lands at the current tail).
-    std::vector<std::uint32_t> imported_ids;
-
-    /// Share a nogood this thread just recorded. `literals` is the
-    /// store's canonical copy (stable: the store is a deque).
-    void publish_recorded(const std::vector<NogoodLiteral>& literals) {
-        if (exchange->publish(source, literals)) ++published;
-    }
-
-    /// Drain every entry other threads published since the last import
-    /// into this thread's store (the store's dedup drops re-derivations
-    /// and cross-thread duplicates). Cheap when nothing is new: one
-    /// acquire load.
-    void import_new() {
-        if (exchange->size() <= cursor) return;
-        cursor = exchange->drain(
-            cursor, source, max_import_literals,
-            [this](const std::vector<NogoodLiteral>& literals) {
-                if (store->record(
-                        std::vector<NogoodLiteral>(literals))) {
-                    ++imported;
-                    imported_ids.push_back(static_cast<std::uint32_t>(
-                        store->size() - 1));
-                }
-            });
-    }
-};
+/// Entry cap of the image-evaluation memo (each entry is one (constraint,
+/// image fingerprint) -> verdict/mask result; the cap bounds the memo's
+/// memory per solve).
+constexpr std::size_t kEvalCacheCapacity = std::size_t{1} << 18;
 
 struct FcSearcher {
-    FcSearcher(const ChromaticMapProblem& p, const topo::AdjacencyIndex& ix,
-               const SolverConfig& c)
-        : problem(p), index(ix), config(c) {}
+    FcSearcher(const ChromaticMapProblem& p, const topo::AdjacencyIndex& ix)
+        : problem(p), index(ix) {}
 
     const ChromaticMapProblem& problem;
     const topo::AdjacencyIndex& index;
-    const SolverConfig& config;
-    const exec::CancelToken* cancel = nullptr;
-    // Optional incremental layers, owned by the per-thread driver
-    // (solve_single): memoized constraint evaluation, learned
-    // conflicts, and the portfolio exchange session. All null in the
-    // root-propagation searcher.
+    // Memoized constraint evaluation and learned conflicts, owned by
+    // solve_components and shared across its components.
+    // Both are null in the root-propagation searcher, which visits each
+    // constraint about once and so evaluates directly; `nogoods` is
+    // also null when learning is disabled (nogood_capacity == 0).
     EvalCache* cache = nullptr;
     NogoodStore* nogoods = nullptr;
-    ExchangeSession* session = nullptr;
+    const exec::CancelToken* cancel = nullptr;
+    std::size_t max_backtracks = 0;
 
     /// Outcome of one search() call: a witness below this node, a proven
     /// conflict (conflict_var_ names the variable whose conflict set
-    /// describes it when backjumping is on), an abort (budget / stop
-    /// flag — not a proof, so no conflict set), or a Luby restart (this
-    /// run's backtrack allotment ran out; the driver unwinds to the
-    /// component root and searches again with the learned nogoods —
-    /// unlike kAbort it does NOT clear `exhausted`, because the next
-    /// run finishes the proof).
-    enum class Status { kFound, kConflict, kAbort, kRestart };
+    /// describes it), or an abort (budget / cancellation — not a proof,
+    /// so no conflict set).
+    enum class Status { kFound, kConflict, kAbort };
 
     struct Var {
         VertexId v = 0;
@@ -405,7 +343,6 @@ struct FcSearcher {
     // Dense mirror of var_index for the hot constraint scans (vertex ids
     // are bounded by the domain complex); kNoVar for out-of-scope ids.
     std::vector<std::uint32_t> var_of_vertex;
-    std::unordered_map<VertexId, VertexId> assignment;
     // Undo log of domain prunings: (variable index, value index).
     std::vector<std::pair<std::size_t, std::size_t>> trail;
     SearchCounters counters;
@@ -417,19 +354,13 @@ struct FcSearcher {
     // filled it (nothing assigns between the fill and the drain).
     std::vector<std::pair<const Simplex*, std::uint32_t>> fc_pending;
 
-    // Luby restart state, driven by fc_solve_component: once the
-    // current run's backtracks reach restart_limit, search() unwinds
-    // with Status::kRestart. 0 = never restart.
-    std::size_t restart_limit = 0;
-    std::size_t run_start_backtracks = 0;
-
-    // Conflict-directed backjumping state (config.backjumping): one
-    // conflict set per variable, as a bitset over var indices. conf(v)
-    // accumulates, while v is the active decision, every variable whose
-    // assignment contributed to a failure of one of v's values; when v's
-    // values are exhausted, conf(v) is the proven conflict of the whole
-    // level, and ancestors absent from it are jumped over. Fixed
-    // variables are per-solve constants and never enter a conflict set.
+    // Conflict-directed backjumping state: one conflict set per
+    // variable, as a bitset over var indices. conf(v) accumulates, while
+    // v is the active decision, every variable whose assignment
+    // contributed to a failure of one of v's values; when v's values are
+    // exhausted, conf(v) is the proven conflict of the whole level, and
+    // ancestors absent from it are jumped over. Fixed variables are
+    // per-solve constants and never enter a conflict set.
     std::size_t conflict_words = 0;
     std::vector<std::vector<std::uint64_t>> conflict_;  // per variable
     std::vector<std::uint64_t> assign_conflict_;  // try_assign's failure
@@ -440,8 +371,9 @@ struct FcSearcher {
     std::vector<std::uint32_t> unassigned;
     std::vector<std::uint32_t> unassigned_pos;  // index into `unassigned`
 
-    /// Build var_of_vertex and the unassigned list; call once after
-    /// `vars` is fully populated and pre-assignments are installed.
+    /// Build var_of_vertex, the unassigned list and the conflict sets;
+    /// call once after `vars` is fully populated and pre-assignments are
+    /// installed.
     void finalize_vars() {
         VertexId max_v = 0;
         for (const Var& var : vars) max_v = std::max(max_v, var.v);
@@ -460,15 +392,13 @@ struct FcSearcher {
                 unassigned.push_back(static_cast<std::uint32_t>(i));
             }
         }
-        if (config.backjumping) {
-            conflict_words = (vars.size() + 63) / 64;
-            conflict_.assign(vars.size(),
-                             std::vector<std::uint64_t>(conflict_words, 0));
-            assign_conflict_.assign(conflict_words, 0);
-        }
+        conflict_words = (vars.size() + 63) / 64;
+        conflict_.assign(vars.size(),
+                         std::vector<std::uint64_t>(conflict_words, 0));
+        assign_conflict_.assign(conflict_words, 0);
     }
 
-    // --- conflict-set plumbing (backjumping only) ----------------------
+    // --- conflict-set plumbing -----------------------------------------
 
     void conflict_add(std::vector<std::uint64_t>& set,
                       std::size_t var_idx) const {
@@ -521,25 +451,9 @@ struct FcSearcher {
         conflict_add_constraint(assign_conflict_, sigma, cur_idx, cur_idx);
     }
 
-    /// Record one proven conflict and, when the portfolio exchange is
-    /// live, share it with the racing threads immediately (the
-    /// published copy is the store's canonical literal vector — a deque
-    /// element, so the reference is stable even while other imports
-    /// keep appending).
+    /// Record one proven conflict.
     void learn(std::vector<NogoodLiteral> literals) {
-        if (!nogoods->record(std::move(literals))) return;
-        ++counters.nogoods_recorded;
-        if (session != nullptr) {
-            session->publish_recorded(nogoods->all().back());
-        }
-    }
-
-    /// Pull the other portfolio threads' freshly proven conflicts into
-    /// this thread's store. Called at every backtrack landing — which
-    /// covers backjump landings too: a jump unwinds through the same
-    /// value loop — and at each component start (the restart point).
-    void maybe_import() {
-        if (session != nullptr) session->import_new();
+        if (nogoods->record(std::move(literals))) ++counters.nogoods_recorded;
     }
 
     /// Learn an exhausted level's conflict set as a nogood: every value
@@ -606,22 +520,23 @@ struct FcSearcher {
     }
 
     /// Leaf constraint check for a fully assigned indexed simplex, via
-    /// the evaluation memo when enabled.
+    /// the evaluation memo when there is one.
     bool constraint_holds(const Simplex* sigma_ptr) {
         const Simplex& sigma = *sigma_ptr;
-        if (cache == nullptr) {
-            return image_constraint_holds(problem, assignment, sigma);
-        }
         image_scratch.clear();
         for (VertexId v : sigma.vertices()) {
             image_scratch.push_back(vars[var_of_vertex[v]].value);
+        }
+        if (cache == nullptr) {
+            const Simplex img{std::vector<VertexId>(image_scratch)};
+            return problem.codomain->contains(img) &&
+                   problem.allowed(sigma).contains(img);
         }
         return cache->image_allowed(problem, index.id_of(sigma_ptr), sigma,
                                     image_scratch);
     }
 
-    /// Reset a variable's live-domain state to "everything active";
-    /// the setup sites and the restart driver share it.
+    /// Reset a variable's live-domain state to "everything active".
     static void activate_all(Var& var) {
         const std::size_t n = var.values.size();
         var.active.assign(n, 1);
@@ -693,10 +608,10 @@ struct FcSearcher {
     }
 
     /// Assign v := w and propagate: completed constraints are checked, and
-    /// with forward checking on, every in-scope constraint one vertex
-    /// short of completion filters that vertex's live domain. Returns
-    /// false on a violated constraint or a domain wipeout (the caller must
-    /// undo_to its own trail mark either way).
+    /// every in-scope constraint one vertex short of completion filters
+    /// that vertex's live domain. Returns false on a violated constraint
+    /// or a domain wipeout (the caller must undo_to its own trail mark
+    /// either way).
     ///
     /// Two passes over the incident constraints. Pass 1 classifies and
     /// immediately checks every completed (leaf) constraint — the
@@ -714,10 +629,6 @@ struct FcSearcher {
         var.assigned = true;
         var.value = w;
         mark_assigned(var_idx);
-        // The map mirror exists only for the uncached leaf path
-        // (image_constraint_holds); everything else reads the dense
-        // tables.
-        if (cache == nullptr) assignment[var.v] = w;
         fc_pending.clear();
         for (const Simplex* sigma_ptr : index.incident_simplices(var.v)) {
             const Simplex& sigma = *sigma_ptr;
@@ -739,12 +650,10 @@ struct FcSearcher {
             if (num_unassigned == 0) {
                 if (!constraint_holds(sigma_ptr)) {
                     record_violation(sigma);
-                    if (config.backjumping) {
-                        conflict_from_violation(sigma, var_idx);
-                    }
+                    conflict_from_violation(sigma, var_idx);
                     return false;
                 }
-            } else if (num_unassigned == 1 && config.forward_checking) {
+            } else if (num_unassigned == 1) {
                 fc_pending.emplace_back(sigma_ptr, unassigned_idx);
             }
         }
@@ -767,31 +676,8 @@ struct FcSearcher {
                     image.push_back(vars[var_of_vertex[u]].value);
                 }
             }
-            if (cache != nullptr) {
-                // One memoized lookup filters the whole candidate
-                // list: the mask is keyed by the neighborhood-image
-                // fingerprint (cid + assigned values + hole). The
-                // filter itself is the word-wise pass `live & ~allowed`
-                // over the packed domain — only the values actually
-                // being pruned cost anything beyond one AND-NOT per 64
-                // candidates (ctz walks the remainder in ascending
-                // index order, same sequence as the old per-value scan).
-                const std::vector<std::uint64_t>& mask =
-                    cache->allowed_mask(problem, index.id_of(sigma_ptr),
-                                        sigma, image, u_slot,
-                                        uvar.values);
-                const std::size_t words = uvar.active_bits.size();
-                for (std::size_t wd = 0; wd < words; ++wd) {
-                    std::uint64_t removed = uvar.active_bits[wd] & ~mask[wd];
-                    while (removed != 0) {
-                        const std::size_t i =
-                            (wd << 6) + static_cast<std::size_t>(
-                                            __builtin_ctzll(removed));
-                        removed &= removed - 1;
-                        prune(u_idx, i, sigma_ptr);
-                    }
-                }
-            } else {
+            if (cache == nullptr) {
+                // Root propagation: test only the still-live values.
                 const SimplicialComplex& allowed = problem.allowed(sigma);
                 for (std::size_t i = 0; i < uvar.values.size(); ++i) {
                     if (!uvar.active[i]) continue;
@@ -802,12 +688,34 @@ struct FcSearcher {
                         prune(u_idx, i, sigma_ptr);
                     }
                 }
+            } else {
+                // One memoized lookup filters the whole candidate list:
+                // the mask is keyed by the neighborhood-image
+                // fingerprint (cid + assigned values + hole). The filter
+                // itself is the word-wise pass `live & ~allowed` over
+                // the packed domain — only the values actually being
+                // pruned cost anything beyond one AND-NOT per 64
+                // candidates (ctz walks the remainder in ascending index
+                // order, the same sequence as the per-value loop).
+                const std::vector<std::uint64_t>& mask =
+                    cache->allowed_mask(problem, index.id_of(sigma_ptr),
+                                        sigma, image, u_slot, uvar.values);
+                const std::size_t words = uvar.active_bits.size();
+                for (std::size_t wd = 0; wd < words; ++wd) {
+                    std::uint64_t removed =
+                        uvar.active_bits[wd] & ~mask[wd];
+                    while (removed != 0) {
+                        const std::size_t i =
+                            (wd << 6) + static_cast<std::size_t>(
+                                            __builtin_ctzll(removed));
+                        removed &= removed - 1;
+                        prune(u_idx, i, sigma_ptr);
+                    }
+                }
             }
             if (uvar.active_count == 0) {
                 record_wipeout(u_idx);
-                if (config.backjumping) {
-                    conflict_from_wipeout(u_idx, var_idx);
-                }
+                conflict_from_wipeout(u_idx, var_idx);
                 return false;
             }
         }
@@ -817,7 +725,6 @@ struct FcSearcher {
     void unassign(std::size_t var_idx) {
         vars[var_idx].assigned = false;
         mark_unassigned(var_idx);
-        if (cache == nullptr) assignment.erase(vars[var_idx].v);
     }
 
     /// Dense assignment view for the nogood store.
@@ -828,18 +735,11 @@ struct FcSearcher {
         return true;
     }
 
-    /// The next branching variable: first unassigned in static order, or
-    /// the MRV/degree/id minimum over the live unassigned list (the
-    /// criterion is a total order, so the list's arbitrary order picks
-    /// the same variable a full scan would). Returns vars.size() when
-    /// all assigned.
+    /// The next branching variable: the MRV/degree/id minimum over the
+    /// live unassigned list (the criterion is a total order, so the
+    /// list's arbitrary order picks the same variable a full scan
+    /// would). Returns vars.size() when all assigned.
     std::size_t pick_variable() const {
-        if (config.variable_order == VariableOrder::kStatic) {
-            for (std::size_t i = 0; i < vars.size(); ++i) {
-                if (!vars[i].assigned) return i;
-            }
-            return vars.size();
-        }
         std::size_t best = vars.size();
         for (const std::uint32_t i : unassigned) {
             const Var& var = vars[i];
@@ -867,25 +767,18 @@ struct FcSearcher {
         const std::size_t var_idx = pick_variable();
         if (var_idx == vars.size()) return Status::kFound;
         Var& var = vars[var_idx];
-        const bool cbj = config.backjumping;
-        std::vector<std::uint64_t>* conf = nullptr;
-        if (cbj) {
-            conf = &conflict_[var_idx];
-            std::fill(conf->begin(), conf->end(), 0);
-        }
+        std::vector<std::uint64_t>& conf = conflict_[var_idx];
+        std::fill(conf.begin(), conf.end(), 0);
         for (std::size_t i = 0; i < var.values.size(); ++i) {
             if (!var.active[i]) {
                 // The value is unavailable because an ancestor's
                 // constraint pruned it; that ancestor could restore it,
                 // so it belongs in this level's conflict set.
-                if (cbj) {
-                    const Simplex* cause = var.pruned_by[i];
-                    if (cause == nullptr) {
-                        conflict_add_all_assigned(*conf, var_idx, var_idx);
-                    } else {
-                        conflict_add_constraint(*conf, *cause, var_idx,
-                                                var_idx);
-                    }
+                const Simplex* cause = var.pruned_by[i];
+                if (cause == nullptr) {
+                    conflict_add_all_assigned(conf, var_idx, var_idx);
+                } else {
+                    conflict_add_constraint(conf, *cause, var_idx, var_idx);
                 }
                 continue;
             }
@@ -900,15 +793,12 @@ struct FcSearcher {
                     // This assignment would recreate a recorded
                     // conflict: skip it without redoing the propagation
                     // that proved it (not counted as a backtrack —
-                    // prunings are reported separately so ablation
-                    // counts stay comparable). The nogood's other
-                    // literals name the decisions responsible.
+                    // prunings are reported separately). The nogood's
+                    // other literals name the decisions responsible.
                     ++counters.nogood_prunings;
-                    if (cbj) {
-                        for (const NogoodLiteral& l : *blocking) {
-                            if (l.var == var.v) continue;
-                            conflict_add(*conf, var_of_vertex[l.var]);
-                        }
+                    for (const NogoodLiteral& l : *blocking) {
+                        if (l.var == var.v) continue;
+                        conflict_add(conf, var_of_vertex[l.var]);
                     }
                     continue;
                 }
@@ -917,10 +807,7 @@ struct FcSearcher {
             if (try_assign(var_idx, var.values[i])) {
                 const Status st = search();
                 if (st == Status::kFound) return st;
-                if (st == Status::kAbort || st == Status::kRestart) {
-                    // Both unwind the whole tree; only kAbort is final
-                    // (kRestart keeps `exhausted` — the next run
-                    // finishes the proof with today's nogoods).
+                if (st == Status::kAbort) {
                     undo_to(mark);
                     unassign(var_idx);
                     return st;
@@ -929,42 +816,26 @@ struct FcSearcher {
                 // its conflict set, no other value of this variable can
                 // resolve it: pop the level without re-enumerating
                 // (the backjump), propagating the same conflict.
-                if (cbj &&
-                    !conflict_contains(conflict_[conflict_var_], var_idx)) {
+                if (!conflict_contains(conflict_[conflict_var_], var_idx)) {
                     undo_to(mark);
                     unassign(var_idx);
                     ++counters.backjumps;
                     return Status::kConflict;
                 }
-                if (cbj) {
-                    conflict_merge(*conf, conflict_[conflict_var_], var_idx);
-                }
-            } else if (cbj) {
+                conflict_merge(conf, conflict_[conflict_var_], var_idx);
+            } else {
                 // try_assign failed directly; it left the cause in
                 // assign_conflict_.
-                conflict_merge(*conf, assign_conflict_, var_idx);
+                conflict_merge(conf, assign_conflict_, var_idx);
             }
             undo_to(mark);
             unassign(var_idx);
-            if (++counters.backtracks > config.max_backtracks ||
-                stopped()) {
+            if (++counters.backtracks > max_backtracks || stopped()) {
                 exhausted = false;
                 return Status::kAbort;
             }
-            // This run's Luby allotment. Checked after the global
-            // budget: restarts reschedule the budget, never extend it.
-            if (restart_limit != 0 &&
-                counters.backtracks - run_start_backtracks >=
-                    restart_limit) {
-                return Status::kRestart;
-            }
-            // A backtrack (or a backjump landing) is the natural moment
-            // to pick up what the other portfolio threads proved while
-            // this subtree was being refuted: the next value tried here
-            // immediately benefits. One relaxed check when idle.
-            maybe_import();
         }
-        if (cbj && exhausted) record_conflict_set(*conf);
+        if (exhausted) record_conflict_set(conf);
         conflict_var_ = var_idx;
         return Status::kConflict;
     }
@@ -973,18 +844,14 @@ struct FcSearcher {
 /// Root propagation of the fixed assignments, done once per solve: they
 /// are not search decisions, so a conflict here proves unsatisfiability
 /// outright, and the pruning they induce on the free domains is the same
-/// for every free-vertex component and every portfolio thread — the FC
-/// engine used to redo it (components x threads) times. Returns the
-/// pruned per-vertex domains, or nullopt on a root conflict.
+/// for every free-vertex component. Returns the pruned per-vertex
+/// domains, or nullopt on a root conflict.
 std::optional<DomainMap> propagate_fixed_snapshot(
     const ChromaticMapProblem& problem, const topo::AdjacencyIndex& index,
-    const std::vector<VertexId>& fixed_order, const DomainMap& base_domains,
-    const SolverConfig& config) {
+    const std::vector<VertexId>& fixed_order, const DomainMap& base_domains) {
     if (fixed_order.empty()) return base_domains;
 
-    SolverConfig propagation_config = config;
-    propagation_config.forward_checking = true;
-    FcSearcher s(problem, index, propagation_config);
+    FcSearcher s(problem, index);
     for (VertexId v : fixed_order) {
         s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
@@ -1019,40 +886,20 @@ std::optional<DomainMap> propagate_fixed_snapshot(
     return pruned;
 }
 
-/// The Luby restart sequence, 1-indexed: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
-/// 1, 1, 2, 4, 8, ... — the universal-optimal schedule for restarting a
-/// Las-Vegas search (Luby, Sinclair, Zuckerman 1993). luby(i) scales
-/// SolverConfig::restart_unit into the i-th run's backtrack allotment.
-std::size_t luby(std::size_t i) {
-    for (;;) {
-        // Find the block: if i is exactly 2^k - 1 the value is 2^(k-1);
-        // otherwise recurse into the tail of the enclosing block.
-        std::size_t k = 1;
-        while ((std::size_t{1} << k) - 1 < i) ++k;
-        if ((std::size_t{1} << k) - 1 == i) {
-            return std::size_t{1} << (k - 1);
-        }
-        i -= (std::size_t{1} << (k - 1)) - 1;
-    }
-}
-
 bool fc_solve_component(const ChromaticMapProblem& problem,
                         const topo::AdjacencyIndex& index,
                         const DomainMap& propagated_domains,
                         const SolverConfig& config,
                         const std::vector<VertexId>& fixed_order,
                         const std::vector<VertexId>& component_order,
-                        std::uint64_t shuffle_salt,
-                        const exec::CancelToken* cancel,
-                        EvalCache* cache, NogoodStore* nogoods,
-                        ExchangeSession* session,
+                        EvalCache& cache, NogoodStore* nogoods,
                         ChromaticMapResult& result,
                         std::unordered_map<VertexId, VertexId>& solution) {
-    FcSearcher s(problem, index, config);
-    s.cancel = cancel;
-    s.cache = cache;
+    FcSearcher s(problem, index);
+    s.cache = &cache;
+    s.cancel = config.cancel;
+    s.max_backtracks = config.max_backtracks;
     s.nogoods = nogoods;
-    s.session = session;
     for (VertexId v : fixed_order) {
         s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
@@ -1061,13 +908,8 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
         s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
     }
-
-    std::mt19937_64 rng(config.seed ^ shuffle_salt);
     for (FcSearcher::Var& var : s.vars) {
         var.values = propagated_domains.at(var.v);
-        if (config.value_order == ValueOrder::kShuffled && !var.is_fixed) {
-            std::shuffle(var.values.begin(), var.values.end(), rng);
-        }
         FcSearcher::activate_all(var);
     }
 
@@ -1079,43 +921,15 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
         FcSearcher::Var& var = s.vars[s.var_index.at(v)];
         var.assigned = true;
         var.value = var.values.front();
-        s.assignment[v] = var.values.front();
     }
     s.finalize_vars();
 
-    // The component start is the restart point of the exchange: pick up
-    // everything the other threads proved before descending at all. It
-    // is also a reference-free safe point, so retired nogood buffers
-    // from the previous component can be physically reclaimed.
+    // The component start is a reference-free safe point: retired
+    // nogood buffers from the previous component can be physically
+    // reclaimed.
     if (nogoods != nullptr) nogoods->reclaim();
-    s.maybe_import();
 
-    // Luby restarts (only meaningful with a store: a restart without
-    // learned nogoods would replay the identical tree). Each run gets
-    // luby(i) * restart_unit backtracks; on kRestart the searcher has
-    // fully unwound to this root, so re-descending with the retained
-    // store — now holding everything this run and the exchange peers
-    // proved — is the same deterministic DFS with strictly more sound
-    // pruning: same first witness, same exhaustion verdict, fewer
-    // re-derived conflicts. The global max_backtracks budget keeps
-    // ticking across runs, so termination is unchanged.
-    const bool use_restarts = config.restarts && nogoods != nullptr &&
-                              config.restart_unit > 0;
-    FcSearcher::Status status;
-    for (std::size_t run = 1;; ++run) {
-        if (use_restarts) {
-            s.restart_limit = luby(run) * config.restart_unit;
-            s.run_start_backtracks = s.counters.backtracks;
-        }
-        status = s.search();
-        if (status != FcSearcher::Status::kRestart) break;
-        ++s.counters.restarts;
-        // Unwound to the root: no blocking_nogood()/back() reference is
-        // live, so this is the other designated reclaim point.
-        nogoods->reclaim();
-        s.maybe_import();
-    }
-    const bool found = status == FcSearcher::Status::kFound;
+    const bool found = s.search() == FcSearcher::Status::kFound;
     result.counters.add(s.counters);
     if (!s.exhausted) result.exhausted = false;
     if (found) {
@@ -1130,40 +944,28 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// Single-threaded driver: decomposition + engine dispatch.
+// Decomposition + engine dispatch.
 // ---------------------------------------------------------------------------
 
-/// Does this configuration select the seed backtracker verbatim?
-bool is_naive_engine(const SolverConfig& config) {
-    return config.variable_order == VariableOrder::kStatic &&
-           !config.forward_checking &&
-           config.value_order == ValueOrder::kGiven;
-}
-
-ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
-                                const topo::AdjacencyIndex& index,
-                                const Decomposition& dec,
-                                const DomainMap& base_domains,
-                                const DomainMap& propagated_domains,
-                                const SolverConfig& config,
-                                std::uint64_t shuffle_salt,
-                                const exec::CancelToken* cancel,
-                                LiveNogoodExchange* exchange = nullptr,
-                                unsigned thread_id = 0) {
+ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
+                                    const topo::AdjacencyIndex& index,
+                                    const Decomposition& dec,
+                                    const DomainMap& base_domains,
+                                    const DomainMap& propagated_domains,
+                                    const SolverConfig& config) {
     ChromaticMapResult result;
     result.exhausted = true;
     std::unordered_map<VertexId, VertexId> solution;
 
-    const bool naive_engine = is_naive_engine(config);
+    const bool naive_engine = config.engine == SolverEngine::kNaive;
 
-    // The incremental layers are per-thread (no locking) and shared
-    // across the thread's components: constraint ids are global to the
-    // domain complex, and nogoods from one component mention variables
-    // disjoint from every other component's, so sharing is sound.
+    // The incremental layers are shared across the components: constraint
+    // ids are global to the domain complex, and nogoods from one component
+    // mention variables disjoint from every other component's, so sharing
+    // is sound.
     std::optional<EvalCache> cache;
-    if (!naive_engine && config.eval_cache) {
-        cache.emplace(index.indexed_simplex_count(),
-                      config.eval_cache_capacity);
+    if (!naive_engine) {
+        cache.emplace(index.indexed_simplex_count(), kEvalCacheCapacity);
     }
     // Cross-solve reuse: when the problem builder wired a SharedNogoodPool,
     // import every pool nogood whose variables all translate into the
@@ -1172,9 +974,8 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
     // store is sized so seeded entries do not consume the learning
     // budget. Reused nogoods only prune, so seeding changes backtrack
     // counts, never verdicts or witnesses.
-    const bool use_pool = !naive_engine && config.nogood_learning &&
-                          config.nogood_capacity > 0 &&
-                          problem.nogood_pool != nullptr &&
+    const bool learning = !naive_engine && config.nogood_capacity > 0;
+    const bool use_pool = learning && problem.nogood_pool != nullptr &&
                           !problem.nogood_scope.empty() &&
                           static_cast<bool>(problem.pool_var_key);
     // One vertex -> pool-key table per solve, built lazily (each
@@ -1196,8 +997,7 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
     };
     std::optional<NogoodStore> nogoods;
     std::size_t seeded = 0;
-    if (!naive_engine && config.nogood_learning &&
-        config.nogood_capacity > 0) {
+    if (learning) {
         std::vector<std::vector<NogoodLiteral>> seeds;
         // An empty scope has nothing to import: skip the key translation
         // outright on the cold first solve.
@@ -1224,51 +1024,31 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
                     seeds.push_back(std::move(literals));
                 });
         }
-        // The store collects when full (config.nogood_gc) instead of
-        // rejecting — the capacity bounds the live set, not the
-        // learning. Seeds are not exempt from eviction: a seed that
-        // never fires is exactly the kind of ballast GC exists to shed.
-        NogoodStore::GcConfig gc;
-        gc.enabled = config.nogood_gc;
-        gc.keep_fraction = config.gc_keep_fraction;
-        nogoods.emplace(config.nogood_capacity + seeds.size(), gc);
+        // The store collects when full instead of rejecting — the
+        // capacity bounds the live set, not the learning. Seeds are not
+        // exempt from eviction: a seed that never fires is exactly the
+        // kind of ballast GC exists to shed.
+        nogoods.emplace(config.nogood_capacity + seeds.size());
         for (std::vector<NogoodLiteral>& s : seeds) {
             if (nogoods->record(std::move(s))) ++seeded;
         }
     }
 
-    // Mid-flight portfolio exchange (the per-thread view of the shared
-    // log solve_chromatic_map created): only meaningful when this
-    // thread actually learns. Imports land in the same bounded store as
-    // the thread's own learning; their indices are remembered so the
-    // cross-solve pool publish below stays "each thread publishes what
-    // it proved" and nogoods_recorded stays own-learning only.
-    std::optional<ExchangeSession> session;
-    if (exchange != nullptr && nogoods.has_value()) {
-        session.emplace();
-        session->exchange = exchange;
-        session->store = &*nogoods;
-        session->source = thread_id;
-        session->max_import_literals = config.exchange_max_literals;
-    }
-
     const auto solve_component =
         [&](const std::vector<VertexId>& component_order) {
             if (naive_engine) {
-                // The seed baseline, preserved verbatim: raw domains,
+                // The seed reference, preserved verbatim: raw domains,
                 // fixed vertices re-validated through the ordinary
                 // constraint checks.
                 return naive_solve_component(problem, base_domains,
                                              dec.fixed_order, component_order,
-                                             config.max_backtracks, cancel,
-                                             result, solution);
+                                             config.max_backtracks,
+                                             config.cancel, result, solution);
             }
             return fc_solve_component(
                 problem, index, propagated_domains, config, dec.fixed_order,
-                component_order, shuffle_salt, cancel,
-                cache.has_value() ? &*cache : nullptr,
-                nogoods.has_value() ? &*nogoods : nullptr,
-                session.has_value() ? &*session : nullptr, result, solution);
+                component_order, *cache,
+                nogoods.has_value() ? &*nogoods : nullptr, result, solution);
         };
 
     // The fixed-only subproblem validates the pre-assignment itself.
@@ -1287,35 +1067,16 @@ ChromaticMapResult solve_single(const ChromaticMapProblem& problem,
         result.counters.eval_cache_misses = cache->stats().misses();
     }
     if (nogoods.has_value()) {
-        // nogoods_recorded was tallied at each learn() (seeds and
-        // exchange imports never pass through it); here only the
-        // session totals and the cross-solve publish remain.
+        // nogoods_recorded was tallied at each learn() (seeds never pass
+        // through it); here only the eviction total and the cross-solve
+        // publish remain.
         result.counters.pool_seeded = seeded;
         result.counters.nogoods_evicted = nogoods->evicted();
-        if (session.has_value()) {
-            result.counters.exchange_published = session->published;
-            result.counters.exchange_imported = session->imported;
-        }
         if (use_pool) {
-            // Publish this thread's own learning: seeds sit at the
-            // front of the append-only store; exchange imports are
-            // interleaved after them and are skipped — their proving
-            // thread publishes them (imported_ids is ascending, so one
-            // forward scan pairs with the index walk).
+            // Publish this solve's own learning: seeds sit at the front
+            // of the append-only store.
             const auto& all = nogoods->all();
-            const std::vector<std::uint32_t> no_imports;
-            const std::vector<std::uint32_t>& imported_ids =
-                session.has_value() ? session->imported_ids : no_imports;
-            std::size_t next_import = 0;
             for (std::size_t i = seeded; i < all.size(); ++i) {
-                while (next_import < imported_ids.size() &&
-                       imported_ids[next_import] < i) {
-                    ++next_import;
-                }
-                if (next_import < imported_ids.size() &&
-                    imported_ids[next_import] == i) {
-                    continue;
-                }
                 // Retired-and-reclaimed slots are empty vectors; an
                 // empty literal set must never reach the pool (it would
                 // read as "everything is contradictory").
@@ -1345,28 +1106,22 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
             "solve_chromatic_map: missing complexes");
     require(static_cast<bool>(problem.allowed),
             "solve_chromatic_map: missing constraint function");
-    require(config.num_threads >= 1,
-            "solve_chromatic_map: num_threads must be >= 1");
 
-    // The per-vertex simplex lists exist for forward checking; a purely
-    // naive run (note portfolio threads > 0 always shuffle, hence use the
-    // FC engine) only needs the neighbor sets for decomposition.
-    const bool need_simplex_index =
-        !is_naive_engine(config) || config.num_threads > 1;
+    // The per-vertex simplex lists exist for forward checking; the naive
+    // engine only needs the neighbor sets for decomposition.
+    const bool naive_engine = config.engine == SolverEngine::kNaive;
     const topo::AdjacencyIndex index(problem.domain->complex(),
-                                     need_simplex_index);
+                                     !naive_engine);
     const Decomposition dec = decompose(problem, index);
     const DomainMap base_domains = all_initial_domains(problem);
 
-    // Fixed-vertex root propagation, once per solve (FC engines only; the
-    // naive baseline keeps the raw domains).
+    // Fixed-vertex root propagation, once per solve (fast engine only;
+    // the naive reference keeps the raw domains).
     DomainMap propagated_domains;
-    const bool fc_engine_used =
-        !is_naive_engine(config) || config.num_threads > 1;
-    if (fc_engine_used) {
+    if (!naive_engine) {
         auto snapshot = propagate_fixed_snapshot(problem, index,
                                                  dec.fixed_order,
-                                                 base_domains, config);
+                                                 base_domains);
         if (!snapshot.has_value()) {
             // A conflict among the fixed assignments alone proves
             // unsatisfiability outright (they are not search decisions).
@@ -1377,118 +1132,13 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
         propagated_domains = std::move(*snapshot);
     }
 
-    ChromaticMapResult result;
-    if (config.num_threads == 1) {
-        result = solve_single(problem, index, dec, base_domains,
-                              propagated_domains, config, 0, config.cancel);
-    } else {
-        // Portfolio race, run as a cancellable task group on the
-        // resident scheduler (exec/task_group.h): task 0 keeps the
-        // configured value order, the others search with per-task
-        // shuffles (unless diversify_portfolio is off — then every
-        // task runs the identical search and the race only hedges
-        // scheduling). A task that either finds a witness or exhausts
-        // the search space has settled the problem, so it cancels
-        // everyone else. The race token is a CHILD of the caller's
-        // token: the caller's deadline stops the race, settling the
-        // race never cancels the caller's scope. With live_exchange
-        // on, the tasks additionally trade learned nogoods mid-flight
-        // through one shared append-only log.
-        //
-        // Counter audit: the reported result is exactly the settling
-        // task's ChromaticMapResult, claimed once under the mutex —
-        // never a sum that mixes a settled task's counters with the
-        // partially-updated counters of tasks the cancellation
-        // interrupted mid-search (such sums double-count work against
-        // the settled search and vary with thread count and timing).
-        // The token's relaxed ordering is safe: cancellation is
-        // advisory (losing tasks only ever do extra work), each
-        // `locals[i]` is written by its own task before the group join
-        // and read after it, and the claimed result is published under
-        // the mutex. Only when *no* task settles (every budget ran
-        // out) are counters summed: there is no coherent single-thread
-        // story, and the sum is explicitly "total budgeted effort
-        // spent".
-        exec::CancelToken race =
-            config.cancel != nullptr
-                ? exec::CancelToken::child_of(*config.cancel)
-                : exec::CancelToken();
-        std::mutex mutex;
-        std::optional<ChromaticMapResult> settled;
-        std::vector<ChromaticMapResult> locals(config.num_threads);
-        std::vector<std::exception_ptr> errors(config.num_threads);
-        // The mid-flight exchange needs learning to be on to have
-        // anything to trade; it lives exactly as long as the race.
-        std::optional<LiveNogoodExchange> exchange;
-        if (config.live_exchange && !is_naive_engine(config) &&
-            config.nogood_learning && config.nogood_capacity > 0) {
-            exchange.emplace();
-        }
-        exec::TaskGroup group;
-        for (unsigned i = 0; i < config.num_threads; ++i) {
-            group.run([&, i] {
-                try {
-                    SolverConfig local = config;
-                    local.num_threads = 1;
-                    local.cancel = &race;
-                    if (i > 0 && config.diversify_portfolio) {
-                        local.value_order = ValueOrder::kShuffled;
-                    }
-                    locals[i] =
-                        solve_single(problem, index, dec, base_domains,
-                                     propagated_domains, local,
-                                     0x9e3779b97f4a7c15ULL * i, &race,
-                                     exchange.has_value() ? &*exchange
-                                                          : nullptr,
-                                     i);
-                    if (locals[i].map.has_value() || locals[i].exhausted) {
-                        {
-                            const std::lock_guard<std::mutex> lock(mutex);
-                            if (!settled.has_value()) settled = locals[i];
-                        }
-                        race.cancel();
-                    }
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                    race.cancel();
-                }
-            });
-        }
-        group.wait();  // the tasks catch everything; errors rethrow below
-        for (const std::exception_ptr& e : errors) {
-            if (e) std::rethrow_exception(e);
-        }
-        if (settled.has_value()) {
-            // A witness, or a proven exhaustion: either way one thread
-            // covered the decisive search space, and its counters are
-            // the coherent account of it. (A witness and a no-witness
-            // exhaustion cannot both happen: exhaustion means the full
-            // space was searched without finding the witness the other
-            // thread claims, which check_chromatic_map would expose as
-            // a solver bug.)
-            result = *settled;
-        } else {
-            result.exhausted = false;
-            // "Total budgeted effort": every counter field accumulates
-            // (add_counters covers them all by construction — see the
-            // SearchCounters fields-covered check), so a counter added
-            // later can never be silently dropped from this merge.
-            for (const ChromaticMapResult& r : locals) {
-                result.add_counters(r);
-            }
-        }
-    }
-
+    ChromaticMapResult result = solve_components(
+        problem, index, dec, base_domains, propagated_domains, config);
     if (result.map.has_value()) {
         const std::string err = check_chromatic_map(problem, *result.map);
         ensure(err.empty(), "solve_chromatic_map: solver bug: " + err);
     }
     return result;
-}
-
-ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
-                                       std::size_t max_backtracks) {
-    return solve_chromatic_map(problem, SolverConfig::naive(max_backtracks));
 }
 
 std::string check_chromatic_map(const ChromaticMapProblem& problem,

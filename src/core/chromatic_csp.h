@@ -1,5 +1,4 @@
-// A configurable search engine for chromatic, carrier-preserving
-// simplicial maps.
+// The search engine for chromatic, carrier-preserving simplicial maps.
 //
 // Both directions of the paper's machinery need witnesses of the form
 // "a chromatic simplicial map from A to B such that the image of every
@@ -15,37 +14,32 @@
 // vertex's constraint complex, and every simplex of A whose vertices are
 // all assigned must map to a simplex of its constraint complex.
 //
-// Two engines are provided, selected by SolverConfig:
-//  * kStatic order without forward checking is the plain backtracker the
-//    library shipped with (the "naive" baseline of bench_csp_ablation);
-//  * kMrvDegree with forward checking prunes per-vertex domains through a
-//    precomputed vertex/simplex adjacency index (topology/adjacency_index)
-//    and always branches on the most constrained vertex.
-// Independently, `num_threads > 1` races a portfolio of searches with
-// diversified value orders as a cancellable task group on the resident
-// scheduler (src/exec/); the first witness wins via a CancelToken.
+// Two engines, selected by SolverConfig: fast, and naive as the
+// reference.
+//  * SolverConfig::naive() is the plain backtracker the library shipped
+//    with: static order, no pruning, no caches;
+//  * SolverConfig::fast() (the default) prunes per-vertex domains by
+//    forward checking through a precomputed vertex/simplex adjacency
+//    index (topology/adjacency_index) and always branches on the most
+//    constrained vertex.
 //
-// The FC engine's per-node work is flattened by three incremental
-// layers, all on by default and all provably verdict/witness-preserving:
+// The fast engine's per-node work is flattened by three incremental
+// layers, all provably verdict/witness-preserving:
 //  * an evaluation cache (core/eval_cache.h) memoizing allowed()
 //    complexes and full image evaluations, keyed by dense constraint ids
 //    from the adjacency index;
 //  * nogood learning (core/nogood_store.h) recording each proven
 //    conflict's minimal assignment set and pruning branches that would
 //    recreate it;
-//  * conflict-directed backjumping (SolverConfig::backjumping): the same
-//    minimal conflict sets tell the engine which decision actually
-//    caused a dead end, and the search returns straight to the deepest
-//    decision in the set instead of backtracking chronologically
-//    through decisions the conflict provably does not involve.
-// Learned conflicts travel beyond the thread that proved them on two
-// timescales: *mid-flight*, portfolio threads publish every newly
-// recorded nogood to a lock-light LiveNogoodExchange and import each
-// other's at backtrack/backjump points (SolverConfig::live_exchange);
-// *across solves*, they persist through a SharedNogoodPool wired onto
-// the problem by its builder (see ChromaticMapProblem::nogood_pool and
-// core/nogood_store.h), which itself persists across processes via
-// SharedNogoodPool::save/load.
+//  * conflict-directed backjumping: the same minimal conflict sets tell
+//    the engine which decision actually caused a dead end, and the
+//    search returns straight to the deepest decision in the set instead
+//    of backtracking chronologically through decisions the conflict
+//    provably does not involve.
+// Learned conflicts also outlive one solve: they persist through a
+// SharedNogoodPool wired onto the problem when it is built (see
+// ChromaticMapProblem::nogood_pool and core/nogood_store.h), which
+// itself persists across processes via SharedNogoodPool::save/load.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +81,7 @@ struct ChromaticMapProblem {
     /// maps are, by condition (ii) of Section 3.2).
     /// @note Must be pure and stable within one solve: the solver's
     /// memoization layers (core/eval_cache.h) cache both the returned
-    /// reference and evaluation results against it. With num_threads > 1
-    /// it is called concurrently and must be thread-safe for reads.
+    /// reference and evaluation results against it.
     std::function<const SimplicialComplex&(const Simplex&)> allowed;
 
     /// @brief Pre-assigned vertices (may be empty).
@@ -98,13 +91,11 @@ struct ChromaticMapProblem {
     /// ordered list of codomain vertices to try (already
     /// color-matching). When absent, all color-matching vertices allowed
     /// at the vertex are tried.
-    /// @note With num_threads > 1 this is called concurrently and must
-    /// be thread-safe.
     std::function<std::vector<VertexId>(VertexId)> candidate_order;
 
     /// @brief Optional cross-solve learning pool (core/nogood_store.h).
-    /// When set together with `nogood_scope` and `pool_var_key`, every
-    /// solver thread seeds its nogood store from the pool's scope before
+    /// When set together with `nogood_scope` and `pool_var_key`, the
+    /// fast engine seeds its nogood store from the pool's scope before
     /// searching and publishes its newly learned nogoods afterwards.
     /// Installed by the problem builders, never by the solver: the
     /// builder owns the soundness contract that every solve sharing the
@@ -117,193 +108,62 @@ struct ChromaticMapProblem {
     std::string nogood_scope;
     /// @brief Translation of a domain vertex to its pool key (interned
     /// stable (position, color) id), so literals survive per-depth
-    /// vertex re-indexing. Must be pure; called concurrently with
-    /// num_threads > 1.
+    /// vertex re-indexing. Must be pure.
     std::function<SharedNogoodPool::VarKeyId(VertexId)> pool_var_key;
 };
 
-/// How the next branching variable is chosen.
-enum class VariableOrder {
-    /// Fixed vertices first, then per component a static
-    /// maximum-cardinality order (most already-ordered neighbors first).
-    /// This is the seed backtracker's order.
-    kStatic,
-    /// Dynamic minimum-remaining-values: branch on the free vertex with
-    /// the smallest live domain; ties broken by larger 1-skeleton degree,
-    /// then smaller vertex id.
-    kMrvDegree,
+/// The two search engines. Solvability depends only on whether a map
+/// exists (Corollary 7.1, Theorem 8.4), so both return the same verdict;
+/// on every registry scenario they also return the same witness
+/// (asserted by tests/solver_cache_test.cpp).
+enum class SolverEngine {
+    /// The seed backtracker: fixed vertices first, then per component a
+    /// static maximum-cardinality order, no pruning, no caches. Kept as
+    /// the independent reference the fast engine is tested against.
+    kNaive,
+    /// Forward checking with MRV/degree branching, the evaluation cache,
+    /// nogood learning with GC, and conflict-directed backjumping.
+    kFast,
 };
 
-/// How each variable's candidate list is ordered.
-enum class ValueOrder {
-    /// As given: `candidate_order` when present, else codomain vertex-id
-    /// order restricted to matching colors.
-    kGiven,
-    /// Deterministic shuffle of the given order from `SolverConfig::seed`
-    /// (portfolio threads perturb the seed per thread).
-    kShuffled,
-};
-
-/// @brief Tunable knobs of the search engine.
+/// @brief Settings of one search.
 struct SolverConfig {
-    /// @brief Branching-variable strategy (see VariableOrder).
-    VariableOrder variable_order = VariableOrder::kMrvDegree;
-    /// @brief Candidate-value ordering (see ValueOrder).
-    ValueOrder value_order = ValueOrder::kGiven;
-    /// @brief Prune unassigned neighbors' domains after every assignment
-    /// (requires no extra setup; uses topo::AdjacencyIndex internally).
-    bool forward_checking = true;
-    /// @brief Backtrack budget per engine run (per thread in portfolio
-    /// mode).
+    /// @brief Which engine runs (see SolverEngine).
+    SolverEngine engine = SolverEngine::kFast;
+    /// @brief Backtrack budget of the search.
     std::size_t max_backtracks = 1000000;
-    /// @brief 1 = single-threaded. > 1 races that many searches with
-    /// value orders diversified per thread; the first witness wins and
-    /// stops the rest through a CancelToken (exec/cancel.h).
-    unsigned num_threads = 1;
-    /// @brief Base seed for ValueOrder::kShuffled and portfolio
-    /// diversification.
-    std::uint64_t seed = 0;
-
-    /// @brief Memoize constraint-complex lookups and full image
-    /// evaluations during the search (core/eval_cache.h). FC engine
-    /// only; the naive baseline always runs uncached.
-    /// @note Pure memoization: verdicts and witnesses are identical with
-    /// the cache on or off (asserted by tests/solver_cache_test.cpp).
-    bool eval_cache = true;
-    /// @brief Entry cap of the per-thread image-evaluation memo (each
-    /// entry is one (constraint, image fingerprint) -> verdict/mask
-    /// result; the cap bounds the memo's memory per solver thread).
-    std::size_t eval_cache_capacity = 1 << 18;
-
-    /// @brief Learn nogoods from wipeouts/violations and prune future
-    /// branches against them (core/nogood_store.h). FC engine only.
-    /// @note Sound pruning only: verdicts and witnesses are identical
-    /// with learning on or off; backtrack counts shrink.
-    bool nogood_learning = true;
-    /// @brief Max nogoods live per search thread (0 disables the store
-    /// outright). What happens at the cap depends on `nogood_gc`.
-    std::size_t nogood_capacity = 4096;
-    /// @brief Collect the nogood store when it fills: retire the least
-    /// active nogoods (activity-aged, LBD-style — see NogoodStore's
-    /// GcConfig) down to `gc_keep_fraction * nogood_capacity` and keep
-    /// learning. Off restores the legacy dead end where a full store
-    /// rejects every further conflict and learning silently freezes.
+    /// @brief Max nogoods live in the fast engine's store (0 disables
+    /// learning). A full store collects: it retires the least active
+    /// nogoods (see NogoodStore) and keeps learning.
     /// @note Eviction only forgets pruning shortcuts; verdicts and
-    /// witnesses are identical either way (toggle-matrix tests).
-    bool nogood_gc = true;
-    /// @brief Live fraction kept by each collection (clamped inside the
-    /// store so a collection always keeps >= 1 and frees >= 1).
-    double gc_keep_fraction = 0.5;
-
-    /// @brief Luby-sequence restarts (FC engine only, needs
-    /// nogood_learning): abandon the current tree after luby(i) *
-    /// restart_unit backtracks and redo the search from the component
-    /// root, keeping the nogood store, the pool seeds, and the exchange
-    /// cursor — so the retry spends its budget where the learned
-    /// conflicts now prune hardest instead of grinding out the first
-    /// ordering's tail. Total work stays bounded by max_backtracks
-    /// (restarts reschedule the budget, they do not extend it).
-    /// @note The restarted search runs the identical deterministic DFS
-    /// with a superset of the pruning knowledge, so the first witness
-    /// found — and the exhaustion verdict — are the same as without
-    /// restarts (asserted across the registry toggle matrix).
-    bool restarts = true;
-    /// @brief Backtracks in the i-th run = luby(i) * restart_unit
-    /// (1, 1, 2, 1, 1, 2, 4, ... times this unit).
-    std::size_t restart_unit = 512;
-
-    /// @brief Conflict-directed backjumping (FC engine only): on a dead
-    /// end, return straight to the deepest decision in the conflict set
-    /// — assembled from the same per-value pruning-constraint provenance
-    /// the nogood store records — instead of chronologically re-trying
-    /// decisions the conflict provably does not involve.
-    /// @note The jump only ever skips subtrees that contain no witness
-    /// (every skipped decision is absent from the conflict set, so
-    /// re-assigning it cannot resolve the conflict), and it visits the
-    /// surviving nodes in the same order as chronological backtracking:
-    /// verdicts and witnesses are bit-identical with the knob on or off
-    /// (asserted across the registry by tests/solver_cache_test.cpp).
-    bool backjumping = true;
-
-    /// @brief Mid-flight nogood exchange between portfolio threads
-    /// (active only with num_threads > 1 and nogood_learning on): each
-    /// thread publishes every newly recorded nogood to a lock-light
-    /// shared log (core/nogood_store.h, LiveNogoodExchange) and imports
-    /// the others' at its backtrack/backjump points and at each
-    /// component start, so a conflict one thread proves stops costing
-    /// every other thread its re-derivation — while they are all still
-    /// searching, not at the next solve boundary.
-    /// @note Sound for the same reason seeding from the cross-solve pool
-    /// is: portfolio threads share every per-solve constant, and a
-    /// recorded conflict depends only on those constants and its
-    /// literals. Verdicts and witnesses are bit-identical with the
-    /// exchange on or off; backtrack counts shrink nondeterministically
-    /// (imports race with the search that would have re-proven them).
-    bool live_exchange = true;
-    /// @brief Import-size cap of the exchange: only nogoods with at most
-    /// this many literals are imported (short nogoods fire most often —
-    /// the LBD-style quality filter, applied on the cheap import side so
-    /// publishing stays a single append). 0 = import everything.
-    std::size_t exchange_max_literals = 8;
-
-    /// @brief Diversify the portfolio (the default): threads beyond the
-    /// first search with per-thread shuffled value orders, so the race
-    /// explores different subtrees. Off = every thread runs the
-    /// identical search; the race then only hedges scheduling, but the
-    /// reported verdict and witness become deterministic for any thread
-    /// count (what the toggle-matrix property tests pin) — and so do
-    /// the counters when the live exchange is off (imports race, so
-    /// with the exchange on only the verdict/witness stay pinned). The
-    /// exchange still helps an undiversified race: a slower replica
-    /// skips conflicts a faster one already proved.
-    bool diversify_portfolio = true;
-
+    /// witnesses do not depend on the capacity.
+    std::size_t nogood_capacity = 4096;
     /// @brief Capacity of the carrier -> constraint-complex LRU used by
     /// the *problem builders* (act_problem / lt_approximation_problem),
     /// not by the CSP core itself: it persists across subdivision depths
     /// where per-depth vertex ids do not. 0 disables it.
     std::size_t allowed_lru_capacity = 256;
-
     /// @brief External cancellation (exec/cancel.h): when set, the
     /// search aborts at its backtrack checkpoints once the token is
     /// cancelled or past its deadline — the same "not a proof" abort as
     /// a spent backtrack budget (`exhausted` comes back false). Not
     /// owned; must outlive the solve. Null = never cancelled. The
-    /// engine threads EngineOptions::time_budget_ms through here, and
-    /// the portfolio race runs under a child of this token so settling
-    /// one race never cancels the caller's scope.
+    /// engine threads EngineOptions::time_budget_ms through here.
     const exec::CancelToken* cancel = nullptr;
 
-    /// @brief The seed backtracker: static order, no pruning, no caches.
+    /// @brief The naive reference engine.
     static SolverConfig naive(std::size_t max_backtracks = 1000000) {
         SolverConfig c;
-        c.variable_order = VariableOrder::kStatic;
-        c.forward_checking = false;
+        c.engine = SolverEngine::kNaive;
         c.max_backtracks = max_backtracks;
-        c.eval_cache = false;
-        c.nogood_learning = false;
-        c.backjumping = false;
         c.allowed_lru_capacity = 0;
         return c;
     }
 
-    /// @brief Forward checking + MRV/degree with all memoization layers
-    /// on (the default).
+    /// @brief The shipped fast engine (the default).
     static SolverConfig fast(std::size_t max_backtracks = 1000000) {
         SolverConfig c;
         c.max_backtracks = max_backtracks;
-        return c;
-    }
-
-    /// @brief `threads` diversified searches racing, forward checking
-    /// and the memoization layers on.
-    static SolverConfig portfolio(unsigned threads,
-                                  std::size_t max_backtracks = 1000000,
-                                  std::uint64_t seed = 0) {
-        SolverConfig c;
-        c.max_backtracks = max_backtracks;
-        c.num_threads = threads;
-        c.seed = seed;
         return c;
     }
 };
@@ -315,9 +175,8 @@ struct SolverConfig {
 /// static_assert next to add()'s definition (chromatic_csp.cpp) pins
 /// sizeof(SearchCounters) to the field count, so adding a counter
 /// without extending add() fails the build instead of being silently
-/// dropped by some accumulation site (the portfolio merge used to
-/// hand-sum eight fields; a ninth would have vanished from merged
-/// reports). The populated-struct round-trip in
+/// dropped by some accumulation site (the per-depth and per-component
+/// sums all funnel through add()). The populated-struct round-trip in
 /// tests/solver_cache_test.cpp covers the sums themselves.
 struct SearchCounters {
     /// Number of backtracking steps performed.
@@ -325,34 +184,24 @@ struct SearchCounters {
     /// Branches skipped because they would have completed a recorded
     /// nogood (not counted as backtracks).
     std::size_t nogood_prunings = 0;
-    /// Nogoods recorded by the search itself (pool seeds and exchange
-    /// imports are counted separately, never here). With nogood_gc on
-    /// this keeps growing past nogood_capacity — the capacity bounds
-    /// the *live* set, not the learning (the PR-6 regression tests pin
-    /// exactly this).
+    /// Nogoods recorded by the search itself (pool seeds are counted
+    /// separately, never here). This keeps growing past nogood_capacity
+    /// — the capacity bounds the *live* set, not the learning.
     std::size_t nogoods_recorded = 0;
-    /// Nogoods retired by store collections (SolverConfig::nogood_gc);
-    /// 0 when GC is off or the store never filled.
+    /// Nogoods retired by store collections; 0 when the store never
+    /// filled.
     std::size_t nogoods_evicted = 0;
-    /// Luby restarts taken (SolverConfig::restarts): abandoned trees,
-    /// not counting the final run that settled the component.
-    std::size_t restarts = 0;
     /// Dead ends resolved by a non-chronological jump: decision levels
     /// popped without re-enumerating their remaining values because the
-    /// conflict set did not involve them (SolverConfig::backjumping).
+    /// conflict set did not involve them.
     std::size_t backjumps = 0;
     /// Nogoods imported from the problem's SharedNogoodPool at the
     /// start of the search (0 when no pool is wired).
     std::size_t pool_seeded = 0;
     /// Newly learned nogoods published back to the pool.
     std::size_t pool_published = 0;
-    /// Nogoods published to the mid-flight portfolio exchange
-    /// (SolverConfig::live_exchange; 0 single-threaded).
-    std::size_t exchange_published = 0;
-    /// Nogoods imported from other portfolio threads mid-search.
-    std::size_t exchange_imported = 0;
     /// Constraint-evaluation cache hits (allowed() + image memos
-    /// combined); 0 when the cache is off.
+    /// combined); 0 for the naive engine.
     std::size_t eval_cache_hits = 0;
     /// Constraint-evaluation cache misses (including insertions
     /// rejected at capacity).
@@ -368,35 +217,15 @@ struct ChromaticMapResult {
     std::optional<SimplicialMap> map;
     /// @brief True when the search space was exhausted (so no map exists
     /// under the given constraints); false when the backtrack budget ran
-    /// out or a portfolio race was stopped early.
+    /// out or the search was cancelled.
     bool exhausted = false;
-    /// @brief Search effort and learning tallies. In portfolio mode the
-    /// counters report the settling thread (the first to find a witness
-    /// or exhaust the space) — one coherent search's account, never a
-    /// sum mixing in losing threads' partial work; only when no thread
-    /// settles (every budget ran out) are counters summed across
-    /// threads as "total budgeted effort".
+    /// @brief Search effort and learning tallies.
     SearchCounters counters;
-
-    /// @brief Accumulate another result's counters (every field of
-    /// SearchCounters — see its note on the fields-covered guarantee).
-    /// `map` and `exhausted` are deliberately untouched: combining
-    /// verdicts is the caller's semantic decision, combining tallies is
-    /// not.
-    void add_counters(const ChromaticMapResult& other) noexcept {
-        counters.add(other.counters);
-    }
 };
 
-/// @brief Search for a satisfying map with the given engine
-/// configuration.
+/// @brief Search for a satisfying map with the configured engine.
 ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
                                        const SolverConfig& config);
-
-/// @brief Compatibility entry point: the seed backtracker
-/// (SolverConfig::naive(max_backtracks)).
-ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
-                                       std::size_t max_backtracks = 1000000);
 
 /// @brief Verify that `map` is a chromatic simplicial map from
 /// problem.domain to problem.codomain with every simplex image inside

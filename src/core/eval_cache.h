@@ -14,7 +14,7 @@
 //  * EvalCache — a per-search (single-threaded) memo pairing a dense
 //    constraint-indexed table of `allowed()` results with a capped hash
 //    map of full image evaluations keyed by (constraint id, image
-//    fingerprint). Owned by one solver thread; never shared.
+//    fingerprint). Owned by one solve; never shared.
 //  * AllowedComplexLru — a small thread-safe LRU keyed by *carrier*
 //    simplex, shared by the problem builders (core/act_solver.h,
 //    core/lt_pipeline.h) across subdivision depths: vertex ids change
@@ -66,12 +66,13 @@ struct EvalCacheStats {
 };
 
 /// Per-search memoization of constraint evaluations. One instance per
-/// solver thread (no locking); constraint ids are the dense ids handed
-/// out by topo::AdjacencyIndex for the problem's domain complex.
+/// search (no locking); constraint ids are the dense ids handed out by
+/// topo::AdjacencyIndex for the problem's domain complex.
 ///
 /// @note The cache is only sound within one (problem, fixed-assignment)
 /// solve: entries assume `problem.allowed` is pure and stable, which the
-/// ChromaticMapProblem contract guarantees.
+/// ChromaticMapProblem contract guarantees. allowed_mask() entries also
+/// assume each vertex's candidate list is the same on every call.
 class EvalCache {
 public:
     /// `num_constraints` sizes the dense allowed() table;
@@ -184,9 +185,8 @@ private:
 /// lt_approximation_problem closures so repeated carriers — within one
 /// depth and across subdivision depths — skip the carrier-map walk.
 ///
-/// @note Thread safety matters because ChromaticMapProblem::allowed is
-/// called concurrently by portfolio solver threads; the mutex is only
-/// contended in that mode.
+/// @note Thread-safe, so a problem may be solved from any thread; each
+/// solve is single-threaded, so the mutex is uncontended in practice.
 class AllowedComplexLru {
 public:
     /// `capacity` == 0 disables caching (get() always calls `miss`).

@@ -38,9 +38,6 @@ std::size_t portable_hash(
 
 NogoodStore::NogoodStore(std::size_t capacity) : capacity_(capacity) {}
 
-NogoodStore::NogoodStore(std::size_t capacity, GcConfig gc)
-    : capacity_(capacity), gc_(gc) {}
-
 NogoodStore::NogoodStore(std::size_t capacity, Hasher hasher)
     : capacity_(capacity), hasher_(std::move(hasher)) {}
 
@@ -72,17 +69,7 @@ bool NogoodStore::record(std::vector<NogoodLiteral> literals) {
             }
         }
     }
-    if (live_ >= capacity_) {
-        if (!gc_.enabled) {
-            // The legacy dead end: a full store refuses every new
-            // conflict, silently freezing all learning for the rest of
-            // the search. Kept (observable, opt-out) for callers that
-            // pin it; the solver runs with GC on.
-            ++rejected_at_capacity_;
-            return false;
-        }
-        collect();
-    }
+    if (live_ >= capacity_) collect();
 
     const auto id = static_cast<std::uint32_t>(nogoods_.size());
     by_hash_[h].push_back(id);
@@ -99,12 +86,11 @@ bool NogoodStore::record(std::vector<NogoodLiteral> literals) {
 }
 
 void NogoodStore::collect() {
-    // Keep target, clamped so a collection always keeps at least one
-    // nogood and frees at least one slot whatever the fraction says.
-    const auto raw_target = static_cast<std::size_t>(
-        static_cast<double>(capacity_) * gc_.keep_fraction);
+    // Keep half: the evicted headroom is what amortizes the O(live)
+    // index rebuild below. Clamped so a collection keeps at least one
+    // nogood and frees at least one slot even at tiny capacities.
     const std::size_t target =
-        std::min(std::max<std::size_t>(raw_target, 1), capacity_ - 1);
+        std::min(std::max<std::size_t>(capacity_ / 2, 1), capacity_ - 1);
     if (live_ <= target) return;
 
     std::vector<std::uint32_t> live_ids;
@@ -114,8 +100,7 @@ void NogoodStore::collect() {
     }
     // Eviction priority: least active first; among equals the widest
     // nogood goes first (a narrow nogood prunes more per probe), then
-    // the oldest. The full sort keeps the policy deterministic, which
-    // the bit-identical toggle-matrix tests lean on indirectly (any
+    // the oldest. The full sort keeps the policy deterministic (any
     // sound pruning set preserves verdicts, but determinism keeps runs
     // reproducible for debugging).
     std::sort(live_ids.begin(), live_ids.end(),
@@ -132,8 +117,8 @@ void NogoodStore::collect() {
     for (std::size_t i = 0; i < n_evict; ++i) {
         const std::uint32_t id = live_ids[i];
         // Logical retirement only: the deque slot and literal buffer
-        // stay until reclaim(), preserving references a searcher or
-        // the exchange path may still hold (PR-5 contract).
+        // stay until reclaim(), preserving references a searcher may
+        // still hold.
         retired_[id] = 1;
         pending_reclaim_.push_back(id);
     }
@@ -169,50 +154,11 @@ std::size_t NogoodStore::reclaim() {
     const std::size_t freed = pending_reclaim_.size();
     for (const std::uint32_t id : pending_reclaim_) {
         // Free the buffer but keep the (now empty) deque slot: ids must
-        // stay stable for the exchange/pool bookkeeping.
+        // stay stable for the pool-publish scan.
         std::vector<NogoodLiteral>().swap(nogoods_[id]);
     }
     pending_reclaim_.clear();
     return freed;
-}
-
-LiveNogoodExchange::LiveNogoodExchange(std::size_t capacity)
-    : capacity_(capacity),
-      segments_((capacity + kSegmentSize - 1) / kSegmentSize) {
-    for (std::atomic<Segment*>& s : segments_) {
-        s.store(nullptr, std::memory_order_relaxed);
-    }
-}
-
-LiveNogoodExchange::~LiveNogoodExchange() {
-    for (std::atomic<Segment*>& s : segments_) {
-        delete s.load(std::memory_order_relaxed);
-    }
-}
-
-bool LiveNogoodExchange::publish(unsigned source,
-                                 std::vector<NogoodLiteral> literals) {
-    if (literals.empty() || capacity_ == 0) return false;
-    const std::lock_guard<std::mutex> lock(write_mutex_);
-    const std::size_t i = count_.load(std::memory_order_relaxed);
-    if (i >= capacity_) {
-        rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    std::atomic<Segment*>& slot = segments_[i >> kSegmentShift];
-    Segment* segment = slot.load(std::memory_order_relaxed);
-    if (segment == nullptr) {
-        segment = new Segment();
-        slot.store(segment, std::memory_order_release);
-    }
-    Entry& e = segment->entries[i & (kSegmentSize - 1)];
-    e.source = source;
-    e.literals = std::move(literals);
-    // The release store is the publication point: a reader that
-    // acquire-loads count_ >= i + 1 sees the fully built entry and the
-    // segment pointer (both sequenced before this store).
-    count_.store(i + 1, std::memory_order_release);
-    return true;
 }
 
 SharedNogoodPool::SharedNogoodPool(std::size_t capacity_per_scope)

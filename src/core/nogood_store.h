@@ -17,42 +17,36 @@
 // assignment; if so, the branch is pruned without redoing the search
 // work that proved the conflict the first time. The same minimal
 // conflict sets drive the engine's conflict-directed backjumping (see
-// chromatic_csp.h, SolverConfig::backjumping).
+// chromatic_csp.h).
 //
 // Soundness: a recorded conflict depends only on the per-solve constants
 // (the constraint complexes and the root-propagated domains) and the
 // recorded assignments — never on assignment order — so pruning against
 // the store never removes a satisfying branch. Verdicts and witnesses
-// are bit-identical with the store on or off; only backtrack counts and
-// wall time change (tests/solver_cache_test.cpp asserts this across the
-// scenario registry).
+// match the naive engine, which learns nothing; only backtrack counts
+// and wall time change (tests/solver_cache_test.cpp asserts this across
+// the scenario registry).
 //
 // The store is bounded (SolverConfig::nogood_capacity) so pathological
 // searches cannot grow it without bound — but a full store must not
-// stop learning. Historically it did: once size() hit the capacity,
-// record() rejected every new conflict for the rest of the search
-// (rejected_at_capacity_), freezing the learning on whatever was
-// derived first. With GcConfig::enabled the store instead *collects*:
-// when the live count reaches the capacity it retires the least useful
-// nogoods (lowest activity first — activity is bumped each time a
-// nogood blocks a branch and halved at every collection, a clause-aging
-// scheme in the LBD/VSIDS family) down to capacity * keep_fraction and
-// admits the new record. Retirement is logical: the nogood leaves the
-// watch and dedup indices (it stops pruning and may be re-learned) but
-// its deque slot and literal buffer survive, so ids stay stable and the
-// PR-5 lifetime contract holds — a blocking_nogood() reference or an
-// all().back() reference held by a searcher, and the copies in the
-// exchange log, are never invalidated by a collection. Buffers are
-// freed only by an explicit reclaim() at caller-chosen safe points
-// (restart and component boundaries, where no references are live);
-// see tests/nogood_gc_test.cpp for the ASan-visible contract tests.
+// stop learning, so it *collects*: when the live count reaches the
+// capacity it retires the least useful nogoods (lowest activity first —
+// activity is bumped each time a nogood blocks a branch and halved at
+// every collection, a clause-aging scheme in the LBD/VSIDS family) down
+// to half the capacity and admits the new record. Retirement is
+// logical: the nogood leaves the watch and dedup indices (it stops
+// pruning and may be re-learned) but its deque slot and literal buffer
+// survive, so ids stay stable and a blocking_nogood() or all().back()
+// reference held by a searcher is never invalidated by a collection.
+// Buffers are freed only by an explicit reclaim() at caller-chosen safe
+// points (component boundaries, where no references are live); see
+// tests/nogood_gc_test.cpp for the ASan-visible contract tests.
 // Lookup is via a watch index that maps every literal to the live
 // nogoods containing it. Deduplication compares canonicalized literal
 // vectors inside per-hash buckets — hash equality alone is never
 // trusted (a collision used to silently drop a genuinely new nogood).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -83,28 +77,14 @@ struct NogoodLiteral {
 };
 
 /// A bounded, deduplicated store of nogoods with per-literal lookup.
-/// Single-threaded: each solver thread owns its own store (cross-thread
-/// and cross-solve sharing go through SharedNogoodPool).
+/// Single-threaded: each solve owns its own store (cross-solve sharing
+/// goes through SharedNogoodPool).
 class NogoodStore {
 public:
     using Hasher = std::function<std::size_t(const std::vector<NogoodLiteral>&)>;
 
-    /// Eviction policy for a full store (see the file comment). Off by
-    /// default: without it the store keeps the legacy reject-at-capacity
-    /// behavior, which some callers (and tests) still pin.
-    struct GcConfig {
-        bool enabled = false;
-        /// Fraction of `capacity` left live after a collection; the
-        /// evicted headroom is what amortizes the O(live) index rebuild.
-        /// Clamped so a collection always keeps >= 1 and frees >= 1.
-        double keep_fraction = 0.5;
-    };
-
     /// `capacity` == 0 disables the store (record() drops everything).
     explicit NogoodStore(std::size_t capacity);
-
-    /// A store that collects instead of rejecting when full.
-    NogoodStore(std::size_t capacity, GcConfig gc);
 
     /// Test-only: inject a custom hasher (e.g. a constant, to force every
     /// record into one collision bucket). Dedup must survive any hasher.
@@ -112,20 +92,17 @@ public:
 
     /// Record a conflicting assignment set. Literals are canonicalized
     /// (sorted, deduplicated); empty sets and duplicates of live
-    /// nogoods are dropped. A full store either rejects the record
-    /// (GC off — the legacy dead end) or retires its least active
-    /// nogoods to make room (GC on). Returns true iff newly stored.
+    /// nogoods are dropped. A full store retires its least active
+    /// nogoods to make room. Returns true iff newly stored.
     bool record(std::vector<NogoodLiteral> literals);
 
     /// Would assigning `var := value` complete a stored nogood, given
     /// the current partial assignment? Returns the completed nogood's
     /// literal vector (stable for the lifetime of the store: nogoods
-    /// live in a deque precisely so that record() — including a
-    /// mid-flight exchange import racing ahead of a held pointer —
-    /// never invalidates a previously returned reference; the vector
-    /// used to reallocate, which made "hold across a record()" an
-    /// ASan-visible use-after-free, see
-    /// tests/nogood_exchange_test.cpp), or nullptr.
+    /// live in a deque precisely so that record() never invalidates a
+    /// previously returned reference; the vector used to reallocate,
+    /// which made "hold across a record()" an ASan-visible
+    /// use-after-free, see tests/nogood_gc_test.cpp), or nullptr.
     /// `value_of(u, out)` must return true and set `out` iff vertex `u`
     /// is currently assigned. A non-null result means the extended
     /// assignment is provably unsatisfiable and the value can be
@@ -193,8 +170,7 @@ public:
 
     bool empty() const noexcept { return nogoods_.empty(); }
     /// Stored entries including retired ones — ids [0, size()) stay
-    /// stable across collections, which the exchange-import bookkeeping
-    /// (ascending imported ids) and the pool-publish scan rely on.
+    /// stable across collections, which the pool-publish scan relies on.
     std::size_t size() const noexcept { return nogoods_.size(); }
     std::size_t capacity() const noexcept { return capacity_; }
     /// Entries still pruning (indexed in watch_/by_hash_).
@@ -215,14 +191,9 @@ public:
     /// deque slots themselves survive — ids stay stable — but their
     /// literal vectors are emptied), so callers may only invoke it at
     /// points where no blocking_nogood()/back() reference is held:
-    /// the searcher reclaims at restart and component boundaries.
+    /// the searcher reclaims at component boundaries.
     std::size_t reclaim();
 
-    /// Records dropped because the store was full (GC off only; with GC
-    /// on, a full store evicts instead and this stays 0).
-    std::size_t rejected_at_capacity() const noexcept {
-        return rejected_at_capacity_;
-    }
     /// Records dropped as exact duplicates of a stored nogood (literal
     /// vectors compared, not hashes).
     std::size_t rejected_as_duplicate() const noexcept {
@@ -240,7 +211,7 @@ public:
 private:
     /// Retire the least active live nogoods down to the keep target,
     /// rebuilding the watch and dedup indices without them. Called by
-    /// record() when the live count reaches capacity and GC is on.
+    /// record() when the live count reaches capacity.
     void collect();
     static std::uint64_t literal_key(topo::VertexId var,
                                      topo::VertexId value) noexcept {
@@ -248,7 +219,6 @@ private:
     }
 
     std::size_t capacity_ = 0;
-    GcConfig gc_;
     Hasher hasher_;  // null = the default literal-vector hash
     /// Stable element addresses (see all()); push_back on a deque never
     /// invalidates references to existing elements.
@@ -272,117 +242,13 @@ private:
     std::size_t live_ = 0;
     std::size_t evicted_ = 0;
     std::size_t gc_runs_ = 0;
-    std::size_t rejected_at_capacity_ = 0;
     std::size_t rejected_as_duplicate_ = 0;
 };
 
-/// A lock-light mid-flight exchange of learned nogoods between the
-/// portfolio threads of ONE solve (the SharedNogoodPool below shares
-/// *across* solves and only syncs at solve boundaries; this exchange is
-/// what lets a racing thread profit from a conflict another thread
-/// proved seconds ago, while both are still searching).
-///
-/// Design: an append-only log of entries in fixed-size segments whose
-/// addresses never change once allocated. Writers serialize on one
-/// mutex (publishing happens only when a nogood is newly recorded, so
-/// contention is proportional to learning, not to search); readers are
-/// wait-free — an acquire load of the entry count synchronizes with the
-/// writer's release store, after which every entry below the count is
-/// fully constructed and immutable, and the segment spine is a
-/// fixed-size array of atomic pointers, so no reader ever observes a
-/// reallocation. Each importer keeps its own cursor and drains only the
-/// suffix it has not seen, skipping entries it published itself.
-///
-/// Soundness is inherited from NogoodStore's argument: portfolio
-/// threads of one solve share every per-solve constant (the constraint
-/// complexes and the root-propagated domains), and a recorded conflict
-/// depends only on those constants and its literals — never on the
-/// publishing thread's assignment order — so importing it mid-search
-/// prunes only branches that provably contain no witness. Verdicts and
-/// witnesses are bit-identical with the exchange on or off; only
-/// backtrack counts and wall time change (tests/solver_cache_test.cpp
-/// asserts this across the registry's toggle matrix).
-class LiveNogoodExchange {
-public:
-    /// `capacity` caps the total entries retained (publishes past it are
-    /// dropped and counted); 0 disables the exchange outright.
-    explicit LiveNogoodExchange(std::size_t capacity = 1 << 14);
-    ~LiveNogoodExchange();
-
-    LiveNogoodExchange(const LiveNogoodExchange&) = delete;
-    LiveNogoodExchange& operator=(const LiveNogoodExchange&) = delete;
-
-    /// Publish one newly learned nogood (already canonicalized by the
-    /// publisher's NogoodStore). `source` tags the publishing thread so
-    /// it never re-imports its own entries. Returns true iff stored.
-    bool publish(unsigned source, std::vector<NogoodLiteral> literals);
-
-    /// Entries visible so far (acquire; safe to read concurrently with
-    /// publishers).
-    std::size_t size() const noexcept {
-        return count_.load(std::memory_order_acquire);
-    }
-
-    /// Visit every entry in [cursor, size()) not published by `source`
-    /// and with at most `max_literals` literals (0 = no cap), advancing
-    /// and returning the cursor. Wait-free with respect to publishers.
-    template <typename Fn>
-    std::size_t drain(std::size_t cursor, unsigned source,
-                      std::size_t max_literals, Fn&& fn) const {
-        const std::size_t limit = size();
-        for (; cursor < limit; ++cursor) {
-            const Entry& e = entry(cursor);
-            if (e.source == source) continue;
-            if (max_literals != 0 && e.literals.size() > max_literals) {
-                continue;
-            }
-            fn(e.literals);
-        }
-        return cursor;
-    }
-
-    std::size_t capacity() const noexcept { return capacity_; }
-    /// Publishes dropped because the exchange was full.
-    std::size_t rejected_at_capacity() const noexcept {
-        return rejected_at_capacity_.load(std::memory_order_relaxed);
-    }
-
-private:
-    struct Entry {
-        unsigned source = 0;
-        std::vector<NogoodLiteral> literals;
-    };
-    /// 256 entries per segment: small enough that a short solve touches
-    /// one allocation, large enough that the spine stays tiny.
-    static constexpr std::size_t kSegmentShift = 8;
-    static constexpr std::size_t kSegmentSize = std::size_t{1}
-                                                << kSegmentShift;
-    struct Segment {
-        Entry entries[kSegmentSize];
-    };
-
-    const Entry& entry(std::size_t i) const {
-        // The acquire in size() ordered this load after the publishing
-        // thread's release store of count_, which happened after both
-        // the segment-pointer store and the entry construction.
-        return segments_[i >> kSegmentShift]
-            .load(std::memory_order_acquire)
-            ->entries[i & (kSegmentSize - 1)];
-    }
-
-    std::size_t capacity_ = 0;
-    /// Fixed-size spine: sized once in the constructor, never resized,
-    /// so readers can index it without synchronizing with writers.
-    std::vector<std::atomic<Segment*>> segments_;
-    std::atomic<std::size_t> count_{0};
-    std::atomic<std::size_t> rejected_at_capacity_{0};
-    std::mutex write_mutex_;
-};
-
 /// A thread-safe pool of learned nogoods shared *across* solves — across
-/// subdivision depths, across portfolio threads' sequential solves, and
-/// across repeated solves of the same construction (e.g. two registry
-/// scenarios differing only in their model).
+/// subdivision depths, across concurrent solves of a batch or a server,
+/// and across repeated solves of the same construction (e.g. two
+/// registry scenarios differing only in their model).
 ///
 /// Portability across vertex re-indexing: per-solve vertex ids change
 /// from one subdivision depth to the next, but the *geometry* of a

@@ -186,18 +186,12 @@ std::string SolveReport::summary() const {
     }
     out += ", " + std::to_string(total_backtracks) + " backtracks";
     // Learning traffic, when any happened: cross-solve pool seeding /
-    // publishing and mid-flight portfolio exchange — the counters the
-    // warm-start and exchange acceptance checks read off this line.
+    // publishing — the counters the warm-start checks read off this
+    // line.
     if (counters.pool_seeded != 0 || counters.pool_published != 0) {
         out += ", pool " + std::to_string(counters.pool_seeded) +
                " seeded / " + std::to_string(counters.pool_published) +
                " published";
-    }
-    if (counters.exchange_published != 0 ||
-        counters.exchange_imported != 0) {
-        out += ", exchange " + std::to_string(counters.exchange_published) +
-               " published / " +
-               std::to_string(counters.exchange_imported) + " imported";
     }
     double total_ms = 0.0;
     for (const StageTiming& t : timings) total_ms += t.millis;
@@ -241,9 +235,9 @@ SolveReport Engine::solve(const Scenario& scenario) const {
 
     // Time budget (EngineOptions::time_budget_ms): materialized as a
     // CancelToken deadline the whole route observes — between wait-free
-    // depths, between subdivision stages, at the CSP's backtrack
-    // checkpoints, and across the portfolio race — so an over-budget
-    // solve stops at the next task boundary. A caller-provided token
+    // depths, between subdivision stages, and at the CSP's backtrack
+    // checkpoints — so an over-budget solve stops at the next task
+    // boundary. A caller-provided token
     // (solver.cancel) becomes the parent, so either source stops the
     // solve and the deadline never leaks into the caller's scope.
     const auto solve_start = stage_clock_now();

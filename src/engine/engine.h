@@ -113,8 +113,8 @@ struct SolveReport {
     /// (== counters.backtracks, kept as the historical field name).
     std::size_t total_backtracks = 0;
     /// Full search/learning tallies summed across the solve's CSP runs:
-    /// backtracks, nogood learning, cross-solve pool seeding/publishing
-    /// and mid-flight exchange traffic (core::SearchCounters). What the
+    /// backtracks, nogood learning and cross-solve pool
+    /// seeding/publishing (core::SearchCounters). What the
     /// summary() learning annotations and the benches read.
     core::SearchCounters counters;
     /// Per-stage wall times, in pipeline order.

@@ -20,7 +20,7 @@ struct GeneralWitness {
     core::TerminatingSubdivision tsub;  ///< T, materialized
     std::optional<core::SimplicialMap> delta;  ///< K(T) -> L if found
     /// Approximation-CSP effort and learning tallies (backtracks,
-    /// nogood/pool/exchange activity — see core::SearchCounters).
+    /// nogood/pool activity — see core::SearchCounters).
     core::SearchCounters counters;
     /// True when the CSP search space was exhausted (no approximation
     /// exists for this T); false when the budget ran out first. Only
@@ -44,8 +44,8 @@ struct GeneralWitness {
 /// stabilization scan and the per-parent-facet subdivision build of each
 /// advance; see topology/subdivision.h). The sharded build is
 /// bit-identical to the sequential one — work units are merged in facet
-/// order — so it changes wall clock only. The approximation stage is
-/// parallelized separately by `solver.num_threads` (portfolio race).
+/// order — so it changes wall clock only. The approximation CSP itself
+/// is single-threaded.
 ///
 /// `nogood_pool`, when non-null, wires cross-solve conflict reuse into
 /// the approximation CSP (see core::lt_approximation_problem).

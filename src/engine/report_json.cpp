@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 #include "engine/scenario_registry.h"
 
@@ -38,7 +39,7 @@ std::string witness_digest_hex(const core::SimplicialMap& map) {
 // to counters_to_json below AND to the round-trip assertions in
 // tests/report_json_test.cpp, then this count bumped (the same guard
 // idiom as SearchCounters::add in chromatic_csp.cpp).
-static_assert(sizeof(core::SearchCounters) == 12 * sizeof(std::size_t),
+static_assert(sizeof(core::SearchCounters) == 9 * sizeof(std::size_t),
               "SearchCounters gained or lost a field: update "
               "counters_to_json(), the report_json round-trip test, and "
               "this count");
@@ -49,12 +50,9 @@ util::Json counters_to_json(const core::SearchCounters& c) {
     out.set("nogood_prunings", c.nogood_prunings);
     out.set("nogoods_recorded", c.nogoods_recorded);
     out.set("nogoods_evicted", c.nogoods_evicted);
-    out.set("restarts", c.restarts);
     out.set("backjumps", c.backjumps);
     out.set("pool_seeded", c.pool_seeded);
     out.set("pool_published", c.pool_published);
-    out.set("exchange_published", c.exchange_published);
-    out.set("exchange_imported", c.exchange_imported);
     out.set("eval_cache_hits", c.eval_cache_hits);
     out.set("eval_cache_misses", c.eval_cache_misses);
     return out;
@@ -117,20 +115,28 @@ namespace {
 
 /// One overridable knob: validate the JSON value's type/range and
 /// assign. Each returns "" or a diagnostic naming the key.
-std::string expect_uint(const util::Json& v, const char* key,
-                        std::size_t& out) {
+///
+/// Integers are range-checked against the target field's type, so a
+/// value the field cannot hold is rejected instead of wrapping around
+/// (2^31 into an int max_depth, 2^32 into an unsigned shard count).
+template <typename T>
+std::string expect_uint(const util::Json& v, const std::string& key,
+                        T& out) {
     if (!v.is_int() || v.as_int() < 0) {
-        return std::string("option '") + key +
-               "' must be a non-negative integer";
+        return "option '" + key + "' must be a non-negative integer";
     }
-    out = static_cast<std::size_t>(v.as_int());
+    const auto value = static_cast<std::uint64_t>(v.as_int());
+    if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        return "option '" + key + "' must be at most " +
+               std::to_string(std::numeric_limits<T>::max());
+    }
+    out = static_cast<T>(value);
     return "";
 }
 
-std::string expect_bool(const util::Json& v, const char* key, bool& out) {
-    if (!v.is_bool()) {
-        return std::string("option '") + key + "' must be a boolean";
-    }
+std::string expect_bool(const util::Json& v, const std::string& key,
+                        bool& out) {
+    if (!v.is_bool()) return "option '" + key + "' must be a boolean";
     out = v.as_bool();
     return "";
 }
@@ -144,62 +150,27 @@ std::string apply_options_json(const util::Json& overrides,
     }
     for (const auto& [key, value] : overrides.as_object()) {
         std::string err;
-        std::size_t u = 0;
-        bool b = false;
         if (key == "max_depth") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty()) options.max_depth = static_cast<int>(u);
+            err = expect_uint(value, key, options.max_depth);
         } else if (key == "subdivision_stages") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty()) options.subdivision_stages = u;
+            err = expect_uint(value, key, options.subdivision_stages);
         } else if (key == "max_backtracks") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty()) options.solver.max_backtracks = u;
-        } else if (key == "num_threads") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty() && u == 0) {
-                err = "option 'num_threads' must be >= 1";
-            }
-            if (err.empty()) {
-                options.solver.num_threads = static_cast<unsigned>(u);
-            }
+            err = expect_uint(value, key, options.solver.max_backtracks);
         } else if (key == "shard_threads") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty() && u == 0) {
+            unsigned threads = 0;
+            err = expect_uint(value, key, threads);
+            if (err.empty() && threads == 0) {
                 err = "option 'shard_threads' must be >= 1";
             }
-            if (err.empty()) {
-                options.shard_threads = static_cast<unsigned>(u);
-            }
+            if (err.empty()) options.shard_threads = threads;
         } else if (key == "fix_identity") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.fix_identity = b;
+            err = expect_bool(value, key, options.fix_identity);
         } else if (key == "run_prefix_depth") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty()) {
-                options.run_prefix_depth = static_cast<std::uint32_t>(u);
-            }
+            err = expect_uint(value, key, options.run_prefix_depth);
         } else if (key == "max_landing_round") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty()) options.max_landing_round = u;
+            err = expect_uint(value, key, options.max_landing_round);
         } else if (key == "time_budget_ms") {
-            err = expect_uint(value, key.c_str(), u);
-            if (err.empty()) options.time_budget_ms = u;
-        } else if (key == "nogood_learning") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.nogood_learning = b;
-        } else if (key == "restarts") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.restarts = b;
-        } else if (key == "nogood_gc") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.nogood_gc = b;
-        } else if (key == "backjumping") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.backjumping = b;
-        } else if (key == "live_exchange") {
-            err = expect_bool(value, key.c_str(), b);
-            if (err.empty()) options.solver.live_exchange = b;
+            err = expect_uint(value, key, options.time_budget_ms);
         } else {
             err = "unknown option '" + key + "'";
         }

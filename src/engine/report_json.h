@@ -48,15 +48,16 @@ util::Json report_to_json(const SolveReport& report);
 
 /// Apply inline overrides from a JSON object onto `options`. Accepted
 /// keys (the request-facing subset of EngineOptions — knobs that shape
-/// budgets and strategy, not ones that alias server-owned resources
+/// budgets and the problem, not ones that alias server-owned resources
 /// like nogood_pool/pool_file): "max_depth", "subdivision_stages",
-/// "max_backtracks", "num_threads", "shard_threads", "fix_identity",
-/// "run_prefix_depth", "max_landing_round", "time_budget_ms",
-/// "nogood_learning", "restarts", "nogood_gc", "backjumping",
-/// "live_exchange".
+/// "max_backtracks", "shard_threads", "fix_identity",
+/// "run_prefix_depth", "max_landing_round", "time_budget_ms".
+/// The CSP engine is not a wire option: there are two engines, fast
+/// and naive as the reference, and requests always run fast.
 /// Returns "" on success, else a diagnostic naming the offending key
 /// (unknown keys are errors: a typo must not silently solve with
-/// defaults).
+/// defaults; integers the target field cannot hold are errors too, not
+/// wraparounds).
 std::string apply_options_json(const util::Json& overrides,
                                EngineOptions& options);
 

@@ -83,8 +83,8 @@ struct EngineOptions {
     /// @brief Intra-scenario sharding (general route): split each
     /// terminating-subdivision stage into per-facet work units across
     /// this many self-scheduling threads. Bit-identical to 1-thread
-    /// builds; wall clock only. (The approximation CSP parallelizes
-    /// separately via solver.num_threads.)
+    /// builds; wall clock only. (The approximation CSP itself is
+    /// single-threaded.)
     unsigned shard_threads = 1;
 
     /// General route: depth of the arbitrary-schedule prefix of the
@@ -97,8 +97,8 @@ struct EngineOptions {
     /// @brief Wall-clock budget of the whole solve, in milliseconds
     /// (0 = none). Enforced through a CancelToken deadline
     /// (exec/cancel.h) observed at every task boundary — between
-    /// wait-free depths, between subdivision stages, at the CSP's
-    /// backtrack checkpoints, and across the portfolio race — so an
+    /// wait-free depths, between subdivision stages, and at the CSP's
+    /// backtrack checkpoints — so an
     /// over-budget solve stops at the next boundary instead of only
     /// when a backtrack budget runs out. A solve cut short reports
     /// Verdict::kBudgetExhausted plus a "cancelled" stage timing. The

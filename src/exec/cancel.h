@@ -1,13 +1,12 @@
 // Hierarchical cancellation with deadlines: ONE stop type for every
-// layer that used to roll its own — the portfolio race's raw
-// atomic<bool>, EngineOptions time budgets, and the solve server's
-// queue-wait deadlines all flow through a CancelToken now.
+// layer that used to roll its own — EngineOptions time budgets and the
+// solve server's queue-wait deadlines both flow through a CancelToken.
 //
 // A token is a cheap shared handle (copying shares the underlying
 // state). Tokens form a tree: a child created with child_of() observes
 // its parent's cancellation and deadline but cancels independently —
-// cancelling the portfolio race must not cancel the whole solve, while
-// the solve's deadline must stop the race. cancelled() is safe to call
+// cancelling a sub-task must not cancel the whole solve, while the
+// solve's deadline must stop the sub-task. cancelled() is safe to call
 // from any thread at any rate: it is one relaxed atomic load per chain
 // link, plus one steady_clock read when (and only when) a deadline is
 // armed — and an expired deadline is cached into the flag, so the
@@ -27,7 +26,7 @@ namespace gact::exec {
 /// advisory — an observer seeing it late merely runs one more unit of
 /// work, the same unit-level uncertainty self-scheduling has anyway —
 /// and no data flows through it (results are published by joins and
-/// mutexes, exactly as in util/parallel.h).
+/// mutexes, exactly as in exec/for_index.h).
 class CancelToken {
 public:
     /// A fresh root token: not cancelled, no deadline, no parent.

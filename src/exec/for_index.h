@@ -1,9 +1,7 @@
 // The library's parallel-for shape — N independent work units pulled
 // off an atomic counter by a bounded set of loop tasks — expressed as
 // ONE TaskGroup fork/join on the resident scheduler, instead of a
-// fresh std::thread spawn-and-join per call (the historical
-// util/parallel.h cost this header exists to remove; that header is
-// now a thin alias of this one).
+// fresh std::thread spawn-and-join per call.
 //
 // Semantics are pinned by tests/parallel_test.cpp and byte-compatible
 // with the old spawn path:

@@ -21,7 +21,7 @@ unsigned default_worker_count() {
         const long n = std::strtol(env, nullptr, 10);
         if (n >= 1 && n <= 1024) return static_cast<unsigned>(n);
     }
-    // Floor of 4: parallel_for_index callers may rely on a few units
+    // Floor of 4: exec::for_index callers may rely on a few units
     // genuinely overlapping (tests/parallel_test.cpp rendezvouses 4
     // workers), and small CI machines report 2.
     return std::max(4u, std::thread::hardware_concurrency());

@@ -1,8 +1,8 @@
 // The resident work-stealing scheduler: ONE execution substrate for
-// every parallel layer of the library. parallel_for_index loop tasks,
+// every parallel layer of the library. for_index loop tasks,
 // Engine::solve_batch shards, terminating-subdivision facet scans,
-// fuzzer iteration batches, the chromatic-CSP portfolio race, and the
-// solve server's request workers all run here as tasks, instead of
+// fuzzer iteration batches, and the solve server's request workers all
+// run here as tasks, instead of
 // each layer spawning and joining its own std::threads per call.
 //
 // Shape: a fixed pool of worker threads, one deque per worker plus a

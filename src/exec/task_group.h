@@ -1,6 +1,6 @@
 // Fork/join over a Scheduler, with the exception contract every caller
-// of util/parallel.h already relies on: one representative failure,
-// the LOWEST-submission-index exception rethrown at wait().
+// of exec::for_index relies on: one representative failure, the
+// LOWEST-submission-index exception rethrown at wait().
 //
 // Deadlock freedom (nested groups on a bounded pool): wait() does not
 // just block — it HELPS, extracting queued tasks of its own group from

@@ -25,7 +25,7 @@ namespace gact::runtime {
 struct FuzzConfig {
     std::uint64_t seed = 1;
     std::size_t iterations = 200;
-    /// Shard threads (parallel_for_index); results are thread-count
+    /// Shard threads (exec::for_index); results are thread-count
     /// independent.
     unsigned threads = 1;
     /// Longest random prefix before the cycle round.

@@ -1,7 +1,7 @@
 // The server's bounded admission queue.
 //
 // Connection threads try_push() solve jobs; worker threads pop() them —
-// the same self-scheduling shape as util/parallel.h's shard pool
+// the same self-scheduling shape as exec/for_index.h's loop tasks
 // (workers pull the next unit as they free up, so long solves overlap
 // short ones), but over an open-ended stream of requests instead of a
 // fixed index range, which is why this is a condvar queue rather than

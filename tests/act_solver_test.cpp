@@ -7,8 +7,7 @@
 namespace gact::core {
 namespace {
 
-/// The historical solve_act defaults (deprecated shim), spelled through
-/// the primary entry point.
+/// The wait-free search with a 2M per-depth backtrack budget.
 ActResult search_wait_free(const tasks::Task& task, int max_k) {
     return run_act_search(task, max_k, SolverConfig::fast(2000000));
 }
@@ -84,23 +83,6 @@ TEST(ActSolver, InvalidTaskRejected) {
     broken.outputs = topo::ChromaticComplex::standard_simplex(0);
     EXPECT_THROW(search_wait_free(broken, 1), precondition_error);
 }
-
-// The deprecated shim must stay behaviorally identical to the primary
-// entry point while it exists.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ActSolver, DeprecatedShimMatchesPrimaryEntryPoint) {
-    const tasks::AffineTask is = tasks::immediate_snapshot_task(2);
-    const ActResult via_shim = solve_act(is.task, 2);
-    const ActResult primary =
-        run_act_search(is.task, 2, SolverConfig::fast(2000000));
-    EXPECT_EQ(via_shim.solvable, primary.solvable);
-    EXPECT_EQ(via_shim.witness_depth, primary.witness_depth);
-    EXPECT_EQ(via_shim.backtracks_per_depth, primary.backtracks_per_depth);
-    ASSERT_TRUE(via_shim.eta.has_value());
-    EXPECT_EQ(via_shim.eta->vertex_map(), primary.eta->vertex_map());
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace gact::core

@@ -25,7 +25,7 @@ TEST(ChromaticCsp, IdentityOnStandardSimplex) {
     problem.domain = &s;
     problem.codomain = &s;
     problem.allowed = allow_all(s);
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     // Colors force the identity.
     for (topo::VertexId v : s.vertex_ids()) {
@@ -51,7 +51,7 @@ TEST(ChromaticCsp, RetractionOfChrFoundBySearch) {
         -> const SimplicialComplex& {
         return closure.at(chr.carrier_of(sigma));
     };
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     EXPECT_EQ(check_chromatic_map(problem, *result.map), "");
 }
@@ -72,7 +72,7 @@ TEST(ChromaticCsp, DisconnectedTargetIsUnsatisfiable) {
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
     problem.fixed = {{0, 10}, {2, 20}};
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     EXPECT_FALSE(result.map.has_value());
     EXPECT_TRUE(result.exhausted);
     EXPECT_GT(result.counters.backtracks, 0u);
@@ -91,7 +91,7 @@ TEST(ChromaticCsp, SatisfiableWithConsistentFixing) {
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
     problem.fixed = {{0, 10}, {2, 10}};
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     EXPECT_EQ(result.map->apply(topo::VertexId{1}), 11u);
 }
@@ -111,7 +111,7 @@ TEST(ChromaticCsp, CandidateOrderIsRespected) {
     problem.candidate_order = [](topo::VertexId) {
         return std::vector<topo::VertexId>{20, 10};
     };
-    const auto result = solve_chromatic_map(problem);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
     EXPECT_EQ(result.map->apply(topo::VertexId{0}), 20u);
 }
@@ -129,7 +129,7 @@ TEST(ChromaticCsp, BacktrackBudgetReportsNonExhaustion) {
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
     problem.fixed = {{0, 10}, {2, 20}};
-    const auto result = solve_chromatic_map(problem, 1);
+    const auto result = solve_chromatic_map(problem, SolverConfig::naive(1));
     EXPECT_FALSE(result.map.has_value());
     EXPECT_FALSE(result.exhausted);
 }
@@ -152,7 +152,8 @@ TEST(ChromaticCsp, CheckRejectsBadMaps) {
 
 TEST(ChromaticCsp, MissingInputsRejected) {
     ChromaticMapProblem problem;
-    EXPECT_THROW(solve_chromatic_map(problem), precondition_error);
+    EXPECT_THROW(solve_chromatic_map(problem, SolverConfig::fast()),
+                 precondition_error);
 }
 
 // --- SolverConfig engines -------------------------------------------------
@@ -282,47 +283,6 @@ TEST(ChromaticCspConfig, FastEngineFoldsSquareOntoPath) {
     EXPECT_EQ(check_chromatic_map(problem, *result.map), "");
 }
 
-TEST(ChromaticCspConfig, PortfolioFindsWitnessAndValidates) {
-    const ChromaticComplex s = topo::ChromaticComplex::standard_simplex(2);
-    const topo::SubdividedComplex chr =
-        topo::SubdividedComplex::identity(s).chromatic_subdivision();
-    CarrierMap closure;
-    for (const Simplex& sigma : s.complex().simplices()) {
-        closure.set(sigma, SimplicialComplex::from_facets({sigma}));
-    }
-    ChromaticMapProblem problem;
-    problem.domain = &chr.complex();
-    problem.codomain = &s;
-    problem.allowed = [&closure, &chr](const Simplex& sigma)
-        -> const SimplicialComplex& {
-        return closure.at(chr.carrier_of(sigma));
-    };
-    const auto result =
-        solve_chromatic_map(problem, SolverConfig::portfolio(3));
-    ASSERT_TRUE(result.map.has_value());
-    EXPECT_EQ(check_chromatic_map(problem, *result.map), "");
-}
-
-TEST(ChromaticCspConfig, PortfolioAgreesOnUnsatisfiable) {
-    SimplicialComplex path =
-        SimplicialComplex::from_facets({Simplex{0, 1}, Simplex{1, 2}});
-    ChromaticComplex domain(path, {{0, 0}, {1, 1}, {2, 0}});
-    SimplicialComplex two =
-        SimplicialComplex::from_facets({Simplex{10, 11}, Simplex{20, 21}});
-    ChromaticComplex codomain(two, {{10, 0}, {11, 1}, {20, 0}, {21, 1}});
-    ChromaticMapProblem problem;
-    problem.domain = &domain;
-    problem.codomain = &codomain;
-    problem.allowed = [&codomain](const Simplex&) -> const SimplicialComplex& {
-        return codomain.complex();
-    };
-    problem.fixed = {{0, 10}, {2, 20}};
-    const auto result =
-        solve_chromatic_map(problem, SolverConfig::portfolio(2));
-    EXPECT_FALSE(result.map.has_value());
-    EXPECT_TRUE(result.exhausted);
-}
-
 TEST(ChromaticCspConfig, StrayCandidatesRejectedByBothEngines) {
     // A candidate_order naming a vertex that is not in the codomain must
     // make the problem unsatisfiable in every engine — the FC engine has
@@ -352,30 +312,6 @@ TEST(ChromaticCspConfig, StrayCandidatesRejectedByBothEngines) {
         EXPECT_FALSE(result.map.has_value());
         EXPECT_TRUE(result.exhausted);
     }
-}
-
-TEST(ChromaticCspConfig, ShuffledValueOrderIsDeterministicPerSeed) {
-    SimplicialComplex pt = SimplicialComplex::from_facets({Simplex{0}});
-    ChromaticComplex domain(pt, {{0, 0}});
-    SimplicialComplex pts = SimplicialComplex::from_facets(
-        {Simplex{10}, Simplex{20}, Simplex{30}, Simplex{40}});
-    ChromaticComplex codomain(pts,
-                              {{10, 0}, {20, 0}, {30, 0}, {40, 0}});
-    ChromaticMapProblem problem;
-    problem.domain = &domain;
-    problem.codomain = &codomain;
-    problem.allowed = [&codomain](const Simplex&) -> const SimplicialComplex& {
-        return codomain.complex();
-    };
-    SolverConfig config = SolverConfig::fast();
-    config.value_order = ValueOrder::kShuffled;
-    config.seed = 7;
-    const auto first = solve_chromatic_map(problem, config);
-    const auto second = solve_chromatic_map(problem, config);
-    ASSERT_TRUE(first.map.has_value());
-    ASSERT_TRUE(second.map.has_value());
-    EXPECT_EQ(first.map->apply(topo::VertexId{0}),
-              second.map->apply(topo::VertexId{0}));
 }
 
 }  // namespace

@@ -1,20 +1,17 @@
-// The mid-flight learning machinery of PR 5: the blocking-nogood
-// lifetime guarantee (a pointer returned by NogoodStore::blocking_nogood
-// must survive later record() calls — including the exchange imports
-// that now happen mid-search) and the LiveNogoodExchange itself
-// (publish/drain semantics, source filtering, the import-size cap,
-// capacity, and a concurrent publish/drain stress).
+// The blocking-nogood lifetime guarantee: a pointer returned by
+// NogoodStore::blocking_nogood(), or a reference to all().back(), must
+// survive every later record() call. (This file once also tested the
+// cross-thread nogood exchange, which the solver no longer has; the
+// collection-time twin of this test is in nogood_gc_test.)
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <unordered_map>
 
 #include "core/nogood_store.h"
 
 namespace gact {
 namespace {
 
-using core::LiveNogoodExchange;
 using core::NogoodLiteral;
 using core::NogoodStore;
 
@@ -24,11 +21,10 @@ TEST(NogoodStoreLifetime, BlockingNogoodSurvivesThousandsOfRecords) {
     // Regression for the documented lifetime hazard: blocking_nogood()
     // used to return a pointer into a std::vector of nogoods, which
     // record() could reallocate — any caller holding the pointer across
-    // a record (exactly what a mid-search exchange import does) read
-    // freed memory. The store now keeps nogoods in a deque, so the
-    // reference is stable for the store's lifetime. Under ASan the old
-    // layout makes this test a hard heap-use-after-free; under plain
-    // builds it still fails on the content checks with high
+    // a record read freed memory. The store now keeps nogoods in a
+    // deque, so the reference is stable for the store's lifetime. Under
+    // ASan the old layout makes this test a hard heap-use-after-free;
+    // under plain builds it still fails on the content checks with high
     // probability.
     NogoodStore store(1 << 14);
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
@@ -57,8 +53,7 @@ TEST(NogoodStoreLifetime, BlockingNogoodSurvivesThousandsOfRecords) {
     EXPECT_EQ((*blocking)[1].var, 2u);
     EXPECT_EQ((*blocking)[1].value, 20u);
 
-    // And back() references (what the exchange publishes) survive
-    // further records too.
+    // And all().back() references survive further records too.
     ASSERT_TRUE(store.record({{7, 70}, {8, 80}}));
     const std::vector<NogoodLiteral>& last = store.all().back();
     for (topo::VertexId i = 0; i < 1000; ++i) {
@@ -66,146 +61,6 @@ TEST(NogoodStoreLifetime, BlockingNogoodSurvivesThousandsOfRecords) {
     }
     ASSERT_EQ(last.size(), 2u);
     EXPECT_EQ(last[0].var, 7u);
-}
-
-// --- LiveNogoodExchange semantics ---------------------------------------
-
-std::vector<std::vector<NogoodLiteral>> drain_all(
-    const LiveNogoodExchange& exchange, std::size_t& cursor,
-    unsigned source, std::size_t max_literals = 0) {
-    std::vector<std::vector<NogoodLiteral>> out;
-    cursor = exchange.drain(cursor, source, max_literals,
-                            [&](const std::vector<NogoodLiteral>& n) {
-                                out.push_back(n);
-                            });
-    return out;
-}
-
-TEST(LiveNogoodExchange, DrainSkipsOwnEntriesAndAdvancesCursor) {
-    LiveNogoodExchange exchange;
-    EXPECT_TRUE(exchange.publish(0, {{1, 1}}));
-    EXPECT_TRUE(exchange.publish(1, {{2, 2}}));
-    EXPECT_TRUE(exchange.publish(0, {{3, 3}}));
-    EXPECT_EQ(exchange.size(), 3u);
-
-    // Thread 1 sees only thread 0's entries.
-    std::size_t cursor = 0;
-    const auto seen = drain_all(exchange, cursor, 1);
-    EXPECT_EQ(cursor, 3u);
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0][0].var, 1u);
-    EXPECT_EQ(seen[1][0].var, 3u);
-
-    // A second drain from the advanced cursor sees nothing new.
-    EXPECT_TRUE(drain_all(exchange, cursor, 1).empty());
-    // New entries appear from the cursor on.
-    EXPECT_TRUE(exchange.publish(0, {{4, 4}}));
-    const auto more = drain_all(exchange, cursor, 1);
-    ASSERT_EQ(more.size(), 1u);
-    EXPECT_EQ(more[0][0].var, 4u);
-    EXPECT_EQ(cursor, 4u);
-}
-
-TEST(LiveNogoodExchange, ImportSizeCapFiltersLongNogoods) {
-    LiveNogoodExchange exchange;
-    EXPECT_TRUE(exchange.publish(0, {{1, 1}}));
-    EXPECT_TRUE(exchange.publish(0, {{1, 1}, {2, 2}, {3, 3}}));
-    std::size_t cursor = 0;
-    const auto seen = drain_all(exchange, cursor, 1, 2);
-    ASSERT_EQ(seen.size(), 1u);  // the 3-literal nogood filtered out
-    EXPECT_EQ(seen[0].size(), 1u);
-    // The cursor still advances past filtered entries (they are not
-    // revisited on the next drain).
-    EXPECT_EQ(cursor, 2u);
-    EXPECT_TRUE(drain_all(exchange, cursor, 1, 0).empty());
-}
-
-TEST(LiveNogoodExchange, CapacityBoundsTheLogAndCountsRejections) {
-    LiveNogoodExchange exchange(2);
-    EXPECT_TRUE(exchange.publish(0, {{1, 1}}));
-    EXPECT_TRUE(exchange.publish(0, {{2, 2}}));
-    EXPECT_FALSE(exchange.publish(0, {{3, 3}}));
-    EXPECT_EQ(exchange.size(), 2u);
-    EXPECT_EQ(exchange.rejected_at_capacity(), 1u);
-
-    LiveNogoodExchange disabled(0);
-    EXPECT_FALSE(disabled.publish(0, {{1, 1}}));
-    EXPECT_EQ(disabled.size(), 0u);
-    // Empty nogoods are never published.
-    LiveNogoodExchange fresh;
-    EXPECT_FALSE(fresh.publish(0, {}));
-}
-
-TEST(LiveNogoodExchange, SegmentBoundariesPreserveEveryEntry) {
-    // Cross several 256-entry segments and check every entry comes back
-    // in publication order with intact literals.
-    LiveNogoodExchange exchange(1 << 12);
-    const std::size_t kEntries = 1000;
-    for (std::size_t i = 0; i < kEntries; ++i) {
-        ASSERT_TRUE(exchange.publish(
-            0, {{static_cast<topo::VertexId>(i),
-                 static_cast<topo::VertexId>(i * 2)}}));
-    }
-    std::size_t cursor = 0;
-    const auto seen = drain_all(exchange, cursor, 1);
-    ASSERT_EQ(seen.size(), kEntries);
-    for (std::size_t i = 0; i < kEntries; ++i) {
-        ASSERT_EQ(seen[i].size(), 1u);
-        EXPECT_EQ(seen[i][0].var, i);
-        EXPECT_EQ(seen[i][0].value, i * 2);
-    }
-}
-
-TEST(LiveNogoodExchange, ConcurrentPublishersAndDrainersStayCoherent) {
-    // The lock-light contract under real concurrency: publishers append
-    // while a drainer races them; every entry a drain observes must be
-    // fully constructed (correct literal payload for its tag), and once
-    // the publishers finish, a final drain accounts for every entry
-    // exactly once. ASan/UBSan builds of CI make this a memory-model
-    // probe, not just a logic probe.
-    LiveNogoodExchange exchange(1 << 14);
-    constexpr unsigned kPublishers = 3;
-    constexpr std::size_t kPerPublisher = 2000;
-    std::atomic<bool> go{false};
-    std::vector<std::thread> publishers;
-    for (unsigned p = 0; p < kPublishers; ++p) {
-        publishers.emplace_back([&, p] {
-            while (!go.load(std::memory_order_relaxed)) {
-            }
-            for (std::size_t i = 0; i < kPerPublisher; ++i) {
-                // Payload encodes (publisher, i) so the drainer can
-                // verify integrity.
-                exchange.publish(
-                    p, {{static_cast<topo::VertexId>(p * kPerPublisher + i),
-                         static_cast<topo::VertexId>(p)}});
-            }
-        });
-    }
-
-    std::size_t drained = 0;
-    std::size_t cursor = 0;
-    const unsigned kDrainerSource = kPublishers;  // sees everything
-    std::thread drainer([&] {
-        while (!go.load(std::memory_order_relaxed)) {
-        }
-        while (drained < kPublishers * kPerPublisher) {
-            cursor = exchange.drain(
-                cursor, kDrainerSource, 0,
-                [&](const std::vector<NogoodLiteral>& n) {
-                    ASSERT_EQ(n.size(), 1u);
-                    const auto p = n[0].value;
-                    ASSERT_LT(p, kPublishers);
-                    ASSERT_EQ(n[0].var / kPerPublisher, p);
-                    ++drained;
-                });
-        }
-    });
-    go.store(true, std::memory_order_relaxed);
-    for (std::thread& t : publishers) t.join();
-    drainer.join();
-    EXPECT_EQ(drained, kPublishers * kPerPublisher);
-    EXPECT_EQ(exchange.size(), kPublishers * kPerPublisher);
-    EXPECT_EQ(exchange.rejected_at_capacity(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
-// The nogood eviction lifecycle of PR 6: a full store must evict its
-// least useful nogoods instead of rejecting new ones (the old
-// rejected_at_capacity_ dead end silently froze all learning for the
-// rest of the search), and eviction must respect the PR-5 lifetime
-// contract — a reference handed out by blocking_nogood() / all().back()
-// stays readable across record() calls, including the records that
-// trigger a collection, because GC only *retires* a nogood (drops it
-// from the watch and dedup indices); the literal buffers are freed
-// solely by an explicit reclaim() at a caller-chosen safe point. Under
-// ASan an eager free would make these tests a hard heap-use-after-free;
-// under plain builds they still fail on the content checks.
+// The nogood store's eviction contracts. A full store must evict its
+// least useful nogoods instead of rejecting new ones (a store that
+// refused records once full silently froze all learning for the rest
+// of the search), and a reference handed out by blocking_nogood() /
+// all().back() must stay readable across the records that trigger a
+// collection (nogood_exchange_test covers plain records), because GC
+// only *retires* a nogood (drops it from the watch and dedup indices);
+// the literal buffers are freed solely by an explicit reclaim() at a
+// caller-chosen safe point. Under ASan an eager free would make these
+// tests a hard heap-use-after-free; under plain builds they still fail
+// on the content checks.
 #include <gtest/gtest.h>
 
 #include "core/nogood_store.h"
@@ -16,16 +16,10 @@
 namespace gact {
 namespace {
 
-using core::LiveNogoodExchange;
 using core::NogoodLiteral;
 using core::NogoodStore;
 
-NogoodStore::GcConfig gc_on(double keep_fraction = 0.5) {
-    NogoodStore::GcConfig gc;
-    gc.enabled = true;
-    gc.keep_fraction = keep_fraction;
-    return gc;
-}
+// --- eviction -------------------------------------------------------------
 
 /// A distinct two-literal nogood per i (never a duplicate).
 std::vector<NogoodLiteral> distinct_nogood(topo::VertexId i) {
@@ -33,35 +27,24 @@ std::vector<NogoodLiteral> distinct_nogood(topo::VertexId i) {
 }
 
 TEST(NogoodGc, EvictsInsteadOfRejectingAtCapacity) {
-    NogoodStore store(8, gc_on(0.5));
+    NogoodStore store(8);
     for (topo::VertexId i = 0; i < 100; ++i) {
         // Every record is admitted: a full store collects, never rejects.
         ASSERT_TRUE(store.record(distinct_nogood(i))) << "record " << i;
         EXPECT_LE(store.live(), 8u);
     }
-    EXPECT_EQ(store.rejected_at_capacity(), 0u);
     EXPECT_EQ(store.size(), 100u);  // ids stay stable: nothing is erased
     EXPECT_GT(store.gc_runs(), 0u);
     EXPECT_EQ(store.evicted(), store.size() - store.live());
 }
 
-TEST(NogoodGc, RejectionModeIsUnchangedWithoutGc) {
-    NogoodStore store(3);
-    for (topo::VertexId i = 0; i < 10; ++i) store.record(distinct_nogood(i));
-    EXPECT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.live(), 3u);
-    EXPECT_EQ(store.rejected_at_capacity(), 7u);
-    EXPECT_EQ(store.evicted(), 0u);
-    EXPECT_EQ(store.gc_runs(), 0u);
-}
-
 TEST(NogoodGc, HeldBlockingReferenceSurvivesCollectionsUntilReclaim) {
-    // The ASan-visible regression mirror of
-    // tests/nogood_exchange_test.cpp: hold the pointer blocking_nogood()
-    // returned, then force enough records that the collection retires
-    // the very nogood it points into. Retirement must leave the literal
-    // buffer intact; only reclaim() frees it.
-    NogoodStore store(4, gc_on(0.5));
+    // The eviction twin of NogoodStoreLifetime (nogood_exchange_test):
+    // hold the pointer blocking_nogood() returned, then force enough
+    // records that the collection retires the very nogood it points
+    // into. Retirement must leave the literal buffer intact; only
+    // reclaim() frees it.
+    NogoodStore store(4);
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
 
     std::unordered_map<topo::VertexId, topo::VertexId> assignment{{2, 20}};
@@ -91,8 +74,8 @@ TEST(NogoodGc, HeldBlockingReferenceSurvivesCollectionsUntilReclaim) {
 
     // The explicit safe point: reclaim() frees retired buffers. The
     // deque element itself stays (ids are stable), but its literals are
-    // gone — which is exactly why the searcher only reclaims at restart
-    // and component boundaries, where it holds no references.
+    // gone — which is exactly why the searcher only reclaims at
+    // component boundaries, where it holds no references.
     EXPECT_GT(store.reclaim(), 0u);
     EXPECT_TRUE(store.all()[0].empty());
     EXPECT_EQ(store.reclaim(), 0u);  // idempotent until the next GC
@@ -101,7 +84,7 @@ TEST(NogoodGc, HeldBlockingReferenceSurvivesCollectionsUntilReclaim) {
 TEST(NogoodGc, CollectionKeepsTheFiringNogoodOverIdleOnes) {
     // LBD/activity aging: a nogood that keeps blocking branches must
     // outlive idle ones recorded at the same time.
-    NogoodStore store(8, gc_on(0.5));
+    NogoodStore store(8);
     for (topo::VertexId i = 0; i < 8; ++i) {
         ASSERT_TRUE(store.record(distinct_nogood(i)));
     }
@@ -133,7 +116,7 @@ TEST(NogoodGc, ReRecordingARetiredNogoodIsAdmittedAgain) {
     // Retirement removes the nogood from the dedup index too: if the
     // search re-proves a forgotten conflict, it is re-learned (a fresh
     // id), not silently dropped as a duplicate of a dead entry.
-    NogoodStore store(4, gc_on(0.5));
+    NogoodStore store(4);
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
     ASSERT_FALSE(store.record({{1, 10}, {2, 20}}));  // live duplicate
     EXPECT_EQ(store.rejected_as_duplicate(), 1u);
@@ -144,44 +127,25 @@ TEST(NogoodGc, ReRecordingARetiredNogoodIsAdmittedAgain) {
     ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));  // re-learned
 }
 
-TEST(NogoodGc, ExchangePublishesAreCopiesAndOutliveEvictionAndReclaim) {
-    // The other half of the PR-5 contract: the exchange log never
-    // points into a store — publish() copies the canonical literal
-    // vector — so collecting and reclaiming the publisher's store must
-    // not disturb entries an importer has yet to drain.
-    NogoodStore store(4, gc_on(0.5));
-    LiveNogoodExchange exchange;
-    ASSERT_TRUE(store.record({{1, 10}, {2, 20}}));
-    ASSERT_TRUE(exchange.publish(0, store.all().back()));
-    for (topo::VertexId i = 0; i < 200; ++i) {
-        ASSERT_TRUE(store.record(distinct_nogood(i)));
-    }
-    ASSERT_TRUE(store.is_retired(0));
-    store.reclaim();
-    std::size_t seen = 0;
-    exchange.drain(0, 1, 0, [&](const std::vector<NogoodLiteral>& n) {
-        ++seen;
-        ASSERT_EQ(n.size(), 2u);
-        EXPECT_EQ(n[0].var, 1u);
-        EXPECT_EQ(n[0].value, 10u);
-        EXPECT_EQ(n[1].var, 2u);
-        EXPECT_EQ(n[1].value, 20u);
-    });
-    EXPECT_EQ(seen, 1u);
-}
-
-TEST(NogoodGc, KeepFractionBoundsTheSurvivorsAndZeroCapacityStaysInert) {
-    NogoodStore store(16, gc_on(0.25));
+TEST(NogoodGc, CollectionKeepsHalfAndZeroCapacityStaysInert) {
+    NogoodStore store(16);
     for (topo::VertexId i = 0; i < 17; ++i) {
         ASSERT_TRUE(store.record(distinct_nogood(i)));
     }
-    // One collection fired at live == 16, keeping floor(16 * 0.25) = 4,
-    // then the 17th record landed on top.
+    // One collection fired at live == 16, keeping 16 / 2 = 8, then the
+    // 17th record landed on top.
     EXPECT_EQ(store.gc_runs(), 1u);
-    EXPECT_EQ(store.live(), 5u);
-    EXPECT_EQ(store.evicted(), 12u);
+    EXPECT_EQ(store.live(), 9u);
+    EXPECT_EQ(store.evicted(), 8u);
 
-    NogoodStore disabled(0, gc_on(0.5));
+    // The clamp: a one-entry store still frees its slot.
+    NogoodStore tiny(1);
+    ASSERT_TRUE(tiny.record(distinct_nogood(0)));
+    ASSERT_TRUE(tiny.record(distinct_nogood(1)));
+    EXPECT_EQ(tiny.live(), 1u);
+    EXPECT_EQ(tiny.evicted(), 1u);
+
+    NogoodStore disabled(0);
     EXPECT_FALSE(disabled.record({{1, 1}}));
     EXPECT_EQ(disabled.size(), 0u);
 }

@@ -1,6 +1,6 @@
-// parallel_for_index exception semantics, pinned (util/parallel.h):
-// one recorded exception per worker, lowest-worker-index rethrow after
-// the join, stop-flag cancellation of unclaimed units, and the inline
+// exec::for_index exception semantics, pinned (exec/for_index.h): one
+// recorded exception per worker, lowest-worker-index rethrow after the
+// join, stop-flag cancellation of unclaimed units, and the inline
 // (sequential) path's exact prefix behavior. These used to be
 // accidental properties; the header now documents them and this file
 // keeps them true.
@@ -12,7 +12,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/parallel.h"
+#include "exec/for_index.h"
+#include "exec/scheduler.h"
 
 namespace gact {
 namespace {
@@ -21,7 +22,7 @@ TEST(ParallelForIndex, RunsEveryIndexExactlyOnce) {
     constexpr std::size_t kN = 1000;
     std::vector<std::atomic<int>> hits(kN);
     for (auto& h : hits) h.store(0);
-    parallel_for_index(kN, 4, [&](std::size_t i) {
+    exec::for_index(exec::Scheduler::shared(), kN, 4, [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kN; ++i) {
@@ -35,13 +36,13 @@ TEST(ParallelForIndex, SequentialPathStopsAtTheThrowingIndex) {
     // contract).
     std::vector<int> ran;
     EXPECT_THROW(
-        parallel_for_index(10, 1,
-                           [&](std::size_t i) {
-                               if (i == 3) {
-                                   throw std::runtime_error("unit 3");
-                               }
-                               ran.push_back(static_cast<int>(i));
-                           }),
+        exec::for_index(exec::Scheduler::shared(), 10, 1,
+                        [&](std::size_t i) {
+                            if (i == 3) {
+                                throw std::runtime_error("unit 3");
+                            }
+                            ran.push_back(static_cast<int>(i));
+                        }),
         std::runtime_error);
     EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
 }
@@ -57,7 +58,7 @@ TEST(ParallelForIndex, PropagatesExactlyOneOfTheThrownExceptions) {
     std::atomic<std::size_t> started{0};
     std::string tag;
     try {
-        parallel_for_index(kN, 4, [&](std::size_t i) {
+        exec::for_index(exec::Scheduler::shared(), kN, 4, [&](std::size_t i) {
             started.fetch_add(1, std::memory_order_relaxed);
             throw std::runtime_error(std::to_string(i));
         });
@@ -83,13 +84,14 @@ TEST(ParallelForIndex, MultiThrowRethrowsTheLowestWorkersException) {
     // four claimed units' tags — and repeated runs must always
     // propagate exactly one (never std::terminate, never zero).
     constexpr unsigned kWorkers = 4;
+    exec::Scheduler& pool = exec::Scheduler::shared();
     for (int round = 0; round < 8; ++round) {
         std::atomic<unsigned> arrived{0};
         std::set<std::string> claimed_tags;
         std::mutex tags_mutex;
         std::string tag;
         try {
-            parallel_for_index(kWorkers, kWorkers, [&](std::size_t i) {
+            exec::for_index(pool, kWorkers, kWorkers, [&](std::size_t i) {
                 {
                     const std::lock_guard<std::mutex> lock(tags_mutex);
                     claimed_tags.insert(std::to_string(i));

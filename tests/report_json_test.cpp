@@ -6,6 +6,7 @@
 // distinct-values sweep below.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "engine/engine.h"
@@ -30,12 +31,9 @@ TEST(ReportJson, CountersCarryEveryFieldDistinctly) {
     c.nogood_prunings = 3;
     c.nogoods_recorded = 5;
     c.nogoods_evicted = 7;
-    c.restarts = 11;
     c.backjumps = 13;
     c.pool_seeded = 17;
     c.pool_published = 19;
-    c.exchange_published = 23;
-    c.exchange_imported = 29;
     c.eval_cache_hits = 31;
     c.eval_cache_misses = 37;
     const util::Json j = counters_to_json(c);
@@ -43,15 +41,12 @@ TEST(ReportJson, CountersCarryEveryFieldDistinctly) {
     EXPECT_EQ(field(j, "nogood_prunings")->as_int(), 3);
     EXPECT_EQ(field(j, "nogoods_recorded")->as_int(), 5);
     EXPECT_EQ(field(j, "nogoods_evicted")->as_int(), 7);
-    EXPECT_EQ(field(j, "restarts")->as_int(), 11);
     EXPECT_EQ(field(j, "backjumps")->as_int(), 13);
     EXPECT_EQ(field(j, "pool_seeded")->as_int(), 17);
     EXPECT_EQ(field(j, "pool_published")->as_int(), 19);
-    EXPECT_EQ(field(j, "exchange_published")->as_int(), 23);
-    EXPECT_EQ(field(j, "exchange_imported")->as_int(), 29);
     EXPECT_EQ(field(j, "eval_cache_hits")->as_int(), 31);
     EXPECT_EQ(field(j, "eval_cache_misses")->as_int(), 37);
-    EXPECT_EQ(j.as_object().size(), 12u)
+    EXPECT_EQ(j.as_object().size(), 9u)
         << "field count drifted from SearchCounters";
 }
 
@@ -114,14 +109,14 @@ TEST(ReportJson, OptionOverridesApplyToTheRightKnobs) {
     overrides.set("max_depth", 5);
     overrides.set("max_backtracks", 1234);
     overrides.set("shard_threads", 3);
-    overrides.set("restarts", false);
     overrides.set("fix_identity", false);
+    overrides.set("run_prefix_depth", 2);
     ASSERT_EQ(apply_options_json(overrides, options), "");
     EXPECT_EQ(options.max_depth, 5);
     EXPECT_EQ(options.solver.max_backtracks, 1234u);
     EXPECT_EQ(options.shard_threads, 3u);
-    EXPECT_FALSE(options.solver.restarts);
     EXPECT_FALSE(options.fix_identity);
+    EXPECT_EQ(options.run_prefix_depth, 2u);
 }
 
 TEST(ReportJson, OptionOverridesRejectBadInput) {
@@ -135,7 +130,7 @@ TEST(ReportJson, OptionOverridesRejectBadInput) {
         << err;
 
     util::Json wrong_type = util::Json::object();
-    wrong_type.set("restarts", 1);  // must be a boolean
+    wrong_type.set("fix_identity", 1);  // must be a boolean
     EXPECT_NE(apply_options_json(wrong_type, options), "");
 
     util::Json negative = util::Json::object();
@@ -143,15 +138,59 @@ TEST(ReportJson, OptionOverridesRejectBadInput) {
     EXPECT_NE(apply_options_json(negative, options), "");
 
     util::Json zero_threads = util::Json::object();
-    zero_threads.set("num_threads", 0);
+    zero_threads.set("shard_threads", 0);
     EXPECT_NE(apply_options_json(zero_threads, options), "");
+
+    // Values the target field cannot hold are rejected with a
+    // diagnostic naming the key, never narrowed: 2^31 used to land in
+    // the int max_depth as -2^31, 2^32 + 3 as 3, and 2^32 in the
+    // unsigned shard_threads as 0 (slipping past its >= 1 check).
+    const struct {
+        const char* key;
+        std::int64_t value;
+    } out_of_range[] = {
+        {"max_depth", std::int64_t{2147483648}},
+        {"max_depth", std::int64_t{4294967299}},
+        {"shard_threads", std::int64_t{4294967296}},
+        {"run_prefix_depth", std::int64_t{4294967296}},
+    };
+    for (const auto& c : out_of_range) {
+        util::Json too_big = util::Json::object();
+        too_big.set(c.key, c.value);
+        err = apply_options_json(too_big, options);
+        EXPECT_NE(err.find(std::string("option '") + c.key + "'"),
+                  std::string::npos)
+            << c.key << "=" << c.value << ": " << err;
+    }
+    // The largest value each field holds is still accepted.
+    util::Json at_max = util::Json::object();
+    at_max.set("max_depth", std::int64_t{2147483647});
+    EngineOptions widest;
+    EXPECT_EQ(apply_options_json(at_max, widest), "");
+    EXPECT_EQ(widest.max_depth, 2147483647);
+
+    // The solver's former engine knobs are gone from the wire: they
+    // get the ordinary unknown-option diagnostic.
+    for (const char* removed :
+         {"num_threads", "nogood_learning", "restarts", "nogood_gc",
+          "backjumping", "live_exchange"}) {
+        util::Json old_knob = util::Json::object();
+        old_knob.set(removed, true);
+        err = apply_options_json(old_knob, options);
+        EXPECT_NE(err.find(std::string("unknown option '") + removed + "'"),
+                  std::string::npos)
+            << err;
+    }
 
     EXPECT_NE(apply_options_json(util::Json(5), options), "");
 
     // Every rejection left the options untouched (the accepted knobs).
     EXPECT_EQ(options.solver.max_backtracks,
               defaults.solver.max_backtracks);
-    EXPECT_EQ(options.solver.restarts, defaults.solver.restarts);
+    EXPECT_EQ(options.max_depth, defaults.max_depth);
+    EXPECT_EQ(options.shard_threads, defaults.shard_threads);
+    EXPECT_EQ(options.run_prefix_depth, defaults.run_prefix_depth);
+    EXPECT_EQ(options.fix_identity, defaults.fix_identity);
 }
 
 TEST(ReportJson, ScenarioFromRequestResolvesNamesAndOverrides) {

@@ -1,21 +1,19 @@
-// The solver's incremental layers must be invisible except in wall
-// time: for every scenario in the standard registry, solving with the
-// evaluation cache, nogood learning, conflict-directed backjumping,
-// Luby restarts, nogood GC, and/or the cross-solve SharedNogoodPool
-// toggled must produce the identical SolveReport verdict and witness
-// as the plain PR-2 forward-checking engine. Plus unit coverage for
-// the bounded NogoodStore (including the hash-collision dedup
-// regression), the SharedNogoodPool, the EvalCache/AllowedComplexLru
-// capacity behavior, the capacity-stall regression GC removes, and the
-// portfolio counter-merge audit.
+// The fast engine's incremental layers must be invisible except in
+// wall time: for every scenario in the standard registry, the fast
+// engine (evaluation cache, nogood learning with GC, conflict-directed
+// backjumping) must produce the identical SolveReport verdict and
+// witness as the naive reference engine — also with a store small
+// enough that GC collects mid-search, and with the cross-solve
+// SharedNogoodPool wired in. Plus unit coverage for the bounded
+// NogoodStore (including the hash-collision dedup regression), the
+// SharedNogoodPool, the AllowedComplexLru capacity behavior, and the
+// capacity-stall regression GC removes.
 #include <gtest/gtest.h>
 
-#include "core/act_solver.h"
 #include "core/eval_cache.h"
 #include "core/nogood_store.h"
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
-#include "tasks/standard_tasks.h"
 
 namespace gact {
 namespace {
@@ -24,90 +22,74 @@ using core::NogoodLiteral;
 using core::NogoodStore;
 using core::SharedNogoodPool;
 
-// --- property: solver-layer toggles never change verdicts or witnesses --
+// --- property: the fast engine matches the naive reference --------------
 
-core::SolverConfig with_layers(bool eval_cache, bool nogoods,
-                               bool backjumping = false) {
-    core::SolverConfig c = core::SolverConfig::fast();
-    c.eval_cache = eval_cache;
-    c.nogood_learning = nogoods;
-    c.backjumping = backjumping;
-    if (!eval_cache) c.allowed_lru_capacity = 0;
-    return c;
-}
-
-void expect_equivalent(const engine::SolveReport& plain,
-                       const engine::SolveReport& layered,
+void expect_equivalent(const engine::SolveReport& reference,
+                       const engine::SolveReport& candidate,
                        const std::string& label) {
-    EXPECT_EQ(plain.verdict, layered.verdict) << label;
-    ASSERT_EQ(plain.witness.has_value(), layered.witness.has_value())
+    EXPECT_EQ(reference.verdict, candidate.verdict) << label;
+    ASSERT_EQ(reference.witness.has_value(), candidate.witness.has_value())
         << label;
-    if (plain.witness.has_value()) {
-        EXPECT_EQ(plain.witness->vertex_map(), layered.witness->vertex_map())
+    if (reference.witness.has_value()) {
+        EXPECT_EQ(reference.witness->vertex_map(),
+                  candidate.witness->vertex_map())
             << label;
     }
-    EXPECT_EQ(plain.witness_depth, layered.witness_depth) << label;
-    ASSERT_EQ(plain.admissibility.has_value(),
-              layered.admissibility.has_value())
+    EXPECT_EQ(reference.witness_depth, candidate.witness_depth) << label;
+    ASSERT_EQ(reference.admissibility.has_value(),
+              candidate.admissibility.has_value())
         << label;
-    if (plain.admissibility.has_value()) {
-        EXPECT_EQ(plain.admissibility->admissible,
-                  layered.admissibility->admissible)
+    if (reference.admissibility.has_value()) {
+        EXPECT_EQ(reference.admissibility->admissible,
+                  candidate.admissibility->admissible)
             << label;
     }
 }
 
-TEST(SolverCacheProperty, LayersPreserveEveryRegistryVerdictAndWitness) {
+TEST(SolverCacheProperty, FastMatchesNaiveOnEveryRegistryVerdictAndWitness) {
+    // Two assertions per spec: the shipped engine against the naive
+    // reference, and the shipped engine with a four-entry nogood store
+    // (so collections fire mid-search) against the shipped engine. A
+    // collection only forgets pruning shortcuts, so both must agree bit
+    // for bit.
     const engine::Engine eng;
+    std::size_t evicted = 0;
     for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
         if (spec.heavy) continue;  // minutes-scale builds; covered by CI benches
         engine::Scenario scenario = spec.make();
         scenario.name = spec.name;
 
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
+        scenario.options.solver = core::SolverConfig::naive();
+        const engine::SolveReport naive = eng.solve(scenario);
 
-        scenario.options.solver = with_layers(true, false);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [cache]");
+        scenario.options.solver = core::SolverConfig::fast();
+        const engine::SolveReport fast = eng.solve(scenario);
+        expect_equivalent(naive, fast, spec.name + " [fast vs naive]");
 
-        scenario.options.solver = with_layers(true, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [cache+nogoods]");
-
-        scenario.options.solver = with_layers(false, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [nogoods]");
-
-        // Conflict-directed backjumping, alone and with learning on (so
-        // exhausted-level conflict sets are recorded as nogoods too).
-        scenario.options.solver = with_layers(false, false, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [backjump]");
-
-        scenario.options.solver = with_layers(true, true, true);
-        expect_equivalent(plain, eng.solve(scenario),
-                          spec.name + " [cache+nogoods+backjump]");
+        scenario.options.solver.nogood_capacity = 4;
+        const engine::SolveReport collected = eng.solve(scenario);
+        expect_equivalent(fast, collected, spec.name + " [capacity 4]");
+        evicted += collected.counters.nogoods_evicted;
     }
+    // The capacity-4 runs must really exercise GC under search.
+    EXPECT_GT(evicted, 0u);
 }
 
 TEST(SolverCacheProperty, SharedPoolPreservesEveryRegistryVerdictAndWitness) {
     // Cross-solve reuse is pruning-only: a scenario solved cold, then
     // twice more against the pool its first solve populated, must report
     // the identical verdict and witness every time — and all of it must
-    // match the pool-less plain solve.
+    // match the pool-less solve.
     const engine::Engine eng;
     for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
         if (spec.heavy) continue;
         engine::Scenario scenario = spec.make();
         scenario.name = spec.name;
 
-        scenario.options.solver = with_layers(false, false);
         const engine::SolveReport plain = eng.solve(scenario);
 
         scenario.options.nogood_pool =
             std::make_shared<SharedNogoodPool>();
-        scenario.options.solver = core::SolverConfig::fast();
         expect_equivalent(plain, eng.solve(scenario),
                           spec.name + " [pool cold]");
         expect_equivalent(plain, eng.solve(scenario),
@@ -117,96 +99,12 @@ TEST(SolverCacheProperty, SharedPoolPreservesEveryRegistryVerdictAndWitness) {
     }
 }
 
-TEST(SolverCacheProperty, ExchangePoolThreadMatrixPreservesVerdictAndWitness) {
-    // The PR-5 toggle matrix: mid-flight exchange on/off x cross-solve
-    // pool on/off x threads 1/N, every cell bit-identical to the plain
-    // single-threaded PR-2 engine. The N-thread cells run the portfolio
-    // undiversified (diversify_portfolio = false): every thread then
-    // performs the identical search, so whichever thread settles
-    // reports the same witness — which is what makes "bit-identical
-    // across the matrix" a deterministic assertion rather than a race
-    // (with diversification on, *which* witness wins is timing; the
-    // per-thread searches are still witness-invariant under exchange
-    // imports, since pruned subtrees never contain a witness).
-    const engine::Engine eng;
-    for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
-        if (spec.heavy) continue;
-        engine::Scenario scenario = spec.make();
-        scenario.name = spec.name;
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
-
-        for (const bool pool : {false, true}) {
-            for (const bool exchange : {false, true}) {
-                for (const unsigned threads : {1u, 3u}) {
-                    engine::Scenario cell = spec.make();
-                    cell.name = spec.name;
-                    core::SolverConfig solver = core::SolverConfig::fast();
-                    solver.num_threads = threads;
-                    solver.live_exchange = exchange;
-                    solver.diversify_portfolio = false;
-                    cell.options.solver = solver;
-                    if (pool) {
-                        cell.options.nogood_pool =
-                            std::make_shared<SharedNogoodPool>();
-                    }
-                    const std::string label =
-                        spec.name + " [matrix pool=" +
-                        std::to_string(pool) + " exchange=" +
-                        std::to_string(exchange) + " threads=" +
-                        std::to_string(threads) + "]";
-                    expect_equivalent(plain, eng.solve(cell), label);
-                    if (pool) {
-                        // Warm re-solve against the pool the cold cell
-                        // populated: still bit-identical.
-                        expect_equivalent(plain, eng.solve(cell),
-                                          label + " warm");
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(SolverCacheProperty, RestartGcMatrixPreservesVerdictAndWitness) {
-    // The PR-6 axes: Luby restarts on/off x nogood GC on/off, with both
-    // mechanisms forced to actually fire on quick scenarios —
-    // restart_unit = 2 abandons the tree after two backtracks, and a
-    // four-entry store collects on the fifth distinct conflict. A
-    // restarted search replays the identical deterministic DFS with a
-    // superset of the pruning knowledge, and a collection only forgets
-    // pruning shortcuts, so every cell must stay bit-identical to the
-    // plain PR-2 engine.
-    const engine::Engine eng;
-    for (const auto& spec : engine::ScenarioRegistry::standard().specs()) {
-        if (spec.heavy) continue;
-        engine::Scenario scenario = spec.make();
-        scenario.name = spec.name;
-        scenario.options.solver = with_layers(false, false);
-        const engine::SolveReport plain = eng.solve(scenario);
-
-        for (const bool restarts : {false, true}) {
-            for (const bool gc : {false, true}) {
-                engine::Scenario cell = spec.make();
-                cell.name = spec.name;
-                core::SolverConfig solver = core::SolverConfig::fast();
-                solver.restarts = restarts;
-                solver.restart_unit = 2;
-                solver.nogood_gc = gc;
-                solver.nogood_capacity = 4;
-                cell.options.solver = solver;
-                const std::string label =
-                    spec.name + " [restarts=" + std::to_string(restarts) +
-                    " gc=" + std::to_string(gc) + "]";
-                expect_equivalent(plain, eng.solve(cell), label);
-            }
-        }
-    }
-}
-
 // --- the capacity-stall regression (what the GC exists to fix) ----------
+//
+// A store that refused records once full used to freeze learning on
+// whatever was derived first; a full store now collects instead.
 
-TEST(NogoodLifecycle, GcKeepsLearningPastTheCapacityWhereTheOldStoreFroze) {
+TEST(NogoodLifecycle, GcKeepsLearningPastTheCapacity) {
     using topo::ChromaticComplex;
     using topo::Simplex;
     using topo::SimplicialComplex;
@@ -234,26 +132,15 @@ TEST(NogoodLifecycle, GcKeepsLearningPastTheCapacityWhereTheOldStoreFroze) {
         return edgeless.complex();
     };
 
-    core::SolverConfig gc_on = core::SolverConfig::fast();
-    gc_on.nogood_capacity = 2;
-    gc_on.nogood_gc = true;
-    const auto with_gc = core::solve_chromatic_map(problem, gc_on);
-    EXPECT_FALSE(with_gc.map.has_value());
-    EXPECT_TRUE(with_gc.exhausted);
-    // The point of the PR: recording continues past the cap...
-    EXPECT_GT(with_gc.counters.nogoods_recorded, gc_on.nogood_capacity);
+    core::SolverConfig small = core::SolverConfig::fast();
+    small.nogood_capacity = 2;
+    const auto result = core::solve_chromatic_map(problem, small);
+    EXPECT_FALSE(result.map.has_value());
+    EXPECT_TRUE(result.exhausted);
+    // Recording continues past the cap...
+    EXPECT_GT(result.counters.nogoods_recorded, small.nogood_capacity);
     // ...because collections made room.
-    EXPECT_GT(with_gc.counters.nogoods_evicted, 0u);
-
-    // The legacy dead end, still reachable via the knob: the same
-    // search with GC off freezes learning the moment the store fills.
-    core::SolverConfig gc_off = gc_on;
-    gc_off.nogood_gc = false;
-    const auto without_gc = core::solve_chromatic_map(problem, gc_off);
-    EXPECT_FALSE(without_gc.map.has_value());
-    EXPECT_TRUE(without_gc.exhausted);
-    EXPECT_LE(without_gc.counters.nogoods_recorded, gc_off.nogood_capacity);
-    EXPECT_EQ(without_gc.counters.nogoods_evicted, 0u);
+    EXPECT_GT(result.counters.nogoods_evicted, 0u);
 }
 
 // --- the counter-accumulation audit (SearchCounters::add) ---------------
@@ -270,12 +157,9 @@ TEST(SearchCounters, AddAccumulatesEveryField) {
     a.nogood_prunings = 2;
     a.nogoods_recorded = 3;
     a.nogoods_evicted = 4;
-    a.restarts = 5;
     a.backjumps = 6;
     a.pool_seeded = 7;
     a.pool_published = 8;
-    a.exchange_published = 9;
-    a.exchange_imported = 10;
     a.eval_cache_hits = 11;
     a.eval_cache_misses = 12;
     core::SearchCounters b;
@@ -283,12 +167,9 @@ TEST(SearchCounters, AddAccumulatesEveryField) {
     b.nogood_prunings = 200;
     b.nogoods_recorded = 300;
     b.nogoods_evicted = 400;
-    b.restarts = 500;
     b.backjumps = 600;
     b.pool_seeded = 700;
     b.pool_published = 800;
-    b.exchange_published = 900;
-    b.exchange_imported = 1000;
     b.eval_cache_hits = 1100;
     b.eval_cache_misses = 1200;
 
@@ -297,134 +178,11 @@ TEST(SearchCounters, AddAccumulatesEveryField) {
     EXPECT_EQ(a.nogood_prunings, 202u);
     EXPECT_EQ(a.nogoods_recorded, 303u);
     EXPECT_EQ(a.nogoods_evicted, 404u);
-    EXPECT_EQ(a.restarts, 505u);
     EXPECT_EQ(a.backjumps, 606u);
     EXPECT_EQ(a.pool_seeded, 707u);
     EXPECT_EQ(a.pool_published, 808u);
-    EXPECT_EQ(a.exchange_published, 909u);
-    EXPECT_EQ(a.exchange_imported, 1010u);
     EXPECT_EQ(a.eval_cache_hits, 1111u);
     EXPECT_EQ(a.eval_cache_misses, 1212u);
-
-    // ChromaticMapResult::add_counters funnels through add() and must
-    // leave the verdict fields alone.
-    core::ChromaticMapResult r;
-    r.exhausted = true;
-    core::ChromaticMapResult other;
-    other.counters = b;
-    other.exhausted = false;
-    r.add_counters(other);
-    EXPECT_EQ(r.counters.backtracks, 100u);
-    EXPECT_TRUE(r.exhausted);
-    EXPECT_FALSE(r.map.has_value());
-}
-
-// --- the portfolio counter-merge audit ----------------------------------
-
-/// A problem whose search is identical on every portfolio thread:
-/// singleton per-vertex domains (one color-matching codomain vertex
-/// each), so the per-thread value shuffle is the identity and every
-/// thread performs the exact same backtracks. The reported counters must
-/// then equal the single-thread run's for ANY thread count — the old
-/// merge summed losing threads' partially-updated counters into the
-/// settled total, making it grow with the thread count.
-TEST(PortfolioMerge, CountersAreThreadCountIndependentOnDeterministicRaces) {
-    using topo::ChromaticComplex;
-    using topo::Simplex;
-    using topo::SimplicialComplex;
-
-    // UNSAT: an edge must map to an edge, but the codomain's two
-    // color-matching vertices span none.
-    const ChromaticComplex domain(
-        SimplicialComplex::from_facets({Simplex{0, 1}}),
-        {{0, 0}, {1, 1}});
-    const ChromaticComplex no_edge(
-        SimplicialComplex::from_facets({Simplex{10}, Simplex{11}}),
-        {{10, 0}, {11, 1}});
-    core::ChromaticMapProblem unsat;
-    unsat.domain = &domain;
-    unsat.codomain = &no_edge;
-    unsat.allowed = [&no_edge](const Simplex&) -> const SimplicialComplex& {
-        return no_edge.complex();
-    };
-
-    // SAT: the same edge with the edge present — settles witness {0->10,
-    // 1->11} with zero backtracks on every thread.
-    const ChromaticComplex edge(
-        SimplicialComplex::from_facets({Simplex{10, 11}}),
-        {{10, 0}, {11, 1}});
-    core::ChromaticMapProblem sat;
-    sat.domain = &domain;
-    sat.codomain = &edge;
-    sat.allowed = [&edge](const Simplex&) -> const SimplicialComplex& {
-        return edge.complex();
-    };
-
-    const auto single_unsat =
-        core::solve_chromatic_map(unsat, core::SolverConfig::fast());
-    EXPECT_FALSE(single_unsat.map.has_value());
-    EXPECT_TRUE(single_unsat.exhausted);
-    EXPECT_GT(single_unsat.counters.backtracks, 0u);
-
-    const auto single_sat =
-        core::solve_chromatic_map(sat, core::SolverConfig::fast());
-    ASSERT_TRUE(single_sat.map.has_value());
-    EXPECT_EQ(single_sat.counters.backtracks, 0u);
-
-    for (unsigned threads : {2u, 4u}) {
-        // Exchange OFF for the counter-equality half: with the
-        // mid-flight exchange on, a thread may import a racing thread's
-        // nogoods and legitimately finish with fewer backtracks than
-        // the single-thread run — counters are then racy by design and
-        // only the verdict/witness stay pinned (asserted below).
-        core::SolverConfig isolated = core::SolverConfig::portfolio(threads);
-        isolated.live_exchange = false;
-        const auto racy_unsat = core::solve_chromatic_map(unsat, isolated);
-        EXPECT_FALSE(racy_unsat.map.has_value());
-        EXPECT_TRUE(racy_unsat.exhausted);
-        EXPECT_EQ(racy_unsat.counters.backtracks,
-                  single_unsat.counters.backtracks)
-            << "x" << threads
-            << ": the merge must report the settling thread's coherent "
-               "count, not a sum over stopped threads";
-        EXPECT_EQ(racy_unsat.counters.nogoods_recorded,
-                  single_unsat.counters.nogoods_recorded)
-            << "x" << threads;
-
-        const auto racy_sat = core::solve_chromatic_map(sat, isolated);
-        ASSERT_TRUE(racy_sat.map.has_value());
-        EXPECT_EQ(racy_sat.map->vertex_map(), single_sat.map->vertex_map());
-        EXPECT_EQ(racy_sat.counters.backtracks, 0u) << "x" << threads;
-
-        // Exchange ON (the shipped portfolio default): verdict and
-        // witness must be untouched whatever the import interleaving.
-        const auto traded_unsat = core::solve_chromatic_map(
-            unsat, core::SolverConfig::portfolio(threads));
-        EXPECT_FALSE(traded_unsat.map.has_value());
-        EXPECT_TRUE(traded_unsat.exhausted) << "x" << threads;
-
-        const auto traded_sat = core::solve_chromatic_map(
-            sat, core::SolverConfig::portfolio(threads));
-        ASSERT_TRUE(traded_sat.map.has_value());
-        EXPECT_EQ(traded_sat.map->vertex_map(),
-                  single_sat.map->vertex_map())
-            << "x" << threads;
-    }
-}
-
-TEST(SolverCacheProperty, LayersPreserveTheActSearchBacktrackProfile) {
-    // With nogoods off, the cache must not even change the search shape:
-    // backtrack counts per depth are bit-identical.
-    const tasks::AffineTask ln = tasks::t_resilience_task(1, 1);
-    const core::ActResult plain =
-        core::run_act_search(ln.task, 3, with_layers(false, false));
-    const core::ActResult cached =
-        core::run_act_search(ln.task, 3, with_layers(true, false));
-    EXPECT_EQ(plain.solvable, cached.solvable);
-    EXPECT_EQ(plain.witness_depth, cached.witness_depth);
-    EXPECT_EQ(plain.backtracks_per_depth, cached.backtracks_per_depth);
-    ASSERT_TRUE(plain.eta.has_value());
-    EXPECT_EQ(plain.eta->vertex_map(), cached.eta->vertex_map());
 }
 
 // --- NogoodStore unit coverage ------------------------------------------
@@ -455,17 +213,18 @@ TEST(NogoodStore, UnitNogoodBlocksUnconditionally) {
     EXPECT_FALSE(store.blocked(7, 4, empty));
 }
 
-TEST(NogoodStore, CapsAtConfiguredSize) {
+TEST(NogoodStore, CapsTheLiveSetAtConfiguredSize) {
     NogoodStore store(3);
     EXPECT_EQ(store.capacity(), 3u);
     for (topo::VertexId i = 0; i < 10; ++i) {
-        store.record({{i, i}, {i + 100, i}});
+        ASSERT_TRUE(store.record({{i, i}, {i + 100, i}}));
+        EXPECT_LE(store.live(), 3u);
     }
-    EXPECT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.rejected_at_capacity(), 7u);
-    // Stored nogoods keep working at capacity.
-    std::unordered_map<topo::VertexId, topo::VertexId> assignment{{100, 0}};
-    EXPECT_TRUE(store.blocked(0, 0, assignment));
+    EXPECT_EQ(store.size(), 10u);
+    EXPECT_EQ(store.evicted(), store.size() - store.live());
+    // The latest nogood is live and keeps working at capacity.
+    std::unordered_map<topo::VertexId, topo::VertexId> assignment{{109, 9}};
+    EXPECT_TRUE(store.blocked(9, 9, assignment));
 }
 
 TEST(NogoodStore, DropsEmptyAndDuplicateRecords) {

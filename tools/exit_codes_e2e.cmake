@@ -6,7 +6,8 @@
 #      (gact_fuzz), which are answers, not failures
 #   1  a real negative finding: a Definition 4.1 violation (gact_fuzz) or
 #      an ok:false server reply (gact_client)
-#   2  usage error: unknown flag, unknown scenario, contradictory flags
+#   2  usage error: unknown flag, unknown scenario, contradictory flags,
+#      a --threads value that is not a positive integer
 #   3  internal/transport error: an exception escaped, or the server
 #      reply never arrived
 #
@@ -39,6 +40,12 @@ expect_exit(2 "engine_cli unknown scenario"
   "${CLI}" no-such-scenario)
 expect_exit(2 "engine_cli contradictory flags"
   "${CLI}" --no-pool --pool-file /tmp/never-written.pool ksa-2p-k2-wf)
+# --threads takes a positive integer: junk, zero, a negative count (which
+# used to wrap to 4294967295) and an out-of-range count are usage errors.
+foreach(bad abc 0 -1 4294967296 2x)
+  expect_exit(2 "engine_cli --threads ${bad}"
+    "${CLI}" --threads ${bad} --no-pool consensus-2-wf)
+endforeach()
 
 # --- gact_fuzz --------------------------------------------------------------
 # A clean campaign and a skipped (unsolvable) scenario both exit 0.
@@ -50,6 +57,10 @@ expect_exit(2 "gact_fuzz unknown flag"
   "${FUZZ}" --no-such-flag)
 expect_exit(2 "gact_fuzz unknown scenario"
   "${FUZZ}" --scenario no-such-scenario)
+foreach(bad abc 0 -1 4294967296 2x)
+  expect_exit(2 "gact_fuzz --threads ${bad}"
+    "${FUZZ}" --scenario ksa-2p-k2-wf --iters 5 --threads ${bad})
+endforeach()
 
 # --- gact_sweep -------------------------------------------------------------
 # A completed sweep exits 0 whatever the verdicts are.
@@ -66,6 +77,10 @@ expect_exit(2 "gact_sweep unknown flag"
   "${SWEEP}" --no-such-flag)
 expect_exit(2 "gact_sweep missing selection"
   "${SWEEP}" --threads 1)
+foreach(bad abc 0 -1 4294967296 2x)
+  expect_exit(2 "gact_sweep --threads ${bad}"
+    "${SWEEP}" --family wf-is --param n=1..2 --threads ${bad})
+endforeach()
 
 # --- gact_client ------------------------------------------------------------
 expect_exit(2 "gact_client unknown command"

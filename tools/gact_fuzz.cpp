@@ -32,6 +32,7 @@
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
 #include "runtime/fuzz.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -84,8 +85,11 @@ int main(int argc, char** argv) {
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            config.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (config.threads == 0) config.threads = 1;
+            if (!util::parse_positive_count(argv[++i], config.threads)) {
+                std::cerr << "bad --threads '" << argv[i]
+                          << "' (a positive integer)\n";
+                return usage(argv[0]);
+            }
             continue;
         }
         if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {

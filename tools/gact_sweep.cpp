@@ -46,6 +46,7 @@
 #include "engine/report_json.h"
 #include "engine/scenario_registry.h"
 #include "exec/scheduler.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -188,8 +189,10 @@ int main(int argc, char** argv) {
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (threads == 0) threads = 1;
+            if (!util::parse_positive_count(argv[++i], threads)) {
+                return usage_error(std::string("bad --threads '") + argv[i] +
+                                   "' (a positive integer)");
+            }
             continue;
         }
         return usage_error(std::string("unknown argument '") + argv[i] +
