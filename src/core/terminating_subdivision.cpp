@@ -44,7 +44,7 @@ void TerminatingSubdivision::advance(
     // index-slotted tasks on the resident scheduler; the selected faces
     // are merged in facet order, and since the stable set is a *set*,
     // the merged result is identical to the sequential scan's.
-    const std::vector<Simplex> facets = cx.complex().facets();
+    const std::vector<Simplex>& facets = cx.facets();
     std::vector<std::vector<Simplex>> selected(facets.size());
     exec::for_index(
         exec::Scheduler::shared(), facets.size(), num_threads,
@@ -67,10 +67,10 @@ void TerminatingSubdivision::advance(
     // first-stabilization stages (faces stabilize with their cofaces).
     // Only the simplices selected THIS stage need recording: everything
     // else in current.stable is either a face of one of them (covered by
-    // the closure walk below) or the persisted image of a simplex that
+    // the faces loop below) or the persisted image of a simplex that
     // was recorded — under the same position/color global ids — at an
     // earlier stage, where stable_since_ already holds its first
-    // stabilization stage (emplace keeps the first stamp).
+    // stabilization stage (try_emplace keeps the first stamp).
     const std::size_t stage = stages_.size() - 1;
     // global_id resolves through the exact-rational position index;
     // memoize per stage so each stage vertex pays for one probe however
@@ -83,15 +83,15 @@ void TerminatingSubdivision::advance(
         global_of.emplace(v, id);
         return id;
     };
+    std::vector<VertexId> verts;
     for (const Simplex& s : newly_stable) {
-        std::vector<VertexId> verts;
-        verts.reserve(s.size());
+        verts.clear();
         for (VertexId v : s.vertices()) verts.push_back(global_id_memo(v));
-        Simplex global(std::move(verts));
-        for (const Simplex& face : global.faces()) {
-            stable_since_.emplace(face, stage);
+        const Simplex global(verts);
+        for (Simplex& face : global.faces()) {
+            stable_since_.try_emplace(std::move(face), stage);
         }
-        stable_simplices_.add_simplex(std::move(global));
+        stable_simplices_.add_simplex(global);
     }
     stable_stale_ = true;
 
@@ -111,7 +111,7 @@ void TerminatingSubdivision::advance(
     std::vector<Simplex> images;
     images.reserve(sigma.simplices().size());
     for (const Simplex& s : sigma.simplices()) {
-        std::vector<VertexId> verts;
+        verts.clear();
         for (VertexId v : s.vertices()) {
             const auto memo = vertex_image.find(v);
             if (memo != vertex_image.end()) {
@@ -125,13 +125,13 @@ void TerminatingSubdivision::advance(
             vertex_image.emplace(v, *nv);
             verts.push_back(*nv);
         }
-        Simplex image{std::move(verts)};
+        Simplex image(verts);
         ensure(next.complex.complex().contains(image),
                "TerminatingSubdivision: stable simplex not preserved");
         images.push_back(std::move(image));
     }
     // Sigma_k is closed under faces and the vertexwise image of a closed
-    // set is closed, so the images need no per-simplex closure walk.
+    // set is closed, so the images need no per-simplex face enumeration.
     next.stable = SimplicialComplex::from_closed(std::move(images));
     stages_.push_back(std::move(next));
 }

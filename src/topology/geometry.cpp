@@ -242,7 +242,7 @@ Rational relative_volume(const std::vector<BaryPoint>& vertices,
                          const Simplex& base) {
     require(vertices.size() == base.size(),
             "relative_volume: vertex count must match base simplex");
-    const std::vector<VertexId>& cols = base.vertices();
+    const std::span<const VertexId> cols = base.vertices();
     const std::size_t k = vertices.size();
     // Matrix of barycentric coordinates; determinant = signed volume ratio.
     std::vector<std::vector<Rational>> m(k, std::vector<Rational>(k));

@@ -1,93 +1,135 @@
 #include "topology/simplex.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <ostream>
 
 namespace gact::topo {
 
-namespace {
-
-std::vector<VertexId> sorted_unique(std::vector<VertexId> v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
+Simplex Simplex::uninitialized(std::size_t n) {
+    Simplex s;
+    if (n > kInline) s.heap_ = new VertexId[n];
+    s.size_ = static_cast<std::uint32_t>(n);
+    return s;
 }
 
-}  // namespace
+void Simplex::truncate(std::size_t n) noexcept {
+    if (on_heap() && n <= kInline) {
+        VertexId* heap = heap_;
+        std::copy_n(heap, n, inline_);
+        delete[] heap;
+    }
+    size_ = static_cast<std::uint32_t>(n);
+}
 
 Simplex::Simplex(std::initializer_list<VertexId> vertices)
-    : vertices_(sorted_unique(std::vector<VertexId>(vertices))) {}
+    : Simplex(std::span<const VertexId>(vertices.begin(), vertices.size())) {}
 
-Simplex::Simplex(std::vector<VertexId> vertices)
-    : vertices_(sorted_unique(std::move(vertices))) {}
+Simplex::Simplex(std::span<const VertexId> vertices)
+    : Simplex(uninitialized(vertices.size())) {
+    VertexId* v = data();
+    std::copy(vertices.begin(), vertices.end(), v);
+    std::sort(v, v + size_);
+    truncate(static_cast<std::size_t>(std::unique(v, v + size_) - v));
+}
+
+Simplex::Simplex(const Simplex& other) : size_(other.size_) {
+    if (on_heap()) {
+        heap_ = new VertexId[size_];
+        std::copy_n(other.heap_, size_, heap_);
+    } else {
+        std::memcpy(inline_, other.inline_, sizeof inline_);
+    }
+}
+
+Simplex::Simplex(Simplex&& other) noexcept : size_(other.size_) {
+    std::memcpy(inline_, other.inline_, sizeof inline_);  // or the pointer
+    other.size_ = 0;
+}
+
+Simplex& Simplex::operator=(const Simplex& other) {
+    if (this != &other) *this = Simplex(other);
+    return *this;
+}
+
+Simplex& Simplex::operator=(Simplex&& other) noexcept {
+    if (this != &other) {
+        if (on_heap()) delete[] heap_;
+        size_ = other.size_;
+        std::memcpy(inline_, other.inline_, sizeof inline_);
+        other.size_ = 0;
+    }
+    return *this;
+}
 
 bool Simplex::contains(VertexId v) const noexcept {
-    return std::binary_search(vertices_.begin(), vertices_.end(), v);
+    const std::span<const VertexId> vs = vertices();
+    return std::binary_search(vs.begin(), vs.end(), v);
 }
 
 bool Simplex::is_face_of(const Simplex& other) const noexcept {
-    return std::includes(other.vertices_.begin(), other.vertices_.end(),
-                         vertices_.begin(), vertices_.end());
+    return std::ranges::includes(other.vertices(), vertices());
 }
 
 Simplex Simplex::union_with(const Simplex& other) const {
-    std::vector<VertexId> out;
-    out.reserve(vertices_.size() + other.vertices_.size());
-    std::set_union(vertices_.begin(), vertices_.end(), other.vertices_.begin(),
-                   other.vertices_.end(), std::back_inserter(out));
-    Simplex s;
-    s.vertices_ = std::move(out);
+    Simplex s = uninitialized(size_ + other.size_);
+    const VertexId* end = std::set_union(
+        data(), data() + size_, other.data(), other.data() + other.size_,
+        s.data());
+    s.truncate(static_cast<std::size_t>(end - s.data()));
     return s;
 }
 
 Simplex Simplex::intersection_with(const Simplex& other) const {
-    std::vector<VertexId> out;
-    std::set_intersection(vertices_.begin(), vertices_.end(),
-                          other.vertices_.begin(), other.vertices_.end(),
-                          std::back_inserter(out));
-    Simplex s;
-    s.vertices_ = std::move(out);
+    Simplex s = uninitialized(std::min(size_, other.size_));
+    const VertexId* end = std::set_intersection(
+        data(), data() + size_, other.data(), other.data() + other.size_,
+        s.data());
+    s.truncate(static_cast<std::size_t>(end - s.data()));
     return s;
 }
 
 Simplex Simplex::difference(const Simplex& other) const {
-    std::vector<VertexId> out;
-    std::set_difference(vertices_.begin(), vertices_.end(),
-                        other.vertices_.begin(), other.vertices_.end(),
-                        std::back_inserter(out));
-    Simplex s;
-    s.vertices_ = std::move(out);
+    Simplex s = uninitialized(size_);
+    const VertexId* end = std::set_difference(
+        data(), data() + size_, other.data(), other.data() + other.size_,
+        s.data());
+    s.truncate(static_cast<std::size_t>(end - s.data()));
     return s;
 }
 
 Simplex Simplex::with(VertexId v) const {
     if (contains(v)) return *this;
-    std::vector<VertexId> out = vertices_;
-    out.insert(std::upper_bound(out.begin(), out.end(), v), v);
-    Simplex s;
-    s.vertices_ = std::move(out);
+    Simplex s = uninitialized(size_ + 1);
+    const VertexId* first = data();
+    const VertexId* pos = std::upper_bound(first, first + size_, v);
+    VertexId* out = std::copy(first, pos, s.data());
+    *out++ = v;
+    std::copy(pos, first + size_, out);
     return s;
 }
 
 Simplex Simplex::without(VertexId v) const {
-    Simplex s;
-    s.vertices_.reserve(vertices_.size());
-    for (VertexId u : vertices_) {
-        if (u != v) s.vertices_.push_back(u);
-    }
+    if (!contains(v)) return *this;
+    Simplex s = uninitialized(size_ - 1);
+    std::remove_copy(data(), data() + size_, s.data(), v);
     return s;
 }
 
 std::vector<Simplex> Simplex::faces() const {
     std::vector<Simplex> out;
-    const std::size_t n = vertices_.size();
+    const std::size_t n = size_;
     require(n <= 24, "Simplex::faces: simplex too large to enumerate faces");
     const std::size_t total = (std::size_t{1} << n) - 1;
     out.reserve(total);
+    const VertexId* v = data();
     for (std::size_t mask = 1; mask <= total; ++mask) {
-        Simplex face;
+        Simplex face = uninitialized(
+            static_cast<std::size_t>(std::popcount(mask)));
+        VertexId* f = face.data();
         for (std::size_t i = 0; i < n; ++i) {
-            if (mask & (std::size_t{1} << i)) face.vertices_.push_back(vertices_[i]);
+            if (mask & (std::size_t{1} << i)) *f++ = v[i];
         }
         out.push_back(std::move(face));
     }
@@ -99,13 +141,12 @@ std::vector<Simplex> Simplex::faces_of_dimension(int d) const {
     if (d < 0 || d > dimension()) return out;
     // Enumerate (d+1)-subsets with the standard combination walk.
     const std::size_t k = static_cast<std::size_t>(d) + 1;
-    const std::size_t n = vertices_.size();
+    const std::size_t n = size_;
     std::vector<std::size_t> idx(k);
     for (std::size_t i = 0; i < k; ++i) idx[i] = i;
     while (true) {
-        Simplex face;
-        face.vertices_.reserve(k);
-        for (std::size_t i : idx) face.vertices_.push_back(vertices_[i]);
+        Simplex face = uninitialized(k);
+        for (std::size_t i = 0; i < k; ++i) face.data()[i] = data()[idx[i]];
         out.push_back(std::move(face));
         // Advance the combination.
         std::size_t i = k;
@@ -119,13 +160,11 @@ std::vector<Simplex> Simplex::faces_of_dimension(int d) const {
 
 std::vector<Simplex> Simplex::boundary_faces() const {
     std::vector<Simplex> out;
-    out.reserve(vertices_.size());
-    for (std::size_t i = 0; i < vertices_.size(); ++i) {
-        Simplex face;
-        face.vertices_.reserve(vertices_.size() - 1);
-        for (std::size_t j = 0; j < vertices_.size(); ++j) {
-            if (j != i) face.vertices_.push_back(vertices_[j]);
-        }
+    out.reserve(size_);
+    const VertexId* v = data();
+    for (std::size_t i = 0; i < size_; ++i) {
+        Simplex face = uninitialized(size_ - 1);
+        std::copy(v + i + 1, v + size_, std::copy(v, v + i, face.data()));
         out.push_back(std::move(face));
     }
     return out;
@@ -133,9 +172,9 @@ std::vector<Simplex> Simplex::boundary_faces() const {
 
 std::string Simplex::to_string() const {
     std::string out = "[";
-    for (std::size_t i = 0; i < vertices_.size(); ++i) {
+    for (std::size_t i = 0; i < size_; ++i) {
         if (i > 0) out += " ";
-        out += std::to_string(vertices_[i]);
+        out += std::to_string(data()[i]);
     }
     out += "]";
     return out;

@@ -6,9 +6,11 @@
 // neutral element for joins and as the "carrier of nothing".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,23 +23,42 @@ namespace gact::topo {
 using VertexId = std::uint32_t;
 
 /// A simplex as a sorted set of vertex ids.
+///
+/// Up to kInline vertices are stored inline — every simplex of every
+/// registered scenario fits — so building, copying and hashing a simplex
+/// allocates nothing; larger simplices keep their vertices in an exactly
+/// sized heap buffer. The storage is chosen by size alone (heap iff
+/// size() > kInline). A moved-from simplex is empty.
 class Simplex {
 public:
+    static constexpr std::size_t kInline = 4;
+
     /// The empty simplex (dimension -1).
-    Simplex() = default;
+    Simplex() noexcept = default;
 
     /// From an arbitrary list; sorted and deduplicated.
     Simplex(std::initializer_list<VertexId> vertices);
-    explicit Simplex(std::vector<VertexId> vertices);
+    explicit Simplex(std::span<const VertexId> vertices);
+
+    Simplex(const Simplex& other);
+    Simplex(Simplex&& other) noexcept;
+    Simplex& operator=(const Simplex& other);
+    Simplex& operator=(Simplex&& other) noexcept;
+    ~Simplex() {
+        if (on_heap()) delete[] heap_;
+    }
 
     /// Number of vertices.
-    std::size_t size() const noexcept { return vertices_.size(); }
-    bool empty() const noexcept { return vertices_.empty(); }
+    std::size_t size() const noexcept { return size_; }
+    bool empty() const noexcept { return size_ == 0; }
 
     /// Dimension = |vertices| - 1; the empty simplex has dimension -1.
-    int dimension() const noexcept { return static_cast<int>(vertices_.size()) - 1; }
+    int dimension() const noexcept { return static_cast<int>(size_) - 1; }
 
-    const std::vector<VertexId>& vertices() const noexcept { return vertices_; }
+    /// The vertices, sorted ascending.
+    std::span<const VertexId> vertices() const noexcept {
+        return {data(), size_};
+    }
 
     bool contains(VertexId v) const noexcept;
 
@@ -64,15 +85,34 @@ public:
     /// dropping vertex i; this order defines boundary-operator signs.
     std::vector<Simplex> boundary_faces() const;
 
-    friend bool operator==(const Simplex& a, const Simplex& b) noexcept = default;
+    friend bool operator==(const Simplex& a, const Simplex& b) noexcept {
+        return std::ranges::equal(a.vertices(), b.vertices());
+    }
     friend bool operator<(const Simplex& a, const Simplex& b) noexcept {
-        return a.vertices_ < b.vertices_;
+        return std::ranges::lexicographical_compare(a.vertices(),
+                                                    b.vertices());
     }
 
     std::string to_string() const;
 
 private:
-    std::vector<VertexId> vertices_;
+    /// `n` vertices, left for the caller to fill in sorted order.
+    static Simplex uninitialized(std::size_t n);
+    /// Drop to the first `n` vertices (n <= size()), moving them inline
+    /// when the new size fits there.
+    void truncate(std::size_t n) noexcept;
+
+    bool on_heap() const noexcept { return size_ > kInline; }
+    const VertexId* data() const noexcept {
+        return on_heap() ? heap_ : inline_;
+    }
+    VertexId* data() noexcept { return on_heap() ? heap_ : inline_; }
+
+    std::uint32_t size_ = 0;
+    union {
+        VertexId inline_[kInline] = {};
+        VertexId* heap_;
+    };
 };
 
 std::ostream& operator<<(std::ostream& os, const Simplex& s);

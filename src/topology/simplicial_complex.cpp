@@ -1,75 +1,80 @@
 #include "topology/simplicial_complex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 
 namespace gact::topo {
 
+namespace {
+
+// Fibonacci hashing: spreads std::hash<Simplex> over the top bits.
+std::size_t home_slot(const Simplex& s, std::size_t slot_count) noexcept {
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(std::hash<Simplex>{}(s)) *
+        0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h >> (64 - std::countr_zero(slot_count)));
+}
+
+}  // namespace
+
+std::size_t SimplexSet::probe(const Simplex& s) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home_slot(s, slots_.size());
+    while (!slots_[i].empty() && !(slots_[i] == s)) i = (i + 1) & mask;
+    return i;
+}
+
+std::size_t SimplexSet::find(const Simplex& s) const noexcept {
+    if (slots_.empty() || s.empty()) return npos;
+    const std::size_t i = probe(s);
+    return slots_[i].empty() ? npos : i;
+}
+
+bool SimplexSet::insert(Simplex&& s) {
+    require(!s.empty(), "SimplexSet: cannot insert the empty simplex");
+    // Grow at a load factor of 3/4; linear probing degrades past it.
+    if (4 * (size_ + 1) > 3 * slots_.size()) reserve(size_ + 1);
+    Simplex& slot = slots_[probe(s)];
+    if (!slot.empty()) return false;
+    slot = std::move(s);
+    ++size_;
+    return true;
+}
+
+void SimplexSet::reserve(std::size_t n) {
+    std::size_t count = 8;
+    while (4 * n > 3 * count) count *= 2;
+    if (count > slots_.size()) rehash(count);
+}
+
+void SimplexSet::rehash(std::size_t slot_count) {
+    std::vector<Simplex> old(slot_count);
+    old.swap(slots_);
+    for (Simplex& s : old) {
+        if (!s.empty()) slots_[probe(s)] = std::move(s);
+    }
+}
+
+bool operator==(const SimplexSet& a, const SimplexSet& b) {
+    if (a.size() != b.size()) return false;
+    for (const Simplex& s : a) {
+        if (!b.contains(s)) return false;
+    }
+    return true;
+}
+
 SimplicialComplex SimplicialComplex::from_facets(
     const std::vector<Simplex>& facets) {
     SimplicialComplex c;
-    // Facets with at most 4 vertices (all of subdivision output) take a
-    // bulk path: every nonempty vertex subset is packed into a 128-bit
-    // key (four 32-bit slots holding vertex id + 1, empty slots zero —
-    // distinct subsets give distinct keys), the flat key list is sorted
-    // and uniqued, and each distinct simplex is inserted exactly once
-    // into a set reserved at its final size. Subset enumeration makes
-    // the result downward closed by construction, and sorting flat PODs
-    // is much cheaper than hash-probing the growing set once per
-    // (facet, face) pair as the closure walk would. Larger facets — and
-    // ids that would collide with the +1 encoding — fall back to
-    // add_simplex, whose walk dedups against the bulk-inserted set.
-    using Key = std::pair<std::uint64_t, std::uint64_t>;
-    std::vector<Key> keys;
-    std::vector<const Simplex*> big;
-    std::size_t subset_count = 0;
-    for (const Simplex& f : facets) {
-        if (f.size() <= 4) subset_count += (std::size_t{1} << f.size()) - 1;
-    }
-    keys.reserve(subset_count);
-    for (const Simplex& f : facets) {
-        const std::vector<VertexId>& fv = f.vertices();
-        const std::size_t n = fv.size();
-        bool small = n >= 1 && n <= 4;
-        if (small) {
-            for (VertexId v : fv) {
-                if (v == std::numeric_limits<VertexId>::max()) {
-                    small = false;
-                    break;
-                }
-            }
-        }
-        if (!small) {
-            big.push_back(&f);
-            continue;
-        }
-        for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
-            std::uint64_t slot[4] = {0, 0, 0, 0};
-            std::size_t k = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (mask & (1u << i)) {
-                    slot[k++] = std::uint64_t{fv[i]} + 1;
-                }
-            }
-            keys.emplace_back((slot[0] << 32) | slot[1],
-                              (slot[2] << 32) | slot[3]);
-        }
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    c.simplices_.reserve(keys.size() + big.size() * 4);
-    for (const Key& key : keys) {
-        std::vector<VertexId> verts;
-        verts.reserve(4);
-        for (std::uint64_t p : {key.first >> 32, key.first & 0xffffffffu,
-                                key.second >> 32, key.second & 0xffffffffu}) {
-            if (p != 0) verts.push_back(static_cast<VertexId>(p - 1));
-        }
-        c.simplices_.insert(Simplex(std::move(verts)));
-    }
-    for (const Simplex* f : big) c.add_simplex(*f);
+    // Reserve about one element per facet vertex: neighbouring facets of
+    // a subdivision share most faces, which keeps the distinct simplices
+    // near that count (a 3-dimensional one has ~4.4 per facet).
+    std::size_t estimate = 0;
+    for (const Simplex& f : facets) estimate += f.size();
+    c.simplices_.reserve(estimate);
+    for (const Simplex& f : facets) c.add_simplex(f);
     return c;
 }
 
@@ -87,42 +92,10 @@ SimplicialComplex SimplicialComplex::from_closed(
 
 void SimplicialComplex::add_simplex(const Simplex& s) {
     require(!s.empty(), "SimplicialComplex: cannot add the empty simplex");
-    if (contains(s)) return;
-    insert_closure(Simplex(s));
-}
-
-void SimplicialComplex::insert_closure(Simplex&& s) {
-    // Walk the boundary instead of materializing all 2^n - 1 faces up
-    // front: a face that is already present has its own closure present
-    // (the set is downward closed by construction), so the walk stops at
-    // the boundary of what is genuinely new. Adjacent facets share most
-    // of their face lattice, which the all-faces version re-built and
-    // re-hashed every time; the missing faces are probed through the
-    // transparent hash with a reused scratch buffer, so only simplices
-    // actually inserted allocate.
-    std::vector<Simplex> stack;
-    stack.push_back(std::move(s));
-    std::vector<VertexId> scratch;
-    while (!stack.empty()) {
-        Simplex top = std::move(stack.back());
-        stack.pop_back();
-        // The same missing face can be stacked by several of its
-        // cofaces before it lands in the set; later copies are no-ops.
-        if (contains(top)) continue;
-        const std::vector<VertexId>& tv = top.vertices();
-        if (tv.size() > 1) {
-            // scratch = tv with a hole, walked from position 0 to n-1.
-            scratch.assign(tv.begin() + 1, tv.end());
-            for (std::size_t i = 0;; ++i) {
-                if (simplices_.find(scratch) == simplices_.end()) {
-                    stack.emplace_back(std::vector<VertexId>(scratch));
-                }
-                if (i + 1 == tv.size()) break;
-                scratch[i] = tv[i];
-            }
-        }
-        simplices_.insert(std::move(top));
-    }
+    // Probe every face, present or not: the probes are independent, so
+    // their cache misses overlap, where a walk that stops at faces
+    // already present has to wait for each probe before the next.
+    for (Simplex& face : s.faces()) simplices_.insert(std::move(face));
 }
 
 std::vector<Simplex> SimplicialComplex::simplices_of_dimension(int d) const {
@@ -135,19 +108,20 @@ std::vector<Simplex> SimplicialComplex::simplices_of_dimension(int d) const {
 }
 
 std::vector<Simplex> SimplicialComplex::facets() const {
-    // A simplex is maximal iff no coface obtained by adding one vertex of
-    // the complex is present. Checking against all vertices is quadratic in
-    // the worst case; group by dimension instead: s is a facet iff it is not
-    // a face of any simplex of dimension dim(s)+1.
-    std::vector<Simplex> out;
-    std::unordered_set<Simplex> non_maximal;
+    // A simplex is maximal iff it is no boundary face of another one:
+    // mark the slot of every boundary face, keep the unmarked simplices.
+    std::vector<bool> non_maximal(simplices_.slot_count());
     for (const Simplex& s : simplices_) {
-        for (const Simplex& b : s.boundary_faces()) {
-            if (!b.empty()) non_maximal.insert(b);
+        if (s.size() < 2) continue;
+        for (VertexId v : s.vertices()) {
+            const std::size_t i = simplices_.find(s.without(v));
+            if (i != SimplexSet::npos) non_maximal[i] = true;
         }
     }
-    for (const Simplex& s : simplices_) {
-        if (non_maximal.count(s) == 0) out.push_back(s);
+    std::vector<Simplex> out;
+    for (std::size_t i = 0; i < simplices_.slot_count(); ++i) {
+        const Simplex& s = simplices_.slot(i);
+        if (!s.empty() && !non_maximal[i]) out.push_back(s);
     }
     std::sort(out.begin(), out.end());
     return out;

@@ -5,40 +5,97 @@
 // open and closed stars, links, and connectivity of the 1-skeleton.
 #pragma once
 
-#include <unordered_set>
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "topology/simplex.h"
 
 namespace gact::topo {
 
-/// Transparent hash/equality for sets of simplices: lets the closure
-/// builder probe with a raw sorted vertex vector, constructing a Simplex
-/// (and allocating) only when the probe misses and an insert follows.
-struct SimplexSetHash {
-    using is_transparent = void;
-    std::size_t operator()(const Simplex& s) const noexcept {
-        return gact::hash_range(s.vertices());
+/// A set of nonempty simplices: one flat open-addressing table with
+/// linear probing. Slots hold simplices by value (inline up to
+/// Simplex::kInline vertices), a vacant slot holds the empty simplex, and
+/// nothing is ever erased, so a probe stops at the first vacant slot.
+/// Iteration visits the occupied slots in slot order; the order is not
+/// meaningful. Const access is a pure read, safe from several threads.
+class SimplexSet {
+public:
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    class const_iterator {
+    public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Simplex;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const Simplex*;
+        using reference = const Simplex&;
+
+        const_iterator() = default;
+        reference operator*() const noexcept { return *slot_; }
+        pointer operator->() const noexcept { return slot_; }
+        const_iterator& operator++() noexcept {
+            ++slot_;
+            skip_vacant();
+            return *this;
+        }
+        const_iterator operator++(int) noexcept {
+            const_iterator old = *this;
+            ++*this;
+            return old;
+        }
+        friend bool operator==(const const_iterator&,
+                               const const_iterator&) = default;
+
+    private:
+        friend class SimplexSet;
+        const_iterator(const Simplex* slot, const Simplex* end) noexcept
+            : slot_(slot), end_(end) {
+            skip_vacant();
+        }
+        void skip_vacant() noexcept {
+            while (slot_ != end_ && slot_->empty()) ++slot_;
+        }
+        const Simplex* slot_ = nullptr;
+        const Simplex* end_ = nullptr;
+    };
+
+    std::size_t size() const noexcept { return size_; }
+    bool empty() const noexcept { return size_ == 0; }
+
+    const_iterator begin() const noexcept {
+        return {slots_.data(), slots_.data() + slots_.size()};
     }
-    std::size_t operator()(const std::vector<VertexId>& v) const noexcept {
-        return gact::hash_range(v);
+    const_iterator end() const noexcept {
+        return {slots_.data() + slots_.size(), slots_.data() + slots_.size()};
     }
+
+    bool contains(const Simplex& s) const noexcept { return find(s) != npos; }
+
+    /// Insert a nonempty simplex; false if it was already present.
+    bool insert(Simplex&& s);
+    bool insert(const Simplex& s) { return insert(Simplex(s)); }
+
+    /// Make room for `n` elements without further rehashing.
+    void reserve(std::size_t n);
+
+    /// Slot-level access for passes over the whole table: the table has
+    /// slot_count() slots, a vacant one holds the empty simplex, and
+    /// find() returns the slot holding `s`, or npos.
+    std::size_t slot_count() const noexcept { return slots_.size(); }
+    const Simplex& slot(std::size_t i) const noexcept { return slots_[i]; }
+    std::size_t find(const Simplex& s) const noexcept;
+
+    friend bool operator==(const SimplexSet& a, const SimplexSet& b);
+
+private:
+    /// The slot holding `s`, or the vacant slot where it would go.
+    std::size_t probe(const Simplex& s) const noexcept;
+    void rehash(std::size_t slot_count);
+
+    std::vector<Simplex> slots_;  // size 0 or a power of two
+    std::size_t size_ = 0;
 };
-struct SimplexSetEq {
-    using is_transparent = void;
-    bool operator()(const Simplex& a, const Simplex& b) const noexcept {
-        return a == b;
-    }
-    bool operator()(const std::vector<VertexId>& a, const Simplex& b) const
-        noexcept {
-        return a == b.vertices();
-    }
-    bool operator()(const Simplex& a, const std::vector<VertexId>& b) const
-        noexcept {
-        return a.vertices() == b;
-    }
-};
-using SimplexSet = std::unordered_set<Simplex, SimplexSetHash, SimplexSetEq>;
 
 /// A finite simplicial complex over vertex ids.
 class SimplicialComplex {
@@ -50,15 +107,15 @@ public:
 
     /// Build from a simplex list that is already closed under faces
     /// (every face of every entry appears in the list). Skips the
-    /// per-simplex closure walk of add_simplex — the caller vouches for
-    /// closedness, e.g. because the list is the image of a closed set
-    /// under a vertex map.
+    /// per-simplex face enumeration of add_simplex — the caller vouches
+    /// for closedness, e.g. because the list is the image of a closed
+    /// set under a vertex map.
     static SimplicialComplex from_closed(std::vector<Simplex> simplices);
 
     /// Insert a simplex together with all its faces.
     void add_simplex(const Simplex& s);
 
-    bool contains(const Simplex& s) const { return simplices_.count(s) != 0; }
+    bool contains(const Simplex& s) const { return simplices_.contains(s); }
     bool contains_vertex(VertexId v) const { return contains(Simplex{v}); }
 
     bool is_empty() const noexcept { return simplices_.empty(); }
@@ -66,7 +123,7 @@ public:
     /// Number of simplices (all dimensions).
     std::size_t size() const noexcept { return simplices_.size(); }
 
-    /// All simplices, unordered.
+    /// All simplices, in no meaningful order.
     const SimplexSet& simplices() const noexcept { return simplices_; }
 
     /// All simplices of dimension d, sorted for determinism.
@@ -120,10 +177,6 @@ public:
     }
 
 private:
-    /// Insert `s` (known absent) and whatever part of its face closure
-    /// is missing, consuming the simplices instead of copying them.
-    void insert_closure(Simplex&& s);
-
     SimplexSet simplices_;
 };
 

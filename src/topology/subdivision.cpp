@@ -11,6 +11,7 @@ SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     SubdividedComplex out;
     out.base_ = base;
     out.complex_ = base;
+    out.facets_ = base.facets();
     const std::vector<VertexId> verts = base.vertex_ids();
     VertexId max_id = 0;
     for (VertexId v : verts) max_id = std::max(max_id, v);
@@ -61,7 +62,7 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
     // Pure reads of immutable state, so the units shard across threads;
     // the partition tables are precomputed once per facet size instead
     // of per facet.
-    const std::vector<Simplex> parents = complex_.facets();
+    const std::vector<Simplex>& parents = facets_;
     // Per facet size n: each ordered partition flattened to the sequence
     // of (vertex index, prefix-union bitmask) pairs its keys come from.
     // The pair tables depend only on n, so per parent the keys reduce to
@@ -99,7 +100,7 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
     std::vector<ParentKeys> generated(parents.size());
     exec::for_index(exec::Scheduler::shared(), parents.size(), num_threads,
                     [&](std::size_t pi) {
-        const std::vector<VertexId>& pv = parents[pi].vertices();
+        const std::span<const VertexId> pv = parents[pi].vertices();
         const std::size_t n = pv.size();
         const std::vector<std::vector<KeyRef>>& parts = pairs_by_size.at(n);
         ParentKeys& pk = generated[pi];
@@ -132,15 +133,14 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
                     slot_of[(static_cast<std::size_t>(ref.first) << n) |
                             ref.second];
                 if (slot < 0) {
-                    std::vector<VertexId> tau;
+                    Simplex tau;
                     for (std::size_t b = 0; b < n; ++b) {
                         if (ref.second & (std::uint32_t{1} << b)) {
-                            tau.push_back(pv[b]);
+                            tau = tau.with(pv[b]);
                         }
                     }
                     slot = static_cast<std::int32_t>(pk.table.size());
-                    pk.table.push_back(canonical_key(
-                        pv[ref.first], Simplex{std::move(tau)}));
+                    pk.table.push_back(canonical_key(pv[ref.first], tau));
                 }
                 tuple.push_back(static_cast<std::uint32_t>(slot));
             }
@@ -170,15 +170,15 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
         return id;
     };
     std::vector<VertexId> global_of;
+    std::vector<VertexId> verts;
     for (const ParentKeys& pk : generated) {
         global_of.clear();
         global_of.reserve(pk.table.size());
         for (const Key& key : pk.table) global_of.push_back(intern(key));
         for (const std::vector<std::uint32_t>& tuple : pk.tuples) {
-            std::vector<VertexId> verts;
-            verts.reserve(tuple.size());
+            verts.clear();
             for (std::uint32_t ti : tuple) verts.push_back(global_of[ti]);
-            facets.emplace_back(std::move(verts));
+            facets.emplace_back(verts);
         }
     }
 
@@ -214,6 +214,12 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
             static_cast<VertexId>(id));
     }
 
+    // The canonical taus of a facet's vertices cover its parent (the last
+    // block's tau is the parent itself unless the parent is terminated
+    // and emitted alone), and a vertex only occurs under parents that
+    // contain its tau. Parents are maximal and a parent's facets all
+    // have its size, so no facet is a face of another: the sorted list
+    // is exactly the facet list of the new complex.
     std::sort(facets.begin(), facets.end());
     facets.erase(std::unique(facets.begin(), facets.end()), facets.end());
 
@@ -223,6 +229,7 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
     // proper coloring is structural here.
     out.complex_ =
         ChromaticComplex::trusted(std::move(closure), std::move(colors));
+    out.facets_ = std::move(facets);
     return out;
 }
 
@@ -268,10 +275,10 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     // Facets of Bary(C): flags sigma_0 < sigma_1 < ... < sigma_m of
     // simplices of C with sigma_m a facet.
     std::vector<Simplex> facets;
-    for (const Simplex& f : complex_.facets()) {
+    for (const Simplex& f : facets_) {
         // Enumerate flags ending at f: permutations of f's vertices define
         // maximal flags; build them from vertex orderings.
-        const std::vector<VertexId>& pv = f.vertices();
+        const std::span<const VertexId> pv = f.vertices();
         for (const std::vector<std::size_t>& perm : all_permutations(pv.size())) {
             std::vector<VertexId> verts;
             Simplex prefix;
@@ -285,8 +292,11 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     std::sort(facets.begin(), facets.end());
     facets.erase(std::unique(facets.begin(), facets.end()), facets.end());
 
+    // A flag ending at facet f holds f's barycenter, which no flag ending
+    // at another facet holds: the sorted list is the facet list.
     out.complex_ = ChromaticComplex(SimplicialComplex::from_facets(facets),
                                     std::move(colors));
+    out.facets_ = std::move(facets);
     return out;
 }
 
@@ -379,7 +389,7 @@ SimplicialMap SubdividedComplex::retraction_to_parent(
 std::vector<Simplex> SubdividedComplex::facets_containing(
     const BaryPoint& p) const {
     std::vector<Simplex> out;
-    for (const Simplex& f : complex_.facets()) {
+    for (const Simplex& f : facets_) {
         if (point_in_simplex(p, positions_of(f))) out.push_back(f);
     }
     return out;
@@ -387,7 +397,7 @@ std::vector<Simplex> SubdividedComplex::facets_containing(
 
 void SubdividedComplex::verify_subdivision_exactness() const {
     // Every facet must be non-degenerate within its carrier.
-    for (const Simplex& f : complex_.facets()) {
+    for (const Simplex& f : facets_) {
         const Simplex c = carrier_of(f);
         ensure(f.dimension() == c.dimension(),
                "subdivision exactness: facet " + f.to_string() +
@@ -397,7 +407,7 @@ void SubdividedComplex::verify_subdivision_exactness() const {
     }
     for (const Simplex& base_facet : base_.facets()) {
         Rational total;
-        for (const Simplex& f : complex_.facets()) {
+        for (const Simplex& f : facets_) {
             if (!carrier_of(f).is_face_of(base_facet)) continue;
             // Only full-dimensional pieces contribute volume.
             if (f.dimension() != base_facet.dimension()) continue;

@@ -74,6 +74,10 @@ public:
     const ChromaticComplex& base() const noexcept { return base_; }
     const ChromaticComplex& complex() const noexcept { return complex_; }
 
+    /// The facets of complex(), sorted: the list the build produced the
+    /// complex from, kept so no caller re-derives it from the simplices.
+    const std::vector<Simplex>& facets() const noexcept { return facets_; }
+
     /// Number of subdivision steps applied since `identity` (0 for it).
     int depth() const noexcept { return depth_; }
 
@@ -138,6 +142,7 @@ private:
 
     ChromaticComplex base_;
     ChromaticComplex complex_;
+    std::vector<Simplex> facets_;               // facets of complex_, sorted
     std::vector<BaryPoint> position_;           // indexed by VertexId
     std::vector<Provenance> provenance_;        // indexed by VertexId
     std::map<std::pair<VertexId, Simplex>, VertexId> vertex_index_;

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gact {
 
@@ -28,14 +29,17 @@ public:
     using std::overflow_error::overflow_error;
 };
 
+// The message is a view so that a passing check with a literal message
+// builds no std::string: these run in the innermost loops.
+
 /// Check a caller-facing precondition.
-inline void require(bool condition, const std::string& what) {
-    if (!condition) throw precondition_error(what);
+inline void require(bool condition, std::string_view what) {
+    if (!condition) throw precondition_error(std::string(what));
 }
 
 /// Check an internal invariant.
-inline void ensure(bool condition, const std::string& what) {
-    if (!condition) throw invariant_error(what);
+inline void ensure(bool condition, std::string_view what) {
+    if (!condition) throw invariant_error(std::string(what));
 }
 
 }  // namespace gact

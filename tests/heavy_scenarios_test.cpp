@@ -1,23 +1,25 @@
-// The heavy-scenario wall-clock gate: the sharded lt-3-2-res2 run.
+// The heavy-scenario gate: the sharded lt-3-2-res2 run, timed, with the
+// shape of its terminating subdivision pinned.
 //
 // This test is labeled `heavy` in CTest and self-skips unless
 // GACT_RUN_HEAVY=1, so the tier-1 suite stays fast while CI (and anyone
-// locally) can gate the minutes-scale n = 3 pipeline explicitly:
+// locally) can gate the n = 3 pipeline explicitly:
 //
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
 // The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — ~4.6 s on the PR-6
-// single-core dev container, down from ~16 s at PR 4 via integer-scaled
-// guidance distances, bulk complex construction, trusted chromatic
-// builders, and the restart/GC nogood lifecycle — so the gate catches
-// order-of-magnitude regressions, not host noise.
+// is deliberately far above the measured time — ~4.3 s on a 4-vCPU
+// x86-64 host (gcc, RelWithDebInfo) — so the gate catches
+// order-of-magnitude regressions, not host noise. The subdivision counts
+// are exact: a change of representation that alters any stage complex
+// fails them however fast it runs.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
 #include <string>
 
+#include "core/terminating_subdivision.h"
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
 
@@ -55,6 +57,18 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
         << report.summary();
     ASSERT_EQ(report.warnings.size(), 1u);
     EXPECT_NE(report.warnings[0].find("radial"), std::string::npos);
+
+    // The subdivision's shape, not only its wall time: a representation
+    // change that alters any complex shows up in these counts.
+    EXPECT_EQ(report.total_backtracks, 26u);
+    ASSERT_NE(report.tsub, nullptr);
+    const core::TerminatingSubdivision& tsub = *report.tsub;
+    ASSERT_EQ(tsub.stages(), 5u);
+    EXPECT_EQ(tsub.stable_complex().complex().size(), 148407u);
+    const topo::SimplicialComplex& last =
+        tsub.complex_at(tsub.stages() - 1).complex().complex();
+    EXPECT_EQ(last.simplices_of_dimension(0).size(), 92128u);
+    EXPECT_EQ(last.simplices_of_dimension(last.dimension()).size(), 478825u);
 
     EXPECT_LT(elapsed, budget_seconds)
         << "sharded lt-3-2-res2 took " << elapsed

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
+#include <thread>
 
 namespace gact::topo {
 namespace {
@@ -134,6 +137,112 @@ TEST(SimplicialComplex, EmptyComplex) {
     EXPECT_EQ(c.euler_characteristic(), 0);
     EXPECT_EQ(c.num_connected_components(), 0u);
     EXPECT_FALSE(c.is_connected());
+}
+
+// The flat table: the same complex built by from_facets and by
+// add_simplex in a shuffled order must hold the same simplices, whatever
+// slots they landed in. Facets of 4 and 5 vertices straddle the inline
+// limit of Simplex.
+TEST(SimplicialComplex, FromFacetsMatchesShuffledAddSimplex) {
+    std::vector<Simplex> facets;
+    for (VertexId i = 0; i < 40; ++i) {
+        facets.push_back(Simplex{i, i + 1, i + 2, i + 3});
+        facets.push_back(Simplex{i, i + 2, i + 5, i + 7, i + 11});
+    }
+    const SimplicialComplex built = SimplicialComplex::from_facets(facets);
+
+    std::vector<Simplex> shuffled = facets;
+    std::mt19937 rng(2024);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    SimplicialComplex added;
+    for (const Simplex& f : shuffled) added.add_simplex(f);
+
+    EXPECT_EQ(built, added);
+    EXPECT_EQ(built.size(), added.size());
+    EXPECT_EQ(built.dimension(), 4);
+    for (int d = 0; d <= 4; ++d) {
+        EXPECT_EQ(built.simplices_of_dimension(d),
+                  added.simplices_of_dimension(d))
+            << "dimension " << d;
+    }
+    std::size_t faces_seen = 0;
+    for (const Simplex& f : facets) {
+        for (const Simplex& face : f.faces()) {
+            ++faces_seen;
+            EXPECT_TRUE(built.contains(face)) << face.to_string();
+            EXPECT_TRUE(added.contains(face)) << face.to_string();
+        }
+    }
+    EXPECT_GT(faces_seen, built.size());  // faces are shared
+    EXPECT_FALSE(built.contains(Simplex{0, 1, 2, 3, 4}));
+    EXPECT_FALSE(built.contains(Simplex{0, 100}));
+    EXPECT_FALSE(added.contains(Simplex{1000}));
+    EXPECT_FALSE(built.contains(Simplex()));
+
+    // Iteration visits every simplex exactly once.
+    std::vector<Simplex> listed(built.simplices().begin(),
+                                built.simplices().end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end());
+    EXPECT_EQ(listed.size(), built.size());
+
+    SimplicialComplex missing_one = SimplicialComplex::from_facets(
+        std::vector<Simplex>(facets.begin(), facets.end() - 1));
+    EXPECT_FALSE(missing_one == built);
+}
+
+TEST(SimplexSet, GrowthKeepsEveryElement) {
+    SimplexSet set;
+    std::vector<Simplex> inserted;
+    // Several rehashes, with inline (1-4 vertex) and heap (5-6 vertex)
+    // entries.
+    for (VertexId i = 0; i < 5000; ++i) {
+        const std::size_t n = 1 + i % 6;
+        std::vector<VertexId> v;
+        for (std::size_t k = 0; k < n; ++k) {
+            v.push_back(i * 7 + static_cast<VertexId>(k));
+        }
+        inserted.emplace_back(v);
+        EXPECT_TRUE(set.insert(inserted.back()));
+        EXPECT_FALSE(set.insert(inserted.back()));
+    }
+    EXPECT_EQ(set.size(), inserted.size());
+    EXPECT_GE(set.slot_count(), set.size());
+    for (const Simplex& s : inserted) EXPECT_TRUE(set.contains(s));
+    EXPECT_FALSE(set.contains(Simplex{1, 2}));
+    std::size_t visited = 0;
+    for (const Simplex& s : set) {
+        EXPECT_FALSE(s.empty());
+        ++visited;
+    }
+    EXPECT_EQ(visited, inserted.size());
+    EXPECT_THROW(set.insert(Simplex()), precondition_error);
+}
+
+// Const access is a pure read of the flat table: several threads may
+// probe and walk one complex at once (the sharded subdivision passes do).
+TEST(SimplicialComplex, ConcurrentReadsAgree) {
+    std::vector<Simplex> facets;
+    for (VertexId i = 0; i < 200; ++i) {
+        facets.push_back(Simplex{i, i + 1, i + 3, i + 4});
+    }
+    const SimplicialComplex c = SimplicialComplex::from_facets(facets);
+    const std::vector<Simplex> expected = c.facets();
+    std::vector<int> ok(4, 0);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < ok.size(); ++t) {
+        workers.emplace_back([&, t] {
+            bool all = c.facets() == expected;
+            for (const Simplex& f : facets) {
+                for (const Simplex& face : f.faces()) {
+                    all = all && c.contains(face);
+                }
+            }
+            ok[t] = all ? 1 : 0;
+        });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int v : ok) EXPECT_EQ(v, 1);
 }
 
 // Property sweep: boundary-of-boundary vanishes combinatorially — every

@@ -195,6 +195,35 @@ TEST(Subdivision, FacetsContainingBarycenter) {
     EXPECT_EQ(chr.carrier_of(facets[0]), Simplex({0, 1, 2}));
 }
 
+// A SubdividedComplex keeps the facet list it was built from; it must be
+// exactly the complex's own (sorted, maximal) facet list — for plain,
+// partial, iterated and barycentric builds, over a non-pure base too.
+TEST(Subdivision, StoredFacetsAreTheComplexFacets) {
+    const ChromaticComplex mixed(
+        SimplicialComplex::from_facets({Simplex{0, 1, 2}, Simplex{2, 3}}),
+        {{0, 0}, {1, 1}, {2, 2}, {3, 0}});
+    const auto edge_terminated = [](const Simplex& t) {
+        return t.is_face_of(Simplex{0, 1});
+    };
+    const auto all_terminated = [](const Simplex&) { return true; };
+    for (const ChromaticComplex& base :
+         {ChromaticComplex::standard_simplex(2),
+          ChromaticComplex::standard_simplex(3), mixed}) {
+        const SubdividedComplex id = SubdividedComplex::identity(base);
+        const SubdividedComplex chr = id.chromatic_subdivision();
+        for (const SubdividedComplex& sd :
+             {id, chr, chr.chromatic_subdivision(),
+              id.chromatic_subdivision_with_termination(edge_terminated),
+              chr.chromatic_subdivision_with_termination(edge_terminated),
+              id.chromatic_subdivision_with_termination(all_terminated),
+              id.barycentric_subdivision()}) {
+            EXPECT_EQ(sd.facets(), sd.complex().facets())
+                << "depth " << sd.depth() << ", "
+                << sd.complex().complex().size() << " simplices";
+        }
+    }
+}
+
 class ChrSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ChrSweep, FacetCountsAndExactness) {

@@ -7,7 +7,8 @@
 #   1  a real negative finding: a Definition 4.1 violation (gact_fuzz) or
 #      an ok:false server reply (gact_client)
 #   2  usage error: unknown flag, unknown scenario, contradictory flags,
-#      a --threads value that is not a positive integer
+#      a --threads value that is not a positive integer, any other
+#      malformed or out-of-range numeric flag
 #   3  internal/transport error: an exception escaped, or the server
 #      reply never arrived
 #
@@ -61,6 +62,31 @@ foreach(bad abc 0 -1 4294967296 2x)
   expect_exit(2 "gact_fuzz --threads ${bad}"
     "${FUZZ}" --scenario ksa-2p-k2-wf --iters 5 --threads ${bad})
 endforeach()
+# The other numeric flags parse just as strictly. A negative --slack
+# used to wrap to SIZE_MAX and overflow the horizon into a false
+# Definition 4.1 violation (exit 1); a negative --max-prefix crashed the
+# schedule generator (exit 3); junk --max-prefix / --seconds values were
+# read as 0.
+foreach(bad abc -1 1001 4294967296 2x)
+  expect_exit(2 "gact_fuzz --slack ${bad}"
+    "${FUZZ}" --scenario chr2-2p-wf --iters 5 --slack ${bad})
+  expect_exit(2 "gact_fuzz --max-prefix ${bad}"
+    "${FUZZ}" --scenario chr2-2p-wf --iters 5 --max-prefix ${bad})
+endforeach()
+foreach(bad abc -5 inf nan 1e3 0x10 1.2.3 .)
+  expect_exit(2 "gact_fuzz --seconds '${bad}'"
+    "${FUZZ}" --scenario chr2-2p-wf --iters 5 --seconds "${bad}")
+endforeach()
+foreach(bad abc -1 18446744073709551616)
+  expect_exit(2 "gact_fuzz --seed ${bad}"
+    "${FUZZ}" --scenario chr2-2p-wf --iters 5 --seed ${bad})
+  expect_exit(2 "gact_fuzz --iters ${bad}"
+    "${FUZZ}" --scenario chr2-2p-wf --iters ${bad})
+endforeach()
+# In-range values still run a clean campaign.
+expect_exit(0 "gact_fuzz in-range numeric flags"
+  "${FUZZ}" --scenario chr2-2p-wf --iters 5 --slack 0 --max-prefix 0
+  --seconds 0.0 --seed 18446744073709551615)
 
 # --- gact_sweep -------------------------------------------------------------
 # A completed sweep exits 0 whatever the verdicts are.

@@ -11,6 +11,8 @@
 //                                          # thread-count independent)
 //   gact_fuzz --seconds 10                 # time-budgeted soak: repeat
 //                                          # batches until the budget ends
+//   gact_fuzz --max-prefix 5 --slack 12    # longer schedule prefixes and
+//                                          # execution horizons (0..1000)
 //
 // Per scenario one line is printed:
 //   <name>: <N> schedules, <V> violations, <R> schedules/sec, digest <hex>
@@ -20,7 +22,8 @@
 // Exit codes (the tool contract, pinned by tools/exit_codes_e2e.cmake):
 //   0  every executed schedule clean (skipped scenarios do not fail)
 //   1  at least one Definition 4.1 violation was found
-//   2  usage error (unknown flag or scenario)
+//   2  usage error (unknown flag or scenario, malformed or out-of-range
+//      numeric flag)
 //   3  internal error (exception during solve or execution)
 #include <chrono>
 #include <cstdio>
@@ -38,11 +41,25 @@ namespace {
 
 using namespace gact;
 
+/// Upper bound on --max-prefix and --slack: both add rounds to every
+/// schedule, and past this a campaign is no longer a fuzz run.
+constexpr std::uint32_t kMaxRounds = 1000;
+
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--scenario NAME]... [--seed N] [--iters N] "
-                 "[--threads N] [--seconds S] [--list]\n";
+                 "[--threads N] [--seconds S] [--max-prefix R] "
+                 "[--slack R] [--list]\n";
     return 2;
+}
+
+/// Report a flag value that failed strict parsing; returns the usage
+/// exit code.
+int bad_value(const char* argv0, const char* flag, const char* value,
+              const char* expected) {
+    std::cerr << "bad " << flag << " '" << value << "' (" << expected
+              << ")\n";
+    return usage(argv0);
 }
 
 void print_violation(std::uint64_t seed, const runtime::FuzzViolation& v) {
@@ -76,34 +93,48 @@ int main(int argc, char** argv) {
             continue;
         }
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            config.seed = std::strtoull(argv[++i], nullptr, 10);
+            if (!util::parse_count(argv[++i], config.seed)) {
+                return bad_value(argv[0], "--seed", argv[i],
+                                 "a non-negative 64-bit integer");
+            }
             continue;
         }
         if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-            config.iterations =
-                static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+            if (!util::parse_count(argv[++i], config.iterations)) {
+                return bad_value(argv[0], "--iters", argv[i],
+                                 "a non-negative integer");
+            }
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
             if (!util::parse_positive_count(argv[++i], config.threads)) {
-                std::cerr << "bad --threads '" << argv[i]
-                          << "' (a positive integer)\n";
-                return usage(argv[0]);
+                return bad_value(argv[0], "--threads", argv[i],
+                                 "a positive integer");
             }
             continue;
         }
         if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-            seconds = std::atof(argv[++i]);
+            if (!util::parse_non_negative_decimal(argv[++i], seconds)) {
+                return bad_value(argv[0], "--seconds", argv[i],
+                                 "a non-negative decimal number");
+            }
             continue;
         }
         if (std::strcmp(argv[i], "--slack") == 0 && i + 1 < argc) {
-            config.horizon_slack =
-                static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+            std::uint32_t slack = 0;
+            if (!util::parse_count(argv[++i], slack, 0u, kMaxRounds)) {
+                return bad_value(argv[0], "--slack", argv[i],
+                                 "an integer in 0..1000");
+            }
+            config.horizon_slack = slack;
             continue;
         }
         if (std::strcmp(argv[i], "--max-prefix") == 0 && i + 1 < argc) {
-            config.max_prefix_rounds =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
+            if (!util::parse_count(argv[++i], config.max_prefix_rounds, 0u,
+                                   kMaxRounds)) {
+                return bad_value(argv[0], "--max-prefix", argv[i],
+                                 "an integer in 0..1000");
+            }
             continue;
         }
         std::cerr << "unknown argument '" << argv[i] << "'\n";
