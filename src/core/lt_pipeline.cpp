@@ -6,6 +6,7 @@
 #include <memory>
 #include <numeric>
 
+#include "core/stable_index.h"
 #include "engine/general_route.h"
 #include "util/require.h"
 
@@ -404,43 +405,76 @@ LtPipeline build_lt_pipeline(int n, int t, std::size_t extra_stages,
 
 #pragma GCC diagnostic pop
 
-std::optional<Landing> find_landing(const TerminatingSubdivision& tsub,
-                                    const iis::Run& run,
-                                    std::size_t max_round) {
-    const int n = tsub.base().dimension();
-    std::vector<VertexId> inputs;
-    for (int i = 0; i <= n; ++i) inputs.push_back(static_cast<VertexId>(i));
+namespace {
 
-    // The landing simplex must live inside the face spanned by the run's
-    // participants: condition (2) of Definition 4.1 constrains outputs to
-    // Delta(omega ∩ chi^{-1}(part(r))), and condition (b) of Theorem 6.1
-    // delivers delta(tau) in Delta(carrier(tau)) — so tau's carrier must
-    // be a face of the participation face. The candidates are the
-    // maximal stable simplices of K(T) restricted to that face.
+/// The face spanned by a run's participants.
+Simplex participation_face(const iis::Run& run) {
     std::vector<VertexId> face_verts;
     for (gact::ProcessId p : run.participants().members()) {
         face_verts.push_back(static_cast<VertexId>(p));
     }
-    const Simplex face{std::move(face_verts)};
-    std::vector<Simplex> candidates;
-    for (const Simplex& tau :
-         tsub.stable_complex().complex().simplices_of_dimension(
-             face.dimension())) {
-        if (tsub.stable_carrier(tau).is_face_of(face)) {
-            candidates.push_back(tau);
-        }
-    }
+    return Simplex{std::move(face_verts)};
+}
 
+/// The landing candidates, sorted within each dimension: the stable
+/// d-simplices of K(T) for every d in [low, high] (lists below `low`
+/// stay empty).
+StableSimplexIndex landing_index(const TerminatingSubdivision& tsub,
+                                 int low, int high) {
+    const SimplicialComplex& complex = tsub.stable_complex().complex();
+    std::vector<std::vector<Simplex>> by_dimension(
+        static_cast<std::size_t>(std::max(high + 1, 0)));
+    for (int d = std::max(low, 0); d <= high; ++d) {
+        by_dimension[static_cast<std::size_t>(d)] =
+            complex.simplices_of_dimension(d);
+    }
+    return StableSimplexIndex(tsub, std::move(by_dimension));
+}
+
+std::optional<Landing> land(const TerminatingSubdivision& tsub,
+                            const StableSimplexIndex& index,
+                            const iis::Run& run, std::size_t max_round) {
+    // The landing simplex must live inside the face spanned by the run's
+    // participants: condition (2) of Definition 4.1 constrains outputs to
+    // Delta(omega ∩ chi^{-1}(part(r))), and condition (b) of Theorem 6.1
+    // delivers delta(tau) in Delta(carrier(tau)) — so tau's carrier must
+    // be a face of the participation face. The candidates are the stable
+    // simplices of K(T) of the participation dimension whose carrier is
+    // a face of the participation face, in sorted order.
+    require(run.num_processes() ==
+                static_cast<std::uint32_t>(tsub.base().dimension() + 1),
+            "find_landing: one base vertex per process");
+    const Simplex face = participation_face(run);
+    const auto d = static_cast<std::size_t>(face.dimension());
+
+    // sigma_k's vertices are the round-k views of round k's processes;
+    // their positions advance one round at a time (iis::view_positions'
+    // recurrence), never past the round the run lands at.
+    std::vector<std::optional<BaryPoint>> row(run.num_processes());
+    for (gact::ProcessId p = 0; p < run.num_processes(); ++p) {
+        row[p] = BaryPoint::vertex(static_cast<VertexId>(p));
+    }
+    std::vector<BaryPoint> points;
     for (std::size_t k = 1; k <= max_round; ++k) {
-        const auto points = iis::run_simplex_positions(run, k, inputs);
-        for (const Simplex& tau : candidates) {
-            if (tsub.stable_simplex_contains(tau, points)) {
-                return Landing{k, tau,
-                               std::max(k, tsub.stable_since(tau))};
-            }
+        row = iis::next_view_positions(run, k, row);
+        points.clear();
+        for (gact::ProcessId p : run.round(k - 1).support().members()) {
+            points.push_back(*row[p]);
+        }
+        if (const Simplex* tau = index.locate(d, face, points)) {
+            return Landing{k, *tau, std::max(k, tsub.stable_since(*tau))};
         }
     }
     return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<Landing> find_landing(const TerminatingSubdivision& tsub,
+                                    const iis::Run& run,
+                                    std::size_t max_round) {
+    const int d = participation_face(run).dimension();
+    return land(tsub, landing_index(tsub, d, d), run, max_round);
 }
 
 AdmissibilityReport check_admissibility(const TerminatingSubdivision& tsub,
@@ -448,9 +482,13 @@ AdmissibilityReport check_admissibility(const TerminatingSubdivision& tsub,
                                         std::size_t max_round) {
     AdmissibilityReport report;
     report.admissible = true;
+    // One index for every run: the candidates of each participation
+    // dimension, each list in the order find_landing scans it.
+    const StableSimplexIndex index = landing_index(
+        tsub, 0, tsub.stable_complex().complex().dimension());
     for (const iis::Run& run : runs) {
         ++report.runs_checked;
-        const auto landing = find_landing(tsub, run, max_round);
+        const auto landing = land(tsub, index, run, max_round);
         if (!landing.has_value()) {
             report.admissible = false;
             report.failures.push_back(run);

@@ -112,9 +112,12 @@ bool point_in_l(const tasks::AffineTask& lt, const BaryPoint& x);
 /// the radial projection and by the figure bench.
 std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt);
 
-/// Admissibility of T for a set of runs (Theorem 6.1 condition (a)):
-/// every run's simplex chain must enter the realization of some stable
-/// facet by round `max_round`.
+/// Admissibility of T for a set of runs (Theorem 6.1 condition (a)): by
+/// round `max_round`, every run's simplex sigma_k must lie in the
+/// realization of a stable simplex of K(T) that has the dimension of the
+/// run's participation face and whose carrier is a face of it (see
+/// find_landing). One StableSimplexIndex (core/stable_index.h) serves all
+/// the runs.
 struct AdmissibilityReport {
     bool admissible = false;
     std::size_t runs_checked = 0;
@@ -127,10 +130,11 @@ AdmissibilityReport check_admissibility(const TerminatingSubdivision& tsub,
                                         std::size_t max_round);
 
 /// The landing data of one run: the first round k at which the run
-/// simplex sigma_k lies in a stable simplex of the participants' face,
-/// that simplex (global ids), and the round from which outputs may fire —
-/// no earlier than the simplex's stabilization stage (see
-/// TerminatingSubdivision::stable_since).
+/// simplex sigma_k lies in the realization of a stable simplex tau of the
+/// participation face's dimension with carrier(tau) a face of it (the
+/// first such tau in sorted order), that simplex (global ids), and the
+/// round from which outputs may fire — no earlier than the simplex's
+/// stabilization stage (see TerminatingSubdivision::stable_since).
 struct Landing {
     std::size_t round = 0;
     Simplex stable_facet;

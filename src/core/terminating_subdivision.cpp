@@ -18,13 +18,15 @@ VertexId TerminatingSubdivision::global_id(
     const SubdividedComplex& stage_complex, VertexId v) {
     const BaryPoint& pos = stage_complex.position(v);
     const Color color = stage_complex.complex().color(v);
-    const auto key = std::make_pair(pos, color);
-    const auto it = global_index_.find(key);
-    if (it != global_index_.end()) return it->second;
-    const VertexId id = static_cast<VertexId>(global_position_.size());
-    global_index_.emplace(key, id);
-    global_position_.push_back(pos);
-    global_color_[id] = color;
+    const auto next = static_cast<VertexId>(global_position_.size());
+    const VertexId id = global_index_.find_or_insert(
+        topo::position_key_hash(pos, color), next, [&](VertexId w) {
+            return global_position_[w] == pos && global_color_.at(w) == color;
+        });
+    if (id == next) {
+        global_position_.push_back(pos);
+        global_color_[id] = color;
+    }
     return id;
 }
 
@@ -105,8 +107,8 @@ void TerminatingSubdivision::advance(
     // Sigma_k persists in C_{k+1}: terminated simplices survive with new
     // vertex ids (matched by position + color). The per-vertex lookup
     // goes through the exact-rational position index, so memoize it:
-    // stable simplices share vertices heavily and the map probe is the
-    // expensive part of this check.
+    // stable simplices share vertices heavily and hashing the exact
+    // position is the expensive part of this check.
     std::unordered_map<VertexId, VertexId> vertex_image;
     std::vector<Simplex> images;
     images.reserve(sigma.simplices().size());
@@ -192,9 +194,11 @@ std::size_t TerminatingSubdivision::stable_since(
 
 std::optional<VertexId> TerminatingSubdivision::find_stable_vertex(
     const BaryPoint& position, Color color) const {
-    const auto it = global_index_.find(std::make_pair(position, color));
-    if (it == global_index_.end()) return std::nullopt;
-    return it->second;
+    return global_index_.find(
+        topo::position_key_hash(position, color), [&](VertexId w) {
+            return global_position_[w] == position &&
+                   global_color_.at(w) == color;
+        });
 }
 
 bool TerminatingSubdivision::stable_simplex_contains(

@@ -14,9 +14,10 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <unordered_map>
 
 #include "topology/subdivision.h"
+#include "topology/vertex_table.h"
 
 namespace gact::core {
 
@@ -118,7 +119,9 @@ private:
     // and stable_complex() refreshes it on demand.
     mutable ChromaticComplex stable_;
     mutable bool stable_stale_ = false;
-    std::map<std::pair<BaryPoint, Color>, VertexId> global_index_;
+    /// (position, color) -> global id; keys read from global_position_
+    /// and global_color_.
+    topo::VertexTable global_index_;
     std::vector<BaryPoint> global_position_;
     std::unordered_map<VertexId, Color> global_color_;
     SimplicialComplex stable_simplices_;

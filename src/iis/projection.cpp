@@ -56,28 +56,38 @@ std::vector<std::vector<std::optional<topo::BaryPoint>>> view_positions(
     const std::uint32_t n = run.num_processes();
     require(input_vertex_of_process.size() == n,
             "view_positions: one input vertex per process");
-    std::vector<std::vector<std::optional<topo::BaryPoint>>> table(
-        k + 1, std::vector<std::optional<topo::BaryPoint>>(n));
+    std::vector<std::vector<std::optional<topo::BaryPoint>>> table;
+    table.reserve(k + 1);
+    table.emplace_back(n);
     for (ProcessId p = 0; p < n; ++p) {
         table[0][p] = topo::BaryPoint::vertex(input_vertex_of_process[p]);
     }
     for (std::size_t m = 1; m <= k; ++m) {
-        const OrderedPartition& round = run.round(m - 1);
-        for (ProcessId p : round.support().members()) {
-            const ProcessSet snap = round.snapshot_of(p);
-            const auto c = static_cast<std::int64_t>(snap.size());
-            std::vector<topo::BaryPoint> pts;
-            std::vector<Rational> weights;
-            for (ProcessId q : snap.members()) {
-                ensure(table[m - 1][q].has_value(),
-                       "view_positions: snapshot of dropped process");
-                pts.push_back(*table[m - 1][q]);
-                weights.emplace_back(q == p ? 1 : 2, 2 * c - 1);
-            }
-            table[m][p] = topo::BaryPoint::combination(pts, weights);
-        }
+        table.push_back(next_view_positions(run, m, table.back()));
     }
     return table;
+}
+
+std::vector<std::optional<topo::BaryPoint>> next_view_positions(
+    const Run& run, std::size_t m,
+    const std::vector<std::optional<topo::BaryPoint>>& previous) {
+    require(m >= 1, "next_view_positions: round numbers start at 1");
+    const OrderedPartition& round = run.round(m - 1);
+    std::vector<std::optional<topo::BaryPoint>> row(previous.size());
+    for (ProcessId p : round.support().members()) {
+        const ProcessSet snap = round.snapshot_of(p);
+        const auto c = static_cast<std::int64_t>(snap.size());
+        std::vector<topo::BaryPoint> pts;
+        std::vector<Rational> weights;
+        for (ProcessId q : snap.members()) {
+            ensure(q < previous.size() && previous[q].has_value(),
+                   "view_positions: snapshot of dropped process");
+            pts.push_back(*previous[q]);
+            weights.emplace_back(q == p ? 1 : 2, 2 * c - 1);
+        }
+        row[p] = topo::BaryPoint::combination(pts, weights);
+    }
+    return row;
 }
 
 std::vector<topo::BaryPoint> run_simplex_positions(

@@ -7,6 +7,23 @@
 
 namespace gact::protocol {
 
+namespace {
+
+/// Every stable simplex of K(T), one list per dimension, each list in the
+/// stable complex's slot order.
+std::vector<std::vector<core::Simplex>> slot_order_by_dimension(
+    const core::TerminatingSubdivision& tsub) {
+    const auto& complex = tsub.stable_complex().complex();
+    std::vector<std::vector<core::Simplex>> by_dimension(
+        static_cast<std::size_t>(complex.dimension() + 1));
+    for (const core::Simplex& s : complex.simplices()) {
+        by_dimension[static_cast<std::size_t>(s.dimension())].push_back(s);
+    }
+    return by_dimension;
+}
+
+}  // namespace
+
 // Using the whole snapshot hull — not just p's own position — is what
 // makes the rule sound: a process that still sees a laggard outside every
 // stable simplex knows the run has not landed and must not decide yet,
@@ -14,34 +31,24 @@ namespace gact::protocol {
 // and the depth-2 regression tests).
 ViewLandingRule::ViewLandingRule(const core::TerminatingSubdivision& tsub,
                                  const core::SimplicialMap& delta)
-    : tsub_(&tsub), delta_(&delta) {
-    const auto& complex = tsub.stable_complex().complex();
-    by_dimension_.resize(static_cast<std::size_t>(complex.dimension()) + 1);
-    for (const core::Simplex& s : complex.simplices()) {
-        by_dimension_[static_cast<std::size_t>(s.dimension())].push_back(s);
-    }
-}
+    : tsub_(&tsub),
+      delta_(&delta),
+      base_face_(tsub.base().vertex_ids()),
+      index_(tsub, slot_order_by_dimension(tsub)) {}
 
 std::optional<topo::VertexId> ViewLandingRule::value(
     gact::ProcessId p, std::size_t k,
     const std::vector<topo::BaryPoint>& seen_positions) const {
-    core::Simplex support;
-    for (const topo::BaryPoint& q : seen_positions) {
-        support = support.union_with(q.support());
-    }
-    for (const auto& dimension_group : by_dimension_) {
-        for (const core::Simplex& tau : dimension_group) {
-            if (!support.is_face_of(tsub_->stable_carrier(tau))) continue;
-            if (!tsub_->stable_simplex_contains(tau, seen_positions)) {
-                continue;
-            }
-            // tau is the carrier of the snapshot hull (minimal by the
-            // dimension-ascending scan): decide or withhold on it.
-            if (tsub_->stable_since(tau) > k) return std::nullopt;
-            const auto& stable = tsub_->stable_complex();
-            if (!stable.colors_of(tau).contains(p)) return std::nullopt;
-            return delta_->apply(stable.vertex_with_color(tau, p));
-        }
+    for (std::size_t d = 0; d < index_.dimensions(); ++d) {
+        const core::Simplex* tau =
+            index_.locate(d, base_face_, seen_positions);
+        if (tau == nullptr) continue;
+        // tau is the carrier of the snapshot hull (minimal by the
+        // dimension-ascending scan): decide or withhold on it.
+        if (tsub_->stable_since(*tau) > k) return std::nullopt;
+        const auto& stable = tsub_->stable_complex();
+        if (!stable.colors_of(*tau).contains(p)) return std::nullopt;
+        return delta_->apply(stable.vertex_with_color(*tau, p));
     }
     return std::nullopt;
 }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include "core/lt_pipeline.h"
+#include "core/stable_index.h"
 #include "protocol/protocol.h"
 
 namespace gact::protocol {
@@ -32,7 +33,9 @@ namespace gact::protocol {
 /// build_gact_protocol tabulates over a finite run family — exposed so
 /// the execution runtime (src/runtime/) can apply it on the fly to any
 /// admissible schedule, including ones outside the enumerated compact
-/// family. The referenced tsub and delta must outlive the rule.
+/// family. The candidates are scanned by ascending dimension through a
+/// core::StableSimplexIndex built once here, so concurrent value() calls
+/// are pure reads. The referenced tsub and delta must outlive the rule.
 class ViewLandingRule {
 public:
     ViewLandingRule(const core::TerminatingSubdivision& tsub,
@@ -47,7 +50,8 @@ public:
 private:
     const core::TerminatingSubdivision* tsub_;
     const core::SimplicialMap* delta_;
-    std::vector<std::vector<core::Simplex>> by_dimension_;
+    core::Simplex base_face_;  // every base vertex: no carrier filter
+    core::StableSimplexIndex index_;
 };
 
 /// The extracted protocol plus construction diagnostics.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "iis/projection.h"
 #include "sm/iis_executor.h"
-#include "util/rational.h"
 #include "util/require.h"
 
 namespace gact::runtime {
@@ -108,7 +108,7 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
     // another (2c-1), so a full-horizon table can overflow the exact
     // rational arithmetic even though every admissible run lands (and
     // the execution stops) rounds earlier. `positions_row` holds row
-    // `pos_row` of iis::view_positions' table, same recurrence.
+    // `pos_row` of iis::view_positions' table.
     const bool use_positions = rule.needs_positions();
     std::vector<std::optional<topo::BaryPoint>> positions_row;
     std::size_t pos_row = 0;
@@ -119,24 +119,9 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
                 inputs[p].value_or(static_cast<topo::VertexId>(p)));
         }
     }
-    const auto advance_positions = [&run, &positions_row, &pos_row, n] {
-        const iis::OrderedPartition& r = run.round(pos_row);
-        std::vector<std::optional<topo::BaryPoint>> next(n);
-        for (ProcessId p : r.support().members()) {
-            const ProcessSet snap = r.snapshot_of(p);
-            const auto c = static_cast<std::int64_t>(snap.size());
-            std::vector<topo::BaryPoint> pts;
-            std::vector<Rational> weights;
-            for (ProcessId q : snap.members()) {
-                ensure(positions_row[q].has_value(),
-                       "execute: snapshot of dropped process");
-                pts.push_back(*positions_row[q]);
-                weights.emplace_back(q == p ? 1 : 2, 2 * c - 1);
-            }
-            next[p] = topo::BaryPoint::combination(pts, weights);
-        }
-        positions_row = std::move(next);
+    const auto advance_positions = [&run, &positions_row, &pos_row] {
         ++pos_row;
+        positions_row = iis::next_view_positions(run, pos_row, positions_row);
     };
     std::vector<std::vector<std::optional<iis::ViewId>>> expected;
     if (config.check_views) {

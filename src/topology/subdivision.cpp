@@ -1,11 +1,23 @@
 #include "topology/subdivision.h"
 
 #include <algorithm>
+#include <map>
+#include <unordered_map>
 
 #include "exec/for_index.h"
 #include "topology/combinatorics.h"
 
 namespace gact::topo {
+
+namespace {
+
+std::size_t provenance_hash(VertexId p, const Simplex& tau) noexcept {
+    std::size_t seed = std::hash<Simplex>{}(tau);
+    hash_combine(seed, std::hash<VertexId>{}(p));
+    return seed;
+}
+
+}  // namespace
 
 SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     SubdividedComplex out;
@@ -16,11 +28,8 @@ SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     VertexId max_id = 0;
     for (VertexId v : verts) max_id = std::max(max_id, v);
     out.position_.resize(verts.empty() ? 0 : max_id + 1);
-    for (VertexId v : verts) {
-        out.position_[v] = BaryPoint::vertex(v);
-        out.position_index_.emplace(
-            std::make_pair(out.position_[v], base.color(v)), v);
-    }
+    for (VertexId v : verts) out.position_[v] = BaryPoint::vertex(v);
+    out.index_positions();
     out.depth_ = 0;
     return out;
 }
@@ -158,15 +167,12 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
     // exact rational arithmetic also shards.
     std::unordered_map<VertexId, Color> colors;
     std::vector<Simplex> facets;
-    std::vector<const Key*> key_of;  // new vertex id -> its map key
     const auto intern = [&](const Key& key) -> VertexId {
-        const auto it = out.vertex_index_.find(key);
-        if (it != out.vertex_index_.end()) return it->second;
-        const VertexId id = static_cast<VertexId>(key_of.size());
-        const auto inserted = out.vertex_index_.emplace(key, id).first;
-        key_of.push_back(&inserted->first);  // map nodes are stable
-        out.provenance_.push_back(Provenance{key.first, key.second});
-        colors[id] = complex_.color(key.first);
+        const std::size_t known = out.provenance_.size();
+        const VertexId id = out.intern_provenance(key.first, key.second);
+        if (out.provenance_.size() != known) {
+            colors[id] = complex_.color(key.first);
+        }
         return id;
     };
     std::vector<VertexId> global_of;
@@ -184,13 +190,14 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
 
 
     // Phase 3 — exact positions per Section 3.2, one work unit per new
-    // vertex (a singleton tau keeps the parent vertex's position), then
-    // the (position, color) index, inserted in ascending id order so
-    // find_vertex keeps returning the smallest matching id.
-    out.position_.resize(key_of.size());
-    exec::for_index(exec::Scheduler::shared(), key_of.size(), num_threads,
+    // vertex (a singleton tau keeps the parent vertex's position). The
+    // (position, color) index follows once the coloring is in place.
+    const std::size_t vertex_count = out.provenance_.size();
+    out.position_.resize(vertex_count);
+    exec::for_index(exec::Scheduler::shared(), vertex_count, num_threads,
                     [&](std::size_t id) {
-        const auto& [p, t] = *key_of[id];
+        const VertexId p = out.provenance_[id].parent_vertex;
+        const Simplex& t = out.provenance_[id].parent_simplex;
         if (t.size() == 1) {
             out.position_[id] = position(p);
             return;
@@ -207,12 +214,6 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
         }
         out.position_[id] = BaryPoint::combination(pts, weights);
     });
-    for (std::size_t id = 0; id < out.position_.size(); ++id) {
-        out.position_index_.emplace(
-            std::make_pair(out.position_[id],
-                           colors.at(static_cast<VertexId>(id))),
-            static_cast<VertexId>(id));
-    }
 
     // The canonical taus of a facet's vertices cover its parent (the last
     // block's tau is the parent itself unless the parent is terminated
@@ -230,6 +231,7 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
     out.complex_ =
         ChromaticComplex::trusted(std::move(closure), std::move(colors));
     out.facets_ = std::move(facets);
+    out.index_positions();
     return out;
 }
 
@@ -247,12 +249,11 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     out.depth_ = depth_ + 1;
 
     std::unordered_map<VertexId, Color> colors;
-    std::map<Simplex, VertexId> barycenter_id;
     const auto intern = [&](const Simplex& sigma) -> VertexId {
-        const auto it = barycenter_id.find(sigma);
-        if (it != barycenter_id.end()) return it->second;
-        const VertexId id = static_cast<VertexId>(out.position_.size());
-        barycenter_id.emplace(sigma, id);
+        const std::size_t known = out.provenance_.size();
+        const VertexId id =
+            out.intern_provenance(sigma.vertices().front(), sigma);
+        if (out.provenance_.size() == known) return id;
         // Barycenter position, expressed in base coordinates.
         std::vector<BaryPoint> pts;
         std::vector<Rational> weights;
@@ -262,13 +263,7 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
             weights.push_back(w);
         }
         out.position_.push_back(BaryPoint::combination(pts, weights));
-        out.provenance_.push_back(
-            Provenance{sigma.vertices().front(), sigma});
-        out.vertex_index_.emplace(
-            std::make_pair(sigma.vertices().front(), sigma), id);
         colors[id] = static_cast<Color>(sigma.dimension());
-        out.position_index_.emplace(
-            std::make_pair(out.position_.back(), colors[id]), id);
         return id;
     };
 
@@ -297,6 +292,7 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
     out.complex_ = ChromaticComplex(SimplicialComplex::from_facets(facets),
                                     std::move(colors));
     out.facets_ = std::move(facets);
+    out.index_positions();
     return out;
 }
 
@@ -328,18 +324,52 @@ const SubdividedComplex::Provenance& SubdividedComplex::provenance(
 VertexId SubdividedComplex::vertex_for(VertexId parent_vertex,
                                        const Simplex& parent_simplex) const {
     require(depth_ > 0, "SubdividedComplex: vertex_for requires depth > 0");
-    const auto it =
-        vertex_index_.find(std::make_pair(parent_vertex, parent_simplex));
-    require(it != vertex_index_.end(),
+    const auto id = find_provenance(parent_vertex, parent_simplex);
+    require(id.has_value(),
             "SubdividedComplex: no vertex for (p, tau); tau may be terminated");
-    return it->second;
+    return *id;
 }
 
 std::optional<VertexId> SubdividedComplex::find_vertex(
     const BaryPoint& position, Color color) const {
-    const auto it = position_index_.find(std::make_pair(position, color));
-    if (it == position_index_.end()) return std::nullopt;
-    return it->second;
+    return position_index_.find(
+        position_key_hash(position, color), [&](VertexId v) {
+            return position_[v] == position && complex_.color(v) == color;
+        });
+}
+
+std::optional<VertexId> SubdividedComplex::find_provenance(
+    VertexId p, const Simplex& tau) const {
+    return vertex_index_.find(provenance_hash(p, tau), [&](VertexId v) {
+        return provenance_[v].parent_vertex == p &&
+               provenance_[v].parent_simplex == tau;
+    });
+}
+
+VertexId SubdividedComplex::intern_provenance(VertexId p,
+                                              const Simplex& tau) {
+    const auto next = static_cast<VertexId>(provenance_.size());
+    const VertexId id = vertex_index_.find_or_insert(
+        provenance_hash(p, tau), next, [&](VertexId v) {
+            return provenance_[v].parent_vertex == p &&
+                   provenance_[v].parent_simplex == tau;
+        });
+    if (id == next) provenance_.push_back(Provenance{p, tau});
+    return id;
+}
+
+void SubdividedComplex::index_positions() {
+    for (std::size_t i = 0; i < position_.size(); ++i) {
+        const BaryPoint& position = position_[i];
+        // A gap below the largest of sparse base vertex ids: no vertex.
+        if (position.coords().empty()) continue;
+        const auto v = static_cast<VertexId>(i);
+        const Color color = complex_.color(v);
+        position_index_.find_or_insert(
+            position_key_hash(position, color), v, [&](VertexId w) {
+                return position_[w] == position && complex_.color(w) == color;
+            });
+    }
 }
 
 Simplex SubdividedComplex::facet_for_partition(
@@ -359,13 +389,11 @@ Simplex SubdividedComplex::facet_for_partition(
         covered += block.size();
         for (VertexId v : block) {
             // Look up through the canonical (collapsed) key.
-            auto it = vertex_index_.find(std::make_pair(v, prefix));
-            if (it == vertex_index_.end()) {
-                it = vertex_index_.find(std::make_pair(v, Simplex{v}));
-            }
-            require(it != vertex_index_.end(),
+            auto id = find_provenance(v, prefix);
+            if (!id.has_value()) id = find_provenance(v, Simplex{v});
+            require(id.has_value(),
                     "facet_for_partition: missing subdivision vertex");
-            verts.push_back(it->second);
+            verts.push_back(*id);
         }
     }
     require(covered == parent_facet.size(),

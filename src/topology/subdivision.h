@@ -19,12 +19,12 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 
 #include "topology/chromatic_complex.h"
 #include "topology/geometry.h"
 #include "topology/simplicial_map.h"
+#include "topology/vertex_table.h"
 
 namespace gact::topo {
 
@@ -108,11 +108,12 @@ public:
     VertexId vertex_for(VertexId parent_vertex,
                         const Simplex& parent_simplex) const;
 
-    /// Looks up a vertex by exact position and color. O(log n) through
-    /// the maintained (position, color) index — the terminating
-    /// subdivision's stable-persistence pass calls this once per stable
-    /// vertex per stage, and the index is what keeps heavy stages (L_t
-    /// at n = 3) from going quadratic in the stage complex.
+    /// Looks up a vertex by exact position and color; the smallest id
+    /// when several vertices share both. One hash probe through the
+    /// maintained (position, color) index — the terminating subdivision's
+    /// stable-persistence pass calls this once per stable vertex per
+    /// stage, and the index is what keeps heavy stages (L_t at n = 3)
+    /// from going quadratic in the stage complex.
     std::optional<VertexId> find_vertex(const BaryPoint& position,
                                         Color color) const;
 
@@ -140,16 +141,29 @@ private:
         const std::function<bool(const Simplex&)>& terminated,
         unsigned num_threads) const;
 
+    /// The vertex whose provenance is (p, tau), if any.
+    std::optional<VertexId> find_provenance(VertexId p,
+                                            const Simplex& tau) const;
+
+    /// The id of the vertex with provenance (p, tau); a new vertex, with
+    /// the next id, when there is none yet.
+    VertexId intern_provenance(VertexId p, const Simplex& tau);
+
+    /// Fill position_index_ from position_ and complex_'s colors, in
+    /// ascending id order, so find_vertex returns the smallest id.
+    void index_positions();
+
     ChromaticComplex base_;
     ChromaticComplex complex_;
     std::vector<Simplex> facets_;               // facets of complex_, sorted
     std::vector<BaryPoint> position_;           // indexed by VertexId
     std::vector<Provenance> provenance_;        // indexed by VertexId
-    std::map<std::pair<VertexId, Simplex>, VertexId> vertex_index_;
-    /// (position, color) -> smallest vertex id there; kept in lockstep
-    /// with position_ so find_vertex is a map probe, not a linear scan
-    /// with exact rational comparisons per candidate.
-    std::map<std::pair<BaryPoint, Color>, VertexId> position_index_;
+    /// provenance (p, tau) -> vertex id; keys read from provenance_.
+    VertexTable vertex_index_;
+    /// (position, color) -> smallest vertex id there; keys read from
+    /// position_ and complex_'s colors, so find_vertex is a hash probe,
+    /// not a linear scan with exact rational comparisons per candidate.
+    VertexTable position_index_;
     int depth_ = 0;
 };
 

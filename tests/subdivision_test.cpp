@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "topology/combinatorics.h"
 
 namespace gact::topo {
@@ -222,6 +224,106 @@ TEST(Subdivision, StoredFacetsAreTheComplexFacets) {
                 << sd.complex().complex().size() << " simplices";
         }
     }
+}
+
+// Every vertex is found again through both flat indexes: by its exact
+// position and color, and by its provenance.
+void expect_indexes_agree(const SubdividedComplex& sd) {
+    for (VertexId v : sd.complex().vertex_ids()) {
+        EXPECT_EQ(sd.find_vertex(sd.position(v), sd.complex().color(v)), v);
+        if (sd.depth() > 0) {
+            const auto& pr = sd.provenance(v);
+            EXPECT_EQ(sd.vertex_for(pr.parent_vertex, pr.parent_simplex), v);
+        }
+    }
+}
+
+TEST(Subdivision, VertexTableKeepsTheSmallestIdOfADuplicatedKey) {
+    // A proper subdivision never repeats a (position, color), so
+    // find_vertex's "smallest id wins" rule is pinned at its table: ids
+    // inserted in ascending order, several of them under one key, all
+    // under one hash so every probe walks a single chain.
+    const std::vector<BaryPoint> keys = {
+        BaryPoint::vertex(0), BaryPoint::barycenter(Simplex{0, 1}),
+        BaryPoint::vertex(0), BaryPoint::barycenter(Simplex{0, 1}),
+        BaryPoint::vertex(1)};
+    const std::vector<VertexId> kept = {0, 1, 0, 1, 4};
+    VertexTable table;
+    for (VertexId id = 0; id < keys.size(); ++id) {
+        EXPECT_EQ(table.find_or_insert(
+                      7, id, [&](VertexId w) { return keys[w] == keys[id]; }),
+                  kept[id]);
+    }
+    const auto lookup = [&](const BaryPoint& p) {
+        return table.find(7, [&](VertexId w) { return keys[w] == p; });
+    };
+    EXPECT_EQ(lookup(BaryPoint::vertex(0)), 0u);
+    EXPECT_EQ(lookup(BaryPoint::barycenter(Simplex{0, 1})), 1u);
+    EXPECT_EQ(lookup(BaryPoint::vertex(1)), 4u);
+    EXPECT_FALSE(lookup(BaryPoint::vertex(2)).has_value());
+}
+
+TEST(Subdivision, LookupsSurviveCopyAndMove) {
+    // The indexes hold ids only; a copy or a moved-to complex must read
+    // its own position and provenance arrays, also once the source is
+    // gone.
+    std::optional<SubdividedComplex> source =
+        SubdividedComplex::iterated_chromatic(
+            ChromaticComplex::standard_simplex(2), 2);
+    const SubdividedComplex copy = *source;
+    SubdividedComplex assigned;
+    assigned = copy;
+    SubdividedComplex moved = std::move(*source);
+    source.reset();
+    for (const SubdividedComplex* sd :
+         std::initializer_list<const SubdividedComplex*>{&copy, &assigned,
+                                                         &moved}) {
+        EXPECT_EQ(sd->complex().vertex_ids().size(),
+                  copy.complex().vertex_ids().size());
+        expect_indexes_agree(*sd);
+    }
+    EXPECT_EQ(moved.facet_for_partition(Simplex{0, 1, 2}, {{0}, {1}, {2}}),
+              copy.facet_for_partition(Simplex{0, 1, 2}, {{0}, {1}, {2}}));
+}
+
+TEST(Subdivision, IdentityWithSparseBaseIds) {
+    const ChromaticComplex sparse(
+        SimplicialComplex::from_facets({Simplex{2, 5, 9}}),
+        {{2, 0}, {5, 1}, {9, 2}});
+    const SubdividedComplex id = SubdividedComplex::identity(sparse);
+    EXPECT_EQ(id.find_vertex(BaryPoint::vertex(5), 1), 5u);
+    EXPECT_FALSE(id.find_vertex(BaryPoint::vertex(5), 0).has_value());
+    // Ids in the gaps below 9 are no vertices and are not indexed.
+    EXPECT_FALSE(id.find_vertex(BaryPoint::vertex(3), 0).has_value());
+    expect_indexes_agree(id);
+
+    const SubdividedComplex chr = id.chromatic_subdivision();
+    expect_indexes_agree(chr);
+    const VertexId center = chr.vertex_for(5, Simplex{2, 5, 9});
+    EXPECT_EQ(chr.position(center).coord(5), Rational(1, 5));
+    EXPECT_EQ(chr.complex().color(center), 1u);
+    chr.verify_subdivision_exactness();
+}
+
+TEST(Subdivision, ProvenanceLookupsAfterBarycentric) {
+    const ChromaticComplex s = ChromaticComplex::standard_simplex(2);
+    const SubdividedComplex bary =
+        SubdividedComplex::identity(s).barycentric_subdivision();
+    expect_indexes_agree(bary);
+    // The barycenter of sigma is the vertex (min sigma, sigma).
+    for (const Simplex& sigma : s.complex().simplices()) {
+        const VertexId b = bary.vertex_for(sigma.vertices().front(), sigma);
+        EXPECT_EQ(bary.position(b), BaryPoint::barycenter(sigma));
+        EXPECT_EQ(bary.complex().color(b),
+                  static_cast<Color>(sigma.dimension()));
+    }
+    // Blocks that add each prefix's smallest vertex last spell a flag.
+    const Simplex flag =
+        bary.facet_for_partition(Simplex{0, 1, 2}, {{2}, {1}, {0}});
+    EXPECT_EQ(flag, Simplex({bary.vertex_for(2, Simplex{2}),
+                             bary.vertex_for(1, Simplex{1, 2}),
+                             bary.vertex_for(0, Simplex{0, 1, 2})}));
+    EXPECT_TRUE(bary.complex().contains(flag));
 }
 
 class ChrSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};

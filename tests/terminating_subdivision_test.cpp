@@ -121,6 +121,31 @@ TEST(TerminatingSubdivision, StableSimplexContains) {
     EXPECT_TRUE(t.stable_simplex_contains(facets[0], {mid}));
 }
 
+TEST(TerminatingSubdivision, FindStableVertexAcrossTableGrowths) {
+    // Chr^2 of the tetrahedron, all stable: hundreds of global vertices
+    // interned one by one, so the flat (position, color) table grows
+    // from its first 8 slots several times over.
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(3));
+    t.advance(kNothing);
+    t.advance(kNothing);
+    t.advance(kEverything);
+    const auto& stable = t.stable_complex();
+    const std::vector<topo::VertexId> ids = stable.vertex_ids();
+    ASSERT_GT(ids.size(), 128u);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_EQ(ids[i], i);  // interned densely, in order
+        const topo::BaryPoint& p = t.stable_position(ids[i]);
+        const topo::Color c = stable.color(ids[i]);
+        EXPECT_EQ(t.find_stable_vertex(p, c), ids[i]);
+        EXPECT_FALSE(t.find_stable_vertex(p, (c + 1) % 4).has_value());
+    }
+    // A point of |s| that is no subdivision vertex.
+    const topo::BaryPoint off{{{0, Rational(1, 2)}, {1, Rational(1, 2)}}};
+    for (topo::Color c = 0; c < 4; ++c) {
+        EXPECT_FALSE(t.find_stable_vertex(off, c).has_value());
+    }
+}
+
 TEST(TerminatingSubdivision, EmptyPlaceholderRejectsAdvance) {
     TerminatingSubdivision t;
     EXPECT_THROW(t.advance(kNothing), precondition_error);
