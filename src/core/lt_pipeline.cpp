@@ -155,28 +155,98 @@ std::int64_t lcm_capped(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-BaryPoint radial_projection_l1(const tasks::AffineTask& lt,
-                               const BaryPoint& x) {
-    const int n = lt.subdivision.base().dimension();
-    require(n == 2, "radial_projection_l1: implemented for n = 2");
-    if (point_in_l(lt, x)) return x;
-
-    // Boundary edges of |L_1| as geometric segments.
-    std::vector<std::pair<BaryPoint, BaryPoint>> segments;
-    for (const Simplex& e : l_boundary_edges(lt)) {
-        const auto pos = lt.subdivision.positions_of(e);
-        segments.emplace_back(pos[0], pos[1]);
+RadialProjection::RadialProjection(const tasks::AffineTask& lt) {
+    require(lt.subdivision.base().dimension() == 2,
+            "RadialProjection: implemented for n = 2");
+    for (const Simplex& f : lt.l_complex.facets()) {
+        Facet facet;
+        facet.vertices = lt.subdivision.positions_of(f);
+        bool first = true;
+        for (const BaryPoint& p : facet.vertices) {
+            for (std::size_t i = 0; i < kCoords; ++i) {
+                const Rational r = p.coord(static_cast<VertexId>(i));
+                if (first || r < facet.lo[i]) facet.lo[i] = r;
+                if (first || r > facet.hi[i]) facet.hi[i] = r;
+            }
+            first = false;
+        }
+        facets_.push_back(std::move(facet));
     }
+    // Boundary edges of |L_1| as geometric segments between distinct
+    // endpoints, so each endpoint's side is computed once per corner.
+    std::map<VertexId, std::size_t> point_of;
+    for (const Simplex& e : l_boundary_edges(lt)) {
+        std::array<std::size_t, 2> ends{};
+        for (std::size_t k = 0; k < 2; ++k) {
+            const VertexId v = e.vertices()[k];
+            const auto [it, added] = point_of.emplace(v, points_.size());
+            if (added) {
+                BoundaryPoint p;
+                p.position = lt.subdivision.position(v);
+                for (std::size_t i = 0; i < kCoords; ++i) {
+                    p.coords[i] = p.position.coord(static_cast<VertexId>(i));
+                }
+                points_.push_back(std::move(p));
+            }
+            ends[k] = it->second;
+        }
+        segments_.push_back(ends);
+    }
+}
+
+bool RadialProjection::contains(const BaryPoint& x) const {
+    std::array<Rational, kCoords> coords;
+    for (const auto& [b, r] : x.coords()) {
+        // Off the base no facet of L reaches.
+        if (b >= kCoords) return false;
+        coords[b] = r;
+    }
+    for (const Facet& f : facets_) {
+        bool in_box = true;
+        for (std::size_t i = 0; in_box && i < kCoords; ++i) {
+            in_box = !(coords[i] < f.lo[i]) && !(coords[i] > f.hi[i]);
+        }
+        if (in_box && topo::point_in_simplex(x, f.vertices)) return true;
+    }
+    return false;
+}
+
+BaryPoint RadialProjection::project(const BaryPoint& x) const {
+    constexpr int n = 2;
+    if (contains(x)) return x;
 
     // Identify the corner whose radial ray reaches x before R_0: the one
     // for which every boundary hit is at parameter s >= 1.
     std::optional<BaryPoint> best;
+    std::vector<int> sides;
+    sides.reserve(points_.size());
     for (int corner = 0; corner <= n; ++corner) {
         const BaryPoint c = BaryPoint::vertex(static_cast<VertexId>(corner));
         if (x == c) continue;
+        // Side of the line through c and x for every boundary point p:
+        // the exact sign of the cross product of x - c and p - c in the
+        // two coordinates i, j other than c's, in which c is the origin.
+        // Points with coordinates 0..2 summing to 1 fill a plane that
+        // these two coordinates chart faithfully. (If x's coordinates do
+        // not, the ray leaves the plane at c and no segment yields a hit
+        // at all.)
+        const std::size_t i = (corner + 1) % kCoords;
+        const std::size_t j = (corner + 2) % kCoords;
+        const Rational xi = x.coord(static_cast<VertexId>(i));
+        const Rational xj = x.coord(static_cast<VertexId>(j));
+        sides.clear();
+        for (const BoundaryPoint& p : points_) {
+            const Rational l = xi * p.coords[j];
+            const Rational r = xj * p.coords[i];
+            sides.push_back(l < r ? -1 : (r < l ? 1 : 0));
+        }
         std::vector<RayHit> hits;
-        for (const auto& [a, b] : segments) {
-            ray_segment_hits(c, x, a, b, n, hits);
+        for (const auto& [a, b] : segments_) {
+            // Both endpoints strictly on one side: the segment misses the
+            // whole line, so ray_segment_hits would add nothing.
+            if (sides[a] * sides[b] > 0) continue;
+            ray_segment_hits(c, x, points_[a].position, points_[b].position,
+                             n, hits);
         }
         if (hits.empty()) continue;
         const auto min_hit = std::min_element(
@@ -184,13 +254,13 @@ BaryPoint radial_projection_l1(const tasks::AffineTask& lt,
             [](const RayHit& p, const RayHit& q) { return p.s < q.s; });
         if (min_hit->s >= Rational(1)) {
             require(!best.has_value(),
-                    "radial_projection_l1: ambiguous corner for " +
+                    "RadialProjection: ambiguous corner for " +
                         x.to_string());
             best = min_hit->point;
         }
     }
     require(best.has_value(),
-            "radial_projection_l1: no corner projects " + x.to_string());
+            "RadialProjection: no corner projects " + x.to_string());
     return *best;
 }
 
@@ -258,8 +328,9 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
         // rationals they stand for (ties broken by vertex id either way);
         // if an lcm would overflow the headroom, the closure falls back
         // to exact Rational distances — same order, just slower.
-        const bool radial = guidance == LtGuidance::kRadial;
         struct Guide {
+            // f of Section 9.2, built once here for every closure call.
+            std::optional<RadialProjection> radial;
             std::map<topo::Color,
                      std::vector<std::pair<BaryPoint, VertexId>>> exact;
             // Entry-for-entry with `exact`: the same coordinates as
@@ -271,6 +342,7 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
             bool use_scaled = true;
         };
         auto guide = std::make_shared<Guide>();
+        if (guidance == LtGuidance::kRadial) guide->radial.emplace(task);
         for (VertexId w : task.task.outputs.vertex_ids()) {
             guide->exact[task.task.outputs.color(w)].emplace_back(
                 task.subdivision.position(w), w);
@@ -303,11 +375,10 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                 }
             }
         }
-        problem.candidate_order = [&task, &tsub, radial,
-                                   guide](VertexId v) {
+        problem.candidate_order = [&tsub, guide](VertexId v) {
             const topo::Color color = tsub.stable_complex().color(v);
             BaryPoint target = tsub.stable_position(v);
-            if (radial) target = radial_projection_l1(task, target);
+            if (guide->radial) target = guide->radial->project(target);
             std::vector<VertexId> order;
             const auto it = guide->exact.find(color);
             if (it == guide->exact.end()) return order;

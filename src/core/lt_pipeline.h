@@ -9,9 +9,9 @@
 //     from stage 2 on every simplex whose vertices all avoid the
 //     forbidden skeleton is terminated; K(T) accumulates the rings;
 //  3. the continuous map f: identity on R_0, radial projection away from
-//     the skeleton onto the boundary of R_0 elsewhere (implemented
-//     exactly, in rational arithmetic, for n = 2, t = 1 — the paper's
-//     illustrated case);
+//     the skeleton onto the boundary of R_0 elsewhere (RadialProjection:
+//     exact rational arithmetic for n = 2, t = 1 — the paper's
+//     illustrated case — built once per task);
 //  4. the chromatic simplicial approximation delta : K(T) -> L_t of
 //     Proposition 9.1, found by the CSP solver with candidates ordered by
 //     distance to f (Theorem 8.4 guarantees existence);
@@ -20,6 +20,8 @@
 // Protocol extraction and Definition 4.1 verification live in
 // src/protocol/gact_protocol.h.
 #pragma once
+
+#include <array>
 
 #include "core/chromatic_csp.h"
 #include "core/eval_cache.h"
@@ -71,6 +73,11 @@ enum class LtGuidance {
 /// (tsub.stable_carrier + the Delta walk) are then memoized through it
 /// (core/eval_cache.h).
 ///
+/// Everything candidate guidance needs is built here, once per problem:
+/// the per-color candidate lists with their positions, their shared
+/// integer denominator, and (for kRadial) the RadialProjection. The
+/// candidate_order closure shares them and only projects and sorts.
+///
 /// When `nogood_pool` is non-null, the problem carries the cross-solve
 /// learning hooks (core/nogood_store.h): the scope names the task plus
 /// every problem-shaping parameter (stages, identity fixing, guidance,
@@ -99,17 +106,58 @@ bool lt_stable_rule(int n, int t, const SubdividedComplex& cx,
 std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
                                  const Simplex& global_facet);
 
-/// Exact radial projection f of Section 9.2 for n = 2, t = 1: identity on
-/// |L_1|, and radial projection away from the nearest corner onto the
-/// boundary of |L_1| outside. Requires x in |s| and not a corner.
-BaryPoint radial_projection_l1(const tasks::AffineTask& lt,
-                               const BaryPoint& x);
+/// The exact radial projection f of Section 9.2 for n = 2, t = 1: the
+/// identity on |L_1|, and radial projection away from the nearest corner
+/// onto the boundary of |L_1| outside.
+///
+/// Built once per task (lt_approximation_problem builds one per problem
+/// and every candidate_order call reuses it): it copies L's facets as
+/// vertex positions, each with its exact per-coordinate box, and L's
+/// boundary segments in l_boundary_edges order over their distinct
+/// endpoints. Two exact prefilters keep the per-point work small without
+/// changing any answer:
+///  * a point outside a facet's box is outside the facet, so the exact
+///    point_in_simplex runs only for facets whose box holds the point;
+///  * a boundary segment with both endpoints strictly on one side of the
+///    line through a corner and the point cannot meet the corner's ray,
+///    so only the other segments are intersected exactly.
+/// Immutable once built; `project` is a pure read, safe from several
+/// threads. The task need not outlive it.
+class RadialProjection {
+public:
+    /// Requires the task's base to be a 2-simplex with vertex ids 0..2.
+    explicit RadialProjection(const tasks::AffineTask& lt);
 
-/// Whether `x` lies in the realization of the task's complex L.
+    /// Whether `x` lies in |L| (the same answer as point_in_l).
+    bool contains(const BaryPoint& x) const;
+
+    /// f(x). Requires x in |s| and not a corner.
+    BaryPoint project(const BaryPoint& x) const;
+
+private:
+    static constexpr std::size_t kCoords = 3;
+    struct Facet {
+        std::vector<BaryPoint> vertices;
+        std::array<Rational, kCoords> lo, hi;
+    };
+    struct BoundaryPoint {
+        BaryPoint position;
+        std::array<Rational, kCoords> coords;
+    };
+    std::vector<Facet> facets_;
+    /// The distinct endpoints of L's boundary edges.
+    std::vector<BoundaryPoint> points_;
+    /// L's boundary edges in l_boundary_edges order, as indices into
+    /// points_.
+    std::vector<std::array<std::size_t, 2>> segments_;
+};
+
+/// Whether `x` lies in the realization of the task's complex L: the plain
+/// scan of every facet with exact containment.
 bool point_in_l(const tasks::AffineTask& lt, const BaryPoint& x);
 
-/// The boundary edges of |L| (faces of exactly one facet of L), used by
-/// the radial projection and by the figure bench.
+/// The boundary edges of |L| (faces of exactly one facet of L), in sorted
+/// order; used by the radial projection and by the figure bench.
 std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt);
 
 /// Admissibility of T for a set of runs (Theorem 6.1 condition (a)): by

@@ -63,7 +63,7 @@ SolveReport solve_general(const Scenario& scenario,
     }
 
     // kRadial is exact rational geometry for the n = 2 base only
-    // (radial_projection_l1 requires it); on any other base the engine
+    // (core::RadialProjection requires it); on any other base the engine
     // downgrades to the default candidate order and says so, instead of
     // letting the projection's precondition abort the solve mid-search.
     // Candidate order only shapes the search, never its verdict, so the

@@ -137,7 +137,7 @@ TEST(Engine, NonAffineGeneralModelIsUnsupported) {
 }
 
 TEST(Engine, RadialGuidanceDowngradesWithAWarningOffTheN2Base) {
-    // radial_projection_l1 is exact for the n = 2 base only; requesting
+    // RadialProjection is exact for the n = 2 base only; requesting
     // kRadial on an n = 3 affine task must not abort the solve mid-way
     // (the projection's require() used to fire from inside the candidate
     // closure) — the engine downgrades to the default candidate order

@@ -84,7 +84,7 @@ TEST(LtPipeline, RadialProjectionFixesL) {
     const LtPipeline& p = pipeline21();
     const topo::BaryPoint center = topo::BaryPoint::barycenter(
         Simplex{0, 1, 2});
-    EXPECT_EQ(radial_projection_l1(p.task, center), center);
+    EXPECT_EQ(RadialProjection(p.task).project(center), center);
 }
 
 TEST(LtPipeline, RadialProjectionSendsOutsideToBoundary) {
@@ -94,7 +94,7 @@ TEST(LtPipeline, RadialProjectionSendsOutsideToBoundary) {
                              {1, Rational(1, 20)},
                              {2, Rational(1, 20)}}};
     ASSERT_FALSE(point_in_l(p.task, x));
-    const topo::BaryPoint fx = radial_projection_l1(p.task, x);
+    const topo::BaryPoint fx = RadialProjection(p.task).project(x);
     EXPECT_TRUE(point_in_l(p.task, fx));
     // The image lies on a boundary edge of L_1.
     bool on_boundary = false;
@@ -112,16 +112,17 @@ TEST(LtPipeline, RadialProjectionPreservesBoundaryFaces) {
     const LtPipeline& p = pipeline21();
     const topo::BaryPoint x{{{0, Rational(19, 20)}, {1, Rational(1, 20)}}};
     ASSERT_FALSE(point_in_l(p.task, x));
-    const topo::BaryPoint fx = radial_projection_l1(p.task, x);
+    const topo::BaryPoint fx = RadialProjection(p.task).project(x);
     EXPECT_TRUE(fx.support().is_face_of(Simplex{0, 1}));
 }
 
 TEST(LtPipeline, RadialProjectionOnStableVertices) {
     // f is defined on all of |K(T)| and is the identity exactly on R_0.
     const LtPipeline& p = pipeline21();
+    const RadialProjection f(p.task);
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
         const topo::BaryPoint& x = p.tsub.stable_position(v);
-        const topo::BaryPoint fx = radial_projection_l1(p.task, x);
+        const topo::BaryPoint fx = f.project(x);
         EXPECT_TRUE(point_in_l(p.task, fx));
         if (point_in_l(p.task, x)) {
             EXPECT_EQ(fx, x);

@@ -1,11 +1,12 @@
 # The tools' exit-code contract, pinned end to end (`cmake -P` script
-# mode; see CMakeLists.txt, test tools_exit_codes). All four CLIs agree:
+# mode; see CMakeLists.txt, test tools_exit_codes). All five CLIs agree:
 #
 #   0  the tool completed and its answer is clean — including "unsolvable"
 #      verdicts (engine_cli, gact_sweep) and skipped scenarios
 #      (gact_fuzz), which are answers, not failures
 #   1  a real negative finding: a Definition 4.1 violation (gact_fuzz) or
-#      an ok:false server reply (gact_client)
+#      an ok:false server reply (gact_client); for gact_serve, a server
+#      that could not start
 #   2  usage error: unknown flag, unknown scenario, contradictory flags,
 #      a --threads value that is not a positive integer, any other
 #      malformed or out-of-range numeric flag
@@ -13,12 +14,13 @@
 #      reply never arrived
 #
 # Expected -D definitions: CLI (example_engine_cli), FUZZ (gact_fuzz),
-# CLIENT (gact_client), SWEEP (gact_sweep). Every invocation here is
-# milliseconds-scale: the solvable scenarios used are depth-0/1, the
-# sweep grids are tiny, and the client targets a port nothing listens on.
+# CLIENT (gact_client), SWEEP (gact_sweep), SERVE (gact_serve). Every
+# invocation here is milliseconds-scale: the solvable scenarios used are
+# depth-0/1, the sweep grids are tiny, the client targets a port nothing
+# listens on, and no server ever starts (see the gact_serve section).
 
-if(NOT DEFINED CLI OR NOT DEFINED FUZZ OR NOT DEFINED CLIENT OR NOT DEFINED SWEEP)
-  message(FATAL_ERROR "usage: cmake -DCLI=<example_engine_cli> -DFUZZ=<gact_fuzz> -DCLIENT=<gact_client> -DSWEEP=<gact_sweep> -P exit_codes_e2e.cmake")
+if(NOT DEFINED CLI OR NOT DEFINED FUZZ OR NOT DEFINED CLIENT OR NOT DEFINED SWEEP OR NOT DEFINED SERVE)
+  message(FATAL_ERROR "usage: cmake -DCLI=<example_engine_cli> -DFUZZ=<gact_fuzz> -DCLIENT=<gact_client> -DSWEEP=<gact_sweep> -DSERVE=<gact_serve> -P exit_codes_e2e.cmake")
 endif()
 
 function(expect_exit expected label)
@@ -117,5 +119,51 @@ expect_exit(2 "gact_client solve without scenario"
 # fails, which is a transport error (3), not a solver-level failure (1).
 expect_exit(3 "gact_client no server"
   "${CLIENT}" --port 1 stats)
+# Numeric flags parse strictly. --port used to read "7461x" as 7461, and
+# --timeout-ms read "abc" as 0 and "-1" as ULONG_MAX. A value the parser
+# wrongly accepted would reach the connect to port 1 and exit 3.
+foreach(bad abc 0 -1 65536 4294967296 2x 7461x)
+  expect_exit(2 "gact_client --port ${bad}"
+    "${CLIENT}" --port ${bad} stats)
+endforeach()
+foreach(bad abc -1 4294967296 2x)
+  expect_exit(2 "gact_client --timeout-ms ${bad}"
+    "${CLIENT}" --port 1 solve chr2-2p-wf --timeout-ms ${bad})
+endforeach()
+expect_exit(3 "gact_client in-range numeric flags"
+  "${CLIENT}" --port 1 solve chr2-2p-wf --timeout-ms 4294967295)
 
-message(STATUS "exit-code e2e: all four tools honor the 0/1/2/3 contract")
+# --- gact_serve -------------------------------------------------------------
+# Every case ends in --bind with an invalid address, so a value the parser
+# accepts makes start() fail before any socket binds or any worker thread
+# starts: exit 1, never a running server. --threads -1 used to wrap to
+# ULONG_MAX and ask the scheduler for 4294967295 workers.
+set(no_start --bind not-an-address)
+expect_exit(2 "gact_serve unknown option"
+  "${SERVE}" --no-such-flag ${no_start})
+foreach(bad abc 0 -1 1025 4294967296 2x)
+  expect_exit(2 "gact_serve --threads ${bad}"
+    "${SERVE}" --threads ${bad} ${no_start})
+endforeach()
+foreach(bad abc -1 65536 4294967296 2x)
+  expect_exit(2 "gact_serve --port ${bad}"
+    "${SERVE}" --port ${bad} ${no_start})
+endforeach()
+foreach(flag --queue-depth --max-connections)
+  foreach(bad abc 0 -1 18446744073709551616 2x)
+    expect_exit(2 "gact_serve ${flag} ${bad}"
+      "${SERVE}" ${flag} ${bad} ${no_start})
+  endforeach()
+endforeach()
+foreach(flag --snapshot-every --timeout-ms)
+  foreach(bad abc -1 4294967296 2x)
+    expect_exit(2 "gact_serve ${flag} ${bad}"
+      "${SERVE}" ${flag} ${bad} ${no_start})
+  endforeach()
+endforeach()
+# In-range values parse; the invalid bind address then fails the start.
+expect_exit(1 "gact_serve in-range numeric flags"
+  "${SERVE}" --port 0 --threads 1024 --queue-depth 1 --max-connections 1
+  --snapshot-every 4294967295 --timeout-ms 4294967295 ${no_start})
+
+message(STATUS "exit-code e2e: all five tools honor the 0/1/2/3 contract")

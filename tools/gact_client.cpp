@@ -12,15 +12,18 @@
 //   0  the server replied ok
 //   1  the server replied, but with ok: false (a solver-level failure —
 //      unknown scenario, queue-full, timeout)
-//   2  usage error
+//   2  usage error: unknown command or argument, missing scenario, or a
+//      --port / --timeout-ms value that is malformed or out of range
 //   3  transport error (connect or request failed: no server, broken
 //      connection) — the reply never arrived, so 1 would misreport a
 //      solver-level answer
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "service/client.h"
+#include "util/cli.h"
 #include "util/json.h"
 
 namespace {
@@ -38,10 +41,10 @@ void usage(const char* argv0) {
 
 int main(int argc, char** argv) {
     std::string host = "127.0.0.1";
-    unsigned long port = 7461;
+    unsigned port = 7461;
     std::string command;
     std::string scenario;
-    unsigned long timeout_ms = 0;
+    std::uint32_t timeout_ms = 0;
     bool has_timeout = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -59,9 +62,20 @@ int main(int argc, char** argv) {
         } else if (arg == "--host") {
             host = value();
         } else if (arg == "--port") {
-            port = std::strtoul(value(), nullptr, 10);
+            const char* text = value();
+            if (!gact::util::parse_count(text, port, 1u, 65535u)) {
+                std::fprintf(stderr, "bad --port '%s' (want 1..65535)\n",
+                             text);
+                return 2;
+            }
         } else if (arg == "--timeout-ms") {
-            timeout_ms = std::strtoul(value(), nullptr, 10);
+            const char* text = value();
+            if (!gact::util::parse_count(text, timeout_ms)) {
+                std::fprintf(stderr,
+                             "bad --timeout-ms '%s' (want 0..4294967295)\n",
+                             text);
+                return 2;
+            }
             has_timeout = true;
         } else if (command.empty()) {
             command = arg;
@@ -79,10 +93,6 @@ int main(int argc, char** argv) {
     }
     if (command == "solve" && scenario.empty()) {
         std::fprintf(stderr, "solve needs a scenario name\n");
-        return 2;
-    }
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr, "bad --port\n");
         return 2;
     }
 

@@ -10,11 +10,19 @@
 //              [--max-connections N] [--pool-file PATH]
 //              [--snapshot-every SECONDS] [--timeout-ms N]
 //              [--bind ADDR]
+//
+// Exit codes (pinned by tools/exit_codes_e2e.cmake):
+//   0  stopped cleanly after SIGINT/SIGTERM
+//   1  the server could not start (bad bind address, port in use)
+//   2  usage error: unknown option, missing value, or a numeric value
+//      that is malformed or out of range
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "service/server.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -24,23 +32,21 @@ void usage(const char* argv0) {
         "usage: %s [options]\n"
         "  --port N             TCP port (default 7461; 0 = ephemeral)\n"
         "  --bind ADDR          bind address (default 127.0.0.1)\n"
-        "  --threads N          solve worker threads (default 2)\n"
+        "  --threads N          solve worker threads, 1..1024 (default 2)\n"
         "  --queue-depth N      admission queue bound (default 16)\n"
         "  --max-connections N  live-connection bound; accepts beyond\n"
         "                       it are refused (default 256)\n"
         "  --pool-file PATH     load/snapshot the nogood pool here\n"
         "  --snapshot-every S   snapshot period in seconds (default 0:\n"
         "                       only the final shutdown snapshot)\n"
-        "  --timeout-ms N       default queue-wait deadline per request\n"
-        "                       (default 0: none)\n",
+        "  --timeout-ms N       default queue-wait deadline per request,\n"
+        "                       0..4294967295 (default 0: none)\n"
+        "Bad values exit 2.\n",
         argv0);
 }
 
-bool parse_unsigned(const char* text, unsigned long& out) {
-    char* end = nullptr;
-    out = std::strtoul(text, &end, 10);
-    return end != text && *end == '\0';
-}
+// The same worker cap as GACT_EXEC_THREADS (exec/scheduler.cpp).
+constexpr unsigned kMaxThreads = 1024;
 
 }  // namespace
 
@@ -57,50 +63,58 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        unsigned long n = 0;
+        // Every numeric flag is a plain decimal in its field's range
+        // (util/cli.h): "-1" must not wrap and "2x" must not read as 2.
+        const auto bad = [&](const char* text, const char* range) {
+            std::fprintf(stderr, "bad %s '%s' (want %s)\n", arg.c_str(),
+                         text, range);
+            return 2;
+        };
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else if (arg == "--port") {
-            if (!parse_unsigned(value(), n) || n > 65535) {
-                std::fprintf(stderr, "bad --port\n");
-                return 2;
+            const char* text = value();
+            unsigned port = 0;
+            if (!gact::util::parse_count(text, port, 0u, 65535u)) {
+                return bad(text, "0..65535");
             }
-            config.port = static_cast<std::uint16_t>(n);
+            config.port = static_cast<std::uint16_t>(port);
         } else if (arg == "--bind") {
             config.bind_address = value();
         } else if (arg == "--threads") {
-            if (!parse_unsigned(value(), n) || n == 0) {
-                std::fprintf(stderr, "bad --threads\n");
-                return 2;
+            const char* text = value();
+            if (!gact::util::parse_count(text, config.workers, 1u,
+                                         kMaxThreads)) {
+                return bad(text, "1..1024");
             }
-            config.workers = static_cast<unsigned>(n);
         } else if (arg == "--queue-depth") {
-            if (!parse_unsigned(value(), n) || n == 0) {
-                std::fprintf(stderr, "bad --queue-depth\n");
-                return 2;
+            const char* text = value();
+            if (!gact::util::parse_count(text, config.queue_depth,
+                                         std::size_t{1})) {
+                return bad(text, "a count >= 1");
             }
-            config.queue_depth = n;
         } else if (arg == "--max-connections") {
-            if (!parse_unsigned(value(), n) || n == 0) {
-                std::fprintf(stderr, "bad --max-connections\n");
-                return 2;
+            const char* text = value();
+            if (!gact::util::parse_count(text, config.max_connections,
+                                         std::size_t{1})) {
+                return bad(text, "a count >= 1");
             }
-            config.max_connections = n;
         } else if (arg == "--pool-file") {
             config.pool_file = value();
         } else if (arg == "--snapshot-every") {
-            if (!parse_unsigned(value(), n)) {
-                std::fprintf(stderr, "bad --snapshot-every\n");
-                return 2;
+            const char* text = value();
+            if (!gact::util::parse_count(text,
+                                         config.snapshot_every_seconds)) {
+                return bad(text, "0..4294967295 seconds");
             }
-            config.snapshot_every_seconds = static_cast<unsigned>(n);
         } else if (arg == "--timeout-ms") {
-            if (!parse_unsigned(value(), n)) {
-                std::fprintf(stderr, "bad --timeout-ms\n");
-                return 2;
+            const char* text = value();
+            std::uint32_t timeout_ms = 0;
+            if (!gact::util::parse_count(text, timeout_ms)) {
+                return bad(text, "0..4294967295 ms");
             }
-            config.default_timeout_ms = n;
+            config.default_timeout_ms = timeout_ms;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage(argv[0]);
