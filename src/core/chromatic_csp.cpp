@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "core/csp_setup.h"
 #include "core/eval_cache.h"
 #include "core/nogood_store.h"
 #include "exec/cancel.h"
@@ -36,134 +37,8 @@ void SearchCounters::add(const SearchCounters& other) noexcept {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Shared problem preprocessing: assignment order and initial domains.
-// ---------------------------------------------------------------------------
-
-/// The initial candidate list for one domain vertex: the fixed value, or
-/// the caller's candidate order, or all color-matching codomain vertices;
-/// always filtered by the vertex's own constraint complex.
-std::vector<VertexId> initial_domain(const ChromaticMapProblem& problem,
-                                     VertexId v) {
-    std::vector<VertexId> candidates;
-    const auto fit = problem.fixed.find(v);
-    if (fit != problem.fixed.end()) {
-        candidates = {fit->second};
-    } else if (problem.candidate_order) {
-        candidates = problem.candidate_order(v);
-    } else {
-        const topo::Color c = problem.domain->color(v);
-        for (VertexId w : problem.codomain->vertex_ids()) {
-            if (problem.codomain->color(w) == c) candidates.push_back(w);
-        }
-    }
-    const SimplicialComplex& allowed = problem.allowed(Simplex{v});
-    std::vector<VertexId> filtered;
-    for (VertexId w : candidates) {
-        // Candidate values must be vertices of the codomain: the naive
-        // engine rejects strays through the 0-simplex constraints, but
-        // the FC engine's adjacency index only carries dimension >= 1,
-        // so filter here for both.
-        if (problem.codomain->contains_vertex(w) &&
-            allowed.contains(Simplex{w})) {
-            filtered.push_back(w);
-        }
-    }
-    return filtered;
-}
-
-/// Initial candidate lists for every domain vertex, computed once per
-/// solve: the candidate_order closures can be expensive (exact rational
-/// geometry in the L_t pipeline), and every component starts from the
-/// same base order.
-using DomainMap = std::unordered_map<VertexId, std::vector<VertexId>>;
-
-DomainMap all_initial_domains(const ChromaticMapProblem& problem) {
-    DomainMap domains;
-    for (VertexId v : problem.domain->vertex_ids()) {
-        domains.emplace(v, initial_domain(problem, v));
-    }
-    return domains;
-}
-
-/// Free-vertex connected components (free-free adjacency): independent
-/// subproblems given the fixed assignments, solved separately to avoid
-/// cross-component thrashing. Also produces, per component, the static
-/// maximum-cardinality order (always the vertex adjacent to the most
-/// already-ordered vertices, so contradictions surface immediately).
-struct Decomposition {
-    std::vector<VertexId> fixed_order;
-    std::vector<std::vector<VertexId>> component_orders;
-};
-
-Decomposition decompose(const ChromaticMapProblem& problem,
-                        const topo::AdjacencyIndex& index) {
-    Decomposition out;
-    const std::vector<VertexId> vertices = problem.domain->vertex_ids();
-
-    for (const auto& [v, w] : problem.fixed) {
-        (void)w;
-        require(problem.domain->contains_vertex(v),
-                "solve_chromatic_map: fixed vertex not in domain");
-        out.fixed_order.push_back(v);
-    }
-    std::sort(out.fixed_order.begin(), out.fixed_order.end());
-
-    std::unordered_map<VertexId, std::size_t> component;
-    std::size_t num_components = 0;
-    for (VertexId v : vertices) {
-        if (problem.fixed.count(v) != 0 || component.count(v) != 0) continue;
-        std::vector<VertexId> stack{v};
-        component[v] = num_components;
-        while (!stack.empty()) {
-            const VertexId u = stack.back();
-            stack.pop_back();
-            for (VertexId w : index.neighbors(u)) {
-                if (problem.fixed.count(w) == 0 && component.count(w) == 0) {
-                    component[w] = num_components;
-                    stack.push_back(w);
-                }
-            }
-        }
-        ++num_components;
-    }
-
-    out.component_orders.resize(num_components);
-    std::unordered_map<VertexId, std::size_t> ordered_neighbors;
-    std::unordered_set<VertexId> placed;
-    const auto place = [&](VertexId v) {
-        placed.insert(v);
-        for (VertexId u : index.neighbors(v)) ++ordered_neighbors[u];
-    };
-    for (VertexId v : out.fixed_order) place(v);
-    for (std::size_t c = 0; c < num_components; ++c) {
-        std::vector<VertexId> members;
-        for (VertexId v : vertices) {
-            const auto it = component.find(v);
-            if (it != component.end() && it->second == c) {
-                members.push_back(v);
-            }
-        }
-        for (std::size_t step = 0; step < members.size(); ++step) {
-            VertexId best = 0;
-            std::size_t best_score = 0;
-            bool found = false;
-            for (VertexId v : members) {
-                if (placed.count(v) != 0) continue;
-                const std::size_t score = ordered_neighbors[v];
-                if (!found || score > best_score ||
-                    (score == best_score && v < best)) {
-                    best = v;
-                    best_score = score;
-                    found = true;
-                }
-            }
-            out.component_orders[c].push_back(best);
-            place(best);
-        }
-    }
-    return out;
-}
+using csp_setup::Decomposition;
+using csp_setup::DomainTable;
 
 // ---------------------------------------------------------------------------
 // Naive engine: the seed's plain chronological backtracker, kept verbatim
@@ -231,7 +106,7 @@ struct NaiveSearcher {
 /// component of free vertices with the naive engine. On success, the
 /// component's assignments are merged into `solution`.
 bool naive_solve_component(const ChromaticMapProblem& problem,
-                           const DomainMap& base_domains,
+                           const DomainTable& domains,
                            const std::vector<VertexId>& fixed_order,
                            const std::vector<VertexId>& component_order,
                            std::size_t max_backtracks,
@@ -270,7 +145,7 @@ bool naive_solve_component(const ChromaticMapProblem& problem,
 
     s.domains.resize(s.order.size());
     for (std::size_t i = 0; i < s.order.size(); ++i) {
-        s.domains[i] = base_domains.at(s.order[i]);
+        s.domains[i] = domains[s.order[i]];
     }
 
     const bool found = s.assign(0);
@@ -294,17 +169,16 @@ bool naive_solve_component(const ChromaticMapProblem& problem,
 constexpr std::size_t kEvalCacheCapacity = std::size_t{1} << 18;
 
 struct FcSearcher {
-    FcSearcher(const ChromaticMapProblem& p, const topo::AdjacencyIndex& ix)
-        : problem(p), index(ix) {}
+    FcSearcher(const ChromaticMapProblem& p, const topo::AdjacencyIndex& ix,
+               EvalCache& c)
+        : problem(p), index(ix), cache(c) {}
 
     const ChromaticMapProblem& problem;
     const topo::AdjacencyIndex& index;
     // Memoized constraint evaluation and learned conflicts, owned by
-    // solve_components and shared across its components.
-    // Both are null in the root-propagation searcher, which visits each
-    // constraint about once and so evaluates directly; `nogoods` is
-    // also null when learning is disabled (nogood_capacity == 0).
-    EvalCache* cache = nullptr;
+    // solve_components and shared across its components; `nogoods` is
+    // null when learning is disabled (nogood_capacity == 0).
+    EvalCache& cache;
     NogoodStore* nogoods = nullptr;
     const exec::CancelToken* cancel = nullptr;
     std::size_t max_backtracks = 0;
@@ -339,8 +213,7 @@ struct FcSearcher {
     static constexpr std::uint32_t kNoVar = 0xffffffffu;
     std::vector<Var> vars;  // fixed vertices first, then the component's
                             // free vertices in static order
-    std::unordered_map<VertexId, std::size_t> var_index;
-    // Dense mirror of var_index for the hot constraint scans (vertex ids
+    // Var index of every vertex for the hot constraint scans (vertex ids
     // are bounded by the domain complex); kNoVar for out-of-scope ids.
     std::vector<std::uint32_t> var_of_vertex;
     // Undo log of domain prunings: (variable index, value index).
@@ -520,20 +393,15 @@ struct FcSearcher {
     }
 
     /// Leaf constraint check for a fully assigned indexed simplex, via
-    /// the evaluation memo when there is one.
+    /// the evaluation memo.
     bool constraint_holds(const Simplex* sigma_ptr) {
         const Simplex& sigma = *sigma_ptr;
         image_scratch.clear();
         for (VertexId v : sigma.vertices()) {
             image_scratch.push_back(vars[var_of_vertex[v]].value);
         }
-        if (cache == nullptr) {
-            const Simplex img{std::vector<VertexId>(image_scratch)};
-            return problem.codomain->contains(img) &&
-                   problem.allowed(sigma).contains(img);
-        }
-        return cache->image_allowed(problem, index.id_of(sigma_ptr), sigma,
-                                    image_scratch);
+        return cache.image_allowed(problem, index.id_of(sigma_ptr), sigma,
+                                   image_scratch);
     }
 
     /// Reset a variable's live-domain state to "everything active".
@@ -676,41 +544,26 @@ struct FcSearcher {
                     image.push_back(vars[var_of_vertex[u]].value);
                 }
             }
-            if (cache == nullptr) {
-                // Root propagation: test only the still-live values.
-                const SimplicialComplex& allowed = problem.allowed(sigma);
-                for (std::size_t i = 0; i < uvar.values.size(); ++i) {
-                    if (!uvar.active[i]) continue;
-                    image[u_slot] = uvar.values[i];
-                    const Simplex img{std::vector<VertexId>(image)};
-                    if (!problem.codomain->contains(img) ||
-                        !allowed.contains(img)) {
-                        prune(u_idx, i, sigma_ptr);
-                    }
-                }
-            } else {
-                // One memoized lookup filters the whole candidate list:
-                // the mask is keyed by the neighborhood-image
-                // fingerprint (cid + assigned values + hole). The filter
-                // itself is the word-wise pass `live & ~allowed` over
-                // the packed domain — only the values actually being
-                // pruned cost anything beyond one AND-NOT per 64
-                // candidates (ctz walks the remainder in ascending index
-                // order, the same sequence as the per-value loop).
-                const std::vector<std::uint64_t>& mask =
-                    cache->allowed_mask(problem, index.id_of(sigma_ptr),
-                                        sigma, image, u_slot, uvar.values);
-                const std::size_t words = uvar.active_bits.size();
-                for (std::size_t wd = 0; wd < words; ++wd) {
-                    std::uint64_t removed =
-                        uvar.active_bits[wd] & ~mask[wd];
-                    while (removed != 0) {
-                        const std::size_t i =
-                            (wd << 6) + static_cast<std::size_t>(
-                                            __builtin_ctzll(removed));
-                        removed &= removed - 1;
-                        prune(u_idx, i, sigma_ptr);
-                    }
+            // One memoized lookup filters the whole candidate list: the
+            // mask is keyed by the neighborhood-image fingerprint (cid +
+            // assigned values + hole). The filter itself is the
+            // word-wise pass `live & ~allowed` over the packed domain —
+            // only the values actually being pruned cost anything beyond
+            // one AND-NOT per 64 candidates (ctz walks the remainder in
+            // ascending index order, the same sequence as a per-value
+            // loop).
+            const std::vector<std::uint64_t>& mask =
+                cache.allowed_mask(problem, index.id_of(sigma_ptr), sigma,
+                                   image, u_slot, uvar.values);
+            const std::size_t words = uvar.active_bits.size();
+            for (std::size_t wd = 0; wd < words; ++wd) {
+                std::uint64_t removed = uvar.active_bits[wd] & ~mask[wd];
+                while (removed != 0) {
+                    const std::size_t i =
+                        (wd << 6) +
+                        static_cast<std::size_t>(__builtin_ctzll(removed));
+                    removed &= removed - 1;
+                    prune(u_idx, i, sigma_ptr);
                 }
             }
             if (uvar.active_count == 0) {
@@ -841,86 +694,36 @@ struct FcSearcher {
     }
 };
 
-/// Root propagation of the fixed assignments, done once per solve: they
-/// are not search decisions, so a conflict here proves unsatisfiability
-/// outright, and the pruning they induce on the free domains is the same
-/// for every free-vertex component. Returns the pruned per-vertex
-/// domains, or nullopt on a root conflict.
-std::optional<DomainMap> propagate_fixed_snapshot(
-    const ChromaticMapProblem& problem, const topo::AdjacencyIndex& index,
-    const std::vector<VertexId>& fixed_order, const DomainMap& base_domains) {
-    if (fixed_order.empty()) return base_domains;
-
-    FcSearcher s(problem, index);
-    for (VertexId v : fixed_order) {
-        s.var_index[v] = s.vars.size();
-        s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
-    }
-    for (VertexId v : problem.domain->vertex_ids()) {
-        if (problem.fixed.count(v) != 0) continue;
-        s.var_index[v] = s.vars.size();
-        s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
-    }
-    for (FcSearcher::Var& var : s.vars) {
-        var.values = base_domains.at(var.v);
-        FcSearcher::activate_all(var);
-    }
-    s.finalize_vars();
-    for (VertexId v : fixed_order) {
-        const std::size_t idx = s.var_index.at(v);
-        if (s.vars[idx].values.empty() ||
-            !s.try_assign(idx, s.vars[idx].values.front())) {
-            return std::nullopt;
-        }
-    }
-    DomainMap pruned;
-    pruned.reserve(s.vars.size());
-    for (const FcSearcher::Var& var : s.vars) {
-        std::vector<VertexId> live;
-        live.reserve(var.active_count);
-        for (std::size_t i = 0; i < var.values.size(); ++i) {
-            if (var.active[i]) live.push_back(var.values[i]);
-        }
-        pruned.emplace(var.v, std::move(live));
-    }
-    return pruned;
-}
-
 bool fc_solve_component(const ChromaticMapProblem& problem,
                         const topo::AdjacencyIndex& index,
-                        const DomainMap& propagated_domains,
+                        const DomainTable& domains,
                         const SolverConfig& config,
                         const std::vector<VertexId>& fixed_order,
                         const std::vector<VertexId>& component_order,
                         EvalCache& cache, NogoodStore* nogoods,
                         ChromaticMapResult& result,
                         std::unordered_map<VertexId, VertexId>& solution) {
-    FcSearcher s(problem, index);
-    s.cache = &cache;
+    FcSearcher s(problem, index, cache);
     s.cancel = config.cancel;
     s.max_backtracks = config.max_backtracks;
     s.nogoods = nogoods;
+    // The fixed assignments were validated and propagated into `domains`
+    // once, up front (csp_setup::propagate_fixed), so they are just
+    // installed (before finalize_vars, which snapshots the unassigned
+    // list from the assigned flags).
     for (VertexId v : fixed_order) {
-        s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
     }
     for (VertexId v : component_order) {
-        s.var_index[v] = s.vars.size();
         s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
     }
     for (FcSearcher::Var& var : s.vars) {
-        var.values = propagated_domains.at(var.v);
+        var.values = domains[var.v];
         FcSearcher::activate_all(var);
-    }
-
-    // The fixed assignments were validated and propagated into
-    // `propagated_domains` once, up front (propagate_fixed_snapshot), so
-    // just install them (before finalize_vars, which snapshots the
-    // unassigned list from the assigned flags).
-    for (VertexId v : fixed_order) {
-        FcSearcher::Var& var = s.vars[s.var_index.at(v)];
-        var.assigned = true;
-        var.value = var.values.front();
+        if (var.is_fixed) {
+            var.assigned = true;
+            var.value = var.values.front();
+        }
     }
     s.finalize_vars();
 
@@ -933,12 +736,7 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
     result.counters.add(s.counters);
     if (!s.exhausted) result.exhausted = false;
     if (found) {
-        for (VertexId v : component_order) {
-            solution[v] = s.vars[s.var_index.at(v)].value;
-        }
-        for (VertexId v : fixed_order) {
-            solution[v] = s.vars[s.var_index.at(v)].value;
-        }
+        for (const FcSearcher::Var& var : s.vars) solution[var.v] = var.value;
     }
     return found;
 }
@@ -950,8 +748,7 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
 ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
                                     const topo::AdjacencyIndex& index,
                                     const Decomposition& dec,
-                                    const DomainMap& base_domains,
-                                    const DomainMap& propagated_domains,
+                                    const DomainTable& domains,
                                     const SolverConfig& config) {
     ChromaticMapResult result;
     result.exhausted = true;
@@ -1037,16 +834,16 @@ ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
     const auto solve_component =
         [&](const std::vector<VertexId>& component_order) {
             if (naive_engine) {
-                // The seed reference, preserved verbatim: raw domains,
-                // fixed vertices re-validated through the ordinary
-                // constraint checks.
-                return naive_solve_component(problem, base_domains,
+                // The seed reference, preserved verbatim: unpropagated
+                // domains, fixed vertices re-validated through the
+                // ordinary constraint checks.
+                return naive_solve_component(problem, domains,
                                              dec.fixed_order, component_order,
                                              config.max_backtracks,
                                              config.cancel, result, solution);
             }
             return fc_solve_component(
-                problem, index, propagated_domains, config, dec.fixed_order,
+                problem, index, domains, config, dec.fixed_order,
                 component_order, *cache,
                 nogoods.has_value() ? &*nogoods : nullptr, result, solution);
         };
@@ -1112,28 +909,25 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     const bool naive_engine = config.engine == SolverEngine::kNaive;
     const topo::AdjacencyIndex index(problem.domain->complex(),
                                      !naive_engine);
-    const Decomposition dec = decompose(problem, index);
-    const DomainMap base_domains = all_initial_domains(problem);
-
+    const Decomposition dec = csp_setup::decompose(problem, index);
+    DomainTable domains = csp_setup::initial_domains(problem);
     // Fixed-vertex root propagation, once per solve (fast engine only;
-    // the naive reference keeps the raw domains).
-    DomainMap propagated_domains;
-    if (!naive_engine) {
-        auto snapshot = propagate_fixed_snapshot(problem, index,
-                                                 dec.fixed_order,
-                                                 base_domains);
-        if (!snapshot.has_value()) {
-            // A conflict among the fixed assignments alone proves
-            // unsatisfiability outright (they are not search decisions).
-            ChromaticMapResult result;
-            result.exhausted = true;
-            return result;
-        }
-        propagated_domains = std::move(*snapshot);
+    // the naive reference keeps the full domains). A conflict among the
+    // fixed assignments alone proves unsatisfiability outright (they are
+    // not search decisions).
+    if (!naive_engine && !csp_setup::propagate_fixed(problem, index,
+                                                     dec.fixed_order,
+                                                     domains)) {
+        ChromaticMapResult result;
+        result.exhausted = true;
+        return result;
     }
+    // Ranked after propagation, so the fast engine orders only the
+    // candidates that survived it.
+    csp_setup::rank_domains(problem, domains);
 
-    ChromaticMapResult result = solve_components(
-        problem, index, dec, base_domains, propagated_domains, config);
+    ChromaticMapResult result =
+        solve_components(problem, index, dec, domains, config);
     if (result.map.has_value()) {
         const std::string err = check_chromatic_map(problem, *result.map);
         ensure(err.empty(), "solve_chromatic_map: solver bug: " + err);

@@ -14,6 +14,14 @@
 // vertex's constraint complex, and every simplex of A whose vertices are
 // all assigned must map to a simplex of its constraint complex.
 //
+// Setting the search up (core/csp_setup.h) costs near-linear time in the
+// constraint structure: the components and their static orders, the
+// initial domains, one static root propagation of the fixed vertices
+// through the codomain's cofaces, and the ranking of each domain by the
+// problem's optional order_candidates, a strict total order per vertex
+// that the fast engine applies only to the candidates root propagation
+// left.
+//
 // Two engines, selected by SolverConfig: fast, and naive as the
 // reference.
 //  * SolverConfig::naive() is the plain backtracker the library shipped
@@ -87,11 +95,17 @@ struct ChromaticMapProblem {
     /// @brief Pre-assigned vertices (may be empty).
     std::unordered_map<VertexId, VertexId> fixed;
 
-    /// @brief Optional candidate ordering: given a domain vertex, an
-    /// ordered list of codomain vertices to try (already
-    /// color-matching). When absent, all color-matching vertices allowed
-    /// at the vertex are tried.
-    std::function<std::vector<VertexId>(VertexId)> candidate_order;
+    /// @brief Optional candidate ranking: sort, in place, a list of
+    /// codomain vertices to try at a domain vertex v, most promising
+    /// first. The solver hands it only color-matching codomain vertices
+    /// allowed at v (the full list, or a subset that survived root
+    /// propagation) and tries them in the returned order; without it they
+    /// are tried by ascending id.
+    /// @note Must sort by a strict total order fixed per v, so that
+    /// ranking any subset gives the same relative order as ranking the
+    /// full list; must be pure. The list must come back a permutation of
+    /// itself.
+    std::function<void(VertexId, std::vector<VertexId>&)> order_candidates;
 
     /// @brief Optional cross-solve learning pool (core/nogood_store.h).
     /// When set together with `nogood_scope` and `pool_var_key`, the

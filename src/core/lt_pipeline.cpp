@@ -315,75 +315,63 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
     }
 
     if (guidance != LtGuidance::kNone) {
-        // Candidate order: L vertices of the right color, nearest (to the
-        // radial projection of the vertex when requested, else to the
-        // vertex itself) first. The per-color candidate lists (with their
-        // positions) are precomputed here: vertex_ids() walks the whole
-        // output complex, and the closure runs once per domain vertex —
-        // tens of thousands of times on the heavy registry scenarios.
-        // The distance computation additionally rescales every candidate
-        // coordinate to one shared denominator, so each closure call
-        // measures distances in pure integer arithmetic. At a common
-        // denominator the scaled distances order exactly like the
-        // rationals they stand for (ties broken by vertex id either way);
-        // if an lcm would overflow the headroom, the closure falls back
-        // to exact Rational distances — same order, just slower.
+        // Candidate order: nearest (to the radial projection of the
+        // vertex when requested, else to the vertex itself) first, ties
+        // by id — a strict total order per vertex, so the solver can rank
+        // whatever subset of the candidates survives its root
+        // propagation. Every output vertex's position is looked up here,
+        // once, in a table by vertex id; the closure runs once per domain
+        // vertex with two or more surviving candidates. The distance
+        // computation additionally rescales every candidate coordinate to
+        // one shared denominator, so each closure call measures distances
+        // in pure integer arithmetic. At a common denominator the scaled
+        // distances order exactly like the rationals they stand for (ties
+        // broken by vertex id either way); if an lcm would overflow the
+        // headroom, the closure falls back to exact Rational distances —
+        // same order, just slower.
         struct Guide {
             // f of Section 9.2, built once here for every closure call.
             std::optional<RadialProjection> radial;
-            std::map<topo::Color,
-                     std::vector<std::pair<BaryPoint, VertexId>>> exact;
-            // Entry-for-entry with `exact`: the same coordinates as
-            // numerators over the shared denominator `den`.
-            std::map<topo::Color,
-                     std::vector<std::vector<
-                         std::pair<VertexId, std::int64_t>>>> scaled;
+            // Indexed by output vertex id: its position in the task's
+            // subdivision (null for ids that are not output vertices)
+            // and the same coordinates as numerators over the shared
+            // denominator `den`.
+            std::vector<const BaryPoint*> position;
+            std::vector<std::vector<std::pair<VertexId, std::int64_t>>>
+                scaled;
             std::int64_t den = 1;
             bool use_scaled = true;
         };
         auto guide = std::make_shared<Guide>();
         if (guidance == LtGuidance::kRadial) guide->radial.emplace(task);
-        for (VertexId w : task.task.outputs.vertex_ids()) {
-            guide->exact[task.task.outputs.color(w)].emplace_back(
-                task.subdivision.position(w), w);
-        }
-        for (const auto& [color, cands] : guide->exact) {
-            for (const auto& [pos, w] : cands) {
-                for (const auto& [bv, r] : pos.coords()) {
+        const std::vector<VertexId> outputs = task.task.outputs.vertex_ids();
+        if (!outputs.empty()) guide->position.resize(outputs.back() + 1);
+        for (VertexId w : outputs) {
+            guide->position[w] = &task.subdivision.position(w);
+            for (const auto& [bv, r] : guide->position[w]->coords()) {
+                if (guide->den != 0) {
                     guide->den = lcm_capped(guide->den, r.den());
-                    if (guide->den == 0) break;
                 }
-                if (guide->den == 0) break;
             }
-            if (guide->den == 0) break;
         }
         if (guide->den == 0) {
             guide->use_scaled = false;
             guide->den = 1;
         } else {
-            for (const auto& [color, cands] : guide->exact) {
-                auto& lists = guide->scaled[color];
-                lists.reserve(cands.size());
-                for (const auto& [pos, w] : cands) {
-                    std::vector<std::pair<VertexId, std::int64_t>> sc;
-                    sc.reserve(pos.coords().size());
-                    for (const auto& [bv, r] : pos.coords()) {
-                        sc.emplace_back(bv,
-                                        r.num() * (guide->den / r.den()));
-                    }
-                    lists.push_back(std::move(sc));
+            guide->scaled.resize(guide->position.size());
+            for (VertexId w : outputs) {
+                auto& sc = guide->scaled[w];
+                sc.reserve(guide->position[w]->coords().size());
+                for (const auto& [bv, r] : guide->position[w]->coords()) {
+                    sc.emplace_back(bv, r.num() * (guide->den / r.den()));
                 }
             }
         }
-        problem.candidate_order = [&tsub, guide](VertexId v) {
-            const topo::Color color = tsub.stable_complex().color(v);
+        problem.order_candidates = [&tsub, guide](
+                                       VertexId v,
+                                       std::vector<VertexId>& candidates) {
             BaryPoint target = tsub.stable_position(v);
             if (guide->radial) target = guide->radial->project(target);
-            std::vector<VertexId> order;
-            const auto it = guide->exact.find(color);
-            if (it == guide->exact.end()) return order;
-            const auto& cands = it->second;
-            order.reserve(cands.size());
             if (guide->use_scaled) {
                 // Extend the shared denominator to cover this target.
                 std::int64_t dv = guide->den;
@@ -398,11 +386,10 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                     for (const auto& [bv, r] : target.coords()) {
                         tgt.emplace_back(bv, r.num() * (dv / r.den()));
                     }
-                    const auto& scaled = guide->scaled.find(color)->second;
                     std::vector<std::pair<std::int64_t, VertexId>> scored;
-                    scored.reserve(cands.size());
-                    for (std::size_t i = 0; i < cands.size(); ++i) {
-                        const auto& cc = scaled[i];
+                    scored.reserve(candidates.size());
+                    for (VertexId w : candidates) {
+                        const auto& cc = guide->scaled[w];
                         std::int64_t dist = 0;
                         std::size_t a = 0, b = 0;
                         while (a < cc.size() && b < tgt.size()) {
@@ -422,21 +409,25 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                         }
                         for (; a < cc.size(); ++a) dist += cc[a].second * f;
                         for (; b < tgt.size(); ++b) dist += tgt[b].second;
-                        scored.emplace_back(dist, cands[i].second);
+                        scored.emplace_back(dist, w);
                     }
                     std::sort(scored.begin(), scored.end());
-                    for (const auto& [dist, w] : scored) order.push_back(w);
-                    return order;
+                    for (std::size_t i = 0; i < scored.size(); ++i) {
+                        candidates[i] = scored[i].second;
+                    }
+                    return;
                 }
             }
             std::vector<std::pair<Rational, VertexId>> scored;
-            scored.reserve(cands.size());
-            for (const auto& [pos, w] : cands) {
-                scored.emplace_back(target.l1_distance(pos), w);
+            scored.reserve(candidates.size());
+            for (VertexId w : candidates) {
+                scored.emplace_back(target.l1_distance(*guide->position[w]),
+                                    w);
             }
             std::sort(scored.begin(), scored.end());
-            for (const auto& [dist, w] : scored) order.push_back(w);
-            return order;
+            for (std::size_t i = 0; i < scored.size(); ++i) {
+                candidates[i] = scored[i].second;
+            }
         };
     }
     return problem;

@@ -74,9 +74,13 @@ enum class LtGuidance {
 /// (core/eval_cache.h).
 ///
 /// Everything candidate guidance needs is built here, once per problem:
-/// the per-color candidate lists with their positions, their shared
-/// integer denominator, and (for kRadial) the RadialProjection. The
-/// candidate_order closure shares them and only projects and sorts.
+/// every output vertex's position by id, the positions' shared integer
+/// denominator, and (for kRadial) the RadialProjection. The
+/// order_candidates closure shares them and only projects and sorts: it
+/// ranks whatever candidate list the solver hands it by (l1 distance,
+/// vertex id), a strict total order per domain vertex, so ranking the
+/// subset that survives root propagation gives exactly that subset's
+/// order within the full ranked list.
 ///
 /// When `nogood_pool` is non-null, the problem carries the cross-solve
 /// learning hooks (core/nogood_store.h): the scope names the task plus
@@ -111,7 +115,7 @@ std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
 /// onto the boundary of |L_1| outside.
 ///
 /// Built once per task (lt_approximation_problem builds one per problem
-/// and every candidate_order call reuses it): it copies L's facets as
+/// and every order_candidates call reuses it): it copies L's facets as
 /// vertex positions, each with its exact per-coordinate box, and L's
 /// boundary segments in l_boundary_edges order over their distinct
 /// endpoints. Two exact prefilters keep the per-point work small without

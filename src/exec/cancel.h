@@ -15,10 +15,29 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
 namespace gact::exec {
+
+/// @brief `now + budget_ms`, saturated to time_point::max() when the sum
+/// would not fit: the clock counts nanoseconds in a signed 64-bit value,
+/// so a budget near INT64_MAX milliseconds would otherwise wrap into the
+/// past and expire at once.
+inline std::chrono::steady_clock::time_point deadline_after_ms(
+    std::chrono::steady_clock::time_point now,
+    std::size_t budget_ms) noexcept {
+    using TimePoint = std::chrono::steady_clock::time_point;
+    const auto headroom_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            TimePoint::max() - now)
+            .count();
+    if (budget_ms >= static_cast<std::uint64_t>(headroom_ms)) {
+        return TimePoint::max();
+    }
+    return now + std::chrono::milliseconds(budget_ms);
+}
 
 /// @brief Shared, hierarchical cancel + deadline flag.
 ///
@@ -61,10 +80,11 @@ public:
         }
     }
 
-    /// Convenience: deadline `budget_ms` milliseconds from now.
+    /// Convenience: deadline `budget_ms` milliseconds from now
+    /// (saturating, see deadline_after_ms).
     void set_deadline_after_ms(std::size_t budget_ms) noexcept {
-        set_deadline(std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(budget_ms));
+        set_deadline(
+            deadline_after_ms(std::chrono::steady_clock::now(), budget_ms));
     }
 
     /// Has this token — or any ancestor — been cancelled or passed its

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "engine/report_json.h"
+#include "exec/cancel.h"
 #include "engine/scenario_registry.h"
 #include "util/require.h"
 
@@ -358,8 +359,8 @@ void SolveServer::handle_payload(const std::shared_ptr<Connection>& conn,
     }
     if (timeout_ms > 0) {
         job.has_deadline = true;
-        job.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
+        job.deadline = exec::deadline_after_ms(
+            std::chrono::steady_clock::now(), timeout_ms);
     }
 
     if (!queue_.try_push(std::move(job))) {

@@ -1,17 +1,58 @@
 #include "topology/adjacency_index.h"
 
-#include <algorithm>
+#include "util/require.h"
 
 namespace gact::topo {
 
+namespace {
+
+/// Turn per-vertex counts (at index v + 1) into CSR start offsets.
+void prefix_sum(std::vector<std::uint32_t>& offsets) {
+    for (std::size_t i = 1; i < offsets.size(); ++i) {
+        offsets[i] += offsets[i - 1];
+    }
+}
+
+}  // namespace
+
 AdjacencyIndex::AdjacencyIndex(const SimplicialComplex& complex,
                                bool index_simplices) {
-    if (index_simplices) {
-        // Reserve exactly so the pointers handed out below stay stable.
-        std::size_t count = 0;
-        for (const Simplex& sigma : complex.simplices()) {
-            if (sigma.dimension() >= 1) ++count;
+    // Pass 1: the id range and the per-vertex counts.
+    VertexId max_vertex = 0;
+    std::size_t count = 0;
+    for (const Simplex& sigma : complex.simplices()) {
+        if (sigma.dimension() < 1) continue;
+        ++count;
+        max_vertex = std::max(max_vertex, sigma.vertices().back());
+    }
+    if (count == 0) return;
+    const std::size_t slots = static_cast<std::size_t>(max_vertex) + 2;
+    neighbor_offsets_.assign(slots, 0);
+    if (index_simplices) incident_offsets_.assign(slots, 0);
+    std::size_t incidences = 0;
+    for (const Simplex& sigma : complex.simplices()) {
+        if (sigma.dimension() < 1) continue;
+        for (VertexId v : sigma.vertices()) {
+            if (index_simplices) ++incident_offsets_[v + 1];
+            if (sigma.dimension() == 1) ++neighbor_offsets_[v + 1];
         }
+        incidences += sigma.size();
+    }
+    require(incidences <= UINT32_MAX,
+            "AdjacencyIndex: complex too large for 32-bit offsets");
+    prefix_sum(neighbor_offsets_);
+
+    // Pass 2: fill, in the complex's iteration order. `simplices_` is
+    // sized exactly up front, so the pointers handed out stay stable.
+    std::vector<std::uint32_t> fill(neighbor_offsets_.begin(),
+                                    neighbor_offsets_.end() - 1);
+    neighbors_.resize(neighbor_offsets_.back());
+    std::vector<std::uint32_t> incident_fill;
+    if (index_simplices) {
+        prefix_sum(incident_offsets_);
+        incident_fill.assign(incident_offsets_.begin(),
+                             incident_offsets_.end() - 1);
+        incident_.resize(incident_offsets_.back());
         simplices_.reserve(count);
     }
     for (const Simplex& sigma : complex.simplices()) {
@@ -19,33 +60,23 @@ AdjacencyIndex::AdjacencyIndex(const SimplicialComplex& complex,
         if (index_simplices) {
             simplices_.push_back(sigma);
             for (VertexId v : sigma.vertices()) {
-                incident_[v].push_back(&simplices_.back());
+                incident_[incident_fill[v]++] = &simplices_.back();
             }
         }
         if (sigma.dimension() == 1) {
             const VertexId a = sigma.vertices()[0];
             const VertexId b = sigma.vertices()[1];
-            neighbors_[a].push_back(b);
-            neighbors_[b].push_back(a);
+            neighbors_[fill[a]++] = b;
+            neighbors_[fill[b]++] = a;
         }
     }
-    for (auto& [v, nbrs] : neighbors_) {
-        std::sort(nbrs.begin(), nbrs.end());
-        nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+
+    // A complex holds each edge once, so sorting makes every neighbor
+    // list a sorted set.
+    for (std::size_t v = 0; v + 1 < neighbor_offsets_.size(); ++v) {
+        std::sort(neighbors_.begin() + neighbor_offsets_[v],
+                  neighbors_.begin() + neighbor_offsets_[v + 1]);
     }
-}
-
-const std::vector<const Simplex*>& AdjacencyIndex::incident_simplices(
-    VertexId v) const {
-    static const std::vector<const Simplex*> kEmpty;
-    const auto it = incident_.find(v);
-    return it == incident_.end() ? kEmpty : it->second;
-}
-
-const std::vector<VertexId>& AdjacencyIndex::neighbors(VertexId v) const {
-    static const std::vector<VertexId> kEmpty;
-    const auto it = neighbors_.find(v);
-    return it == neighbors_.end() ? kEmpty : it->second;
 }
 
 }  // namespace gact::topo

@@ -7,18 +7,51 @@
 // the complex; this index builds them once per solve.
 #pragma once
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "topology/simplicial_complex.h"
 
 namespace gact::topo {
 
+/// A read-only view of one vertex's slice of a flat index array. Compares
+/// equal to a std::vector holding the same elements in the same order.
+template <typename T>
+class IndexSlice {
+public:
+    using value_type = T;
+    using iterator = const T*;
+    using const_iterator = const T*;
+
+    IndexSlice() = default;
+    IndexSlice(const T* first, const T* last) : first_(first), last_(last) {}
+
+    const T* begin() const noexcept { return first_; }
+    const T* end() const noexcept { return last_; }
+    std::size_t size() const noexcept {
+        return static_cast<std::size_t>(last_ - first_);
+    }
+    bool empty() const noexcept { return first_ == last_; }
+    const T& operator[](std::size_t i) const noexcept { return first_[i]; }
+
+    friend bool operator==(const IndexSlice& a, const std::vector<T>& b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+private:
+    const T* first_ = nullptr;
+    const T* last_ = nullptr;
+};
+
 /// Immutable incidence index over one complex. The complex must outlive
 /// nothing: every indexed simplex is stored (once) by value, so the
 /// index stays valid if the complex is later mutated (but then no longer
-/// reflects it). Per-vertex incidence lists hold pointers into that
-/// shared storage to avoid duplicating each k-simplex k+1 times.
+/// reflects it). Both per-vertex tables are flat (CSR): one offset array
+/// indexed by vertex id plus one array of entries, so a lookup is two
+/// loads and building the index allocates a fixed handful of arrays. The
+/// incidence entries point into the shared simplex storage to avoid
+/// duplicating each k-simplex k+1 times.
 class AdjacencyIndex {
 public:
     AdjacencyIndex() = default;
@@ -30,16 +63,18 @@ public:
     explicit AdjacencyIndex(const SimplicialComplex& complex,
                             bool index_simplices = true);
 
-    // Non-copyable/movable-by-default would dangle incident_ pointers
-    // into simplices_; the solver only ever passes the index by
-    // reference, so forbid copies and moves outright.
+    // Copies and moves would dangle the incidence pointers into
+    // simplices_; the solver only ever passes the index by reference, so
+    // forbid copies and moves outright.
     AdjacencyIndex(const AdjacencyIndex&) = delete;
     AdjacencyIndex& operator=(const AdjacencyIndex&) = delete;
 
-    /// Simplices of dimension >= 1 containing `v` (unordered). Empty for
-    /// unknown or isolated vertices. The pointed-to simplices live as
-    /// long as the index.
-    const std::vector<const Simplex*>& incident_simplices(VertexId v) const;
+    /// Simplices of dimension >= 1 containing `v`, in the complex's
+    /// iteration order. Empty for unknown or isolated vertices. The
+    /// pointed-to simplices live as long as the index.
+    IndexSlice<const Simplex*> incident_simplices(VertexId v) const {
+        return slice(incident_offsets_, incident_, v);
+    }
 
     /// Number of indexed simplices (dimension >= 1); the dense id space
     /// of `id_of`. 0 when built with `index_simplices` false.
@@ -57,15 +92,28 @@ public:
     }
 
     /// Sorted distinct vertices sharing a 1-simplex with `v`.
-    const std::vector<VertexId>& neighbors(VertexId v) const;
+    IndexSlice<VertexId> neighbors(VertexId v) const {
+        return slice(neighbor_offsets_, neighbors_, v);
+    }
 
     /// Number of 1-skeleton neighbors of `v`.
     std::size_t degree(VertexId v) const { return neighbors(v).size(); }
 
 private:
+    template <typename T>
+    static IndexSlice<T> slice(const std::vector<std::uint32_t>& offsets,
+                               const std::vector<T>& entries, VertexId v) {
+        if (static_cast<std::size_t>(v) + 1 >= offsets.size()) return {};
+        return {entries.data() + offsets[v], entries.data() + offsets[v + 1]};
+    }
+
     std::vector<Simplex> simplices_;  // one copy per indexed simplex
-    std::unordered_map<VertexId, std::vector<const Simplex*>> incident_;
-    std::unordered_map<VertexId, std::vector<VertexId>> neighbors_;
+    // Vertex v's entries are [offsets[v], offsets[v + 1]); the offset
+    // arrays span 0..max vertex id + 1 (empty for an edgeless complex).
+    std::vector<std::uint32_t> incident_offsets_;
+    std::vector<const Simplex*> incident_;
+    std::vector<std::uint32_t> neighbor_offsets_;
+    std::vector<VertexId> neighbors_;
 };
 
 }  // namespace gact::topo

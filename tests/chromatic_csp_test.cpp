@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "topology/carrier_map.h"
 #include "topology/subdivision.h"
 
@@ -108,8 +111,9 @@ TEST(ChromaticCsp, CandidateOrderIsRespected) {
     problem.domain = &domain;
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
-    problem.candidate_order = [](topo::VertexId) {
-        return std::vector<topo::VertexId>{20, 10};
+    problem.order_candidates = [](topo::VertexId,
+                                  std::vector<topo::VertexId>& candidates) {
+        std::sort(candidates.rbegin(), candidates.rend());  // 20 before 10
     };
     const auto result = solve_chromatic_map(problem, SolverConfig::naive());
     ASSERT_TRUE(result.map.has_value());
@@ -253,8 +257,9 @@ TEST_F(SolverEquivalence, CandidateOrderProblem) {
     problem.domain = &domain;
     problem.codomain = &codomain;
     problem.allowed = allow_all(codomain);
-    problem.candidate_order = [](topo::VertexId) {
-        return std::vector<topo::VertexId>{20, 10};
+    problem.order_candidates = [](topo::VertexId,
+                                  std::vector<topo::VertexId>& candidates) {
+        std::sort(candidates.rbegin(), candidates.rend());  // 20 before 10
     };
     expect_equivalent(problem);
     // The first candidate must win in both engines.
@@ -283,34 +288,53 @@ TEST(ChromaticCspConfig, FastEngineFoldsSquareOntoPath) {
     EXPECT_EQ(check_chromatic_map(problem, *result.map), "");
 }
 
-TEST(ChromaticCspConfig, StrayCandidatesRejectedByBothEngines) {
-    // A candidate_order naming a vertex that is not in the codomain must
-    // make the problem unsatisfiable in every engine — the FC engine has
-    // no 0-dimensional constraints, so this is pre-filtered in the
-    // domains (regression: it used to trip the internal solver-bug
-    // check instead of reporting unsat).
-    SimplicialComplex pt = SimplicialComplex::from_facets({Simplex{0}});
-    ChromaticComplex domain(pt, {{0, 0}});
-    SimplicialComplex target = SimplicialComplex::from_facets({Simplex{10}});
-    ChromaticComplex codomain(target, {{10, 0}});
-    // An "allowed" complex wider than the codomain, so the stray vertex
-    // sneaks past the per-vertex constraint filter.
-    SimplicialComplex wide =
-        SimplicialComplex::from_facets({Simplex{10}, Simplex{99}});
+TEST(ChromaticCspConfig, RankingSeesOnlyAllowedColorMatchingCodomainVertices) {
+    // order_candidates only ever ranks codomain vertices of v's color
+    // that v's own constraint complex allows: a stray vertex in a wide
+    // "allowed" complex, a vertex of another color and a vertex the
+    // constraint excludes never reach it, in either engine. Path 0-1-2
+    // colored 0,1,0 into a codomain with color-0 vertices 10, 12, 14 and
+    // color-1 vertices 11, 13; the constraint of vertex 2 excludes 14.
+    SimplicialComplex path =
+        SimplicialComplex::from_facets({Simplex{0, 1}, Simplex{1, 2}});
+    ChromaticComplex domain(path, {{0, 0}, {1, 1}, {2, 0}});
+    SimplicialComplex target = SimplicialComplex::from_facets(
+        {Simplex{10, 11}, Simplex{11, 12}, Simplex{12, 13}, Simplex{13, 14}});
+    ChromaticComplex codomain(
+        target, {{10, 0}, {11, 1}, {12, 0}, {13, 1}, {14, 0}});
+    // Wider than the codomain: 99 is not a codomain vertex.
+    SimplicialComplex wide = target;
+    wide.add_simplex(Simplex{99});
+    SimplicialComplex narrow = SimplicialComplex::from_facets(
+        {Simplex{10, 11}, Simplex{11, 12}, Simplex{12, 13}});
     ChromaticMapProblem problem;
     problem.domain = &domain;
     problem.codomain = &codomain;
-    problem.allowed = [&wide](const Simplex&) -> const SimplicialComplex& {
-        return wide;
+    problem.allowed = [&](const Simplex& sigma) -> const SimplicialComplex& {
+        return sigma.contains(2) ? narrow : wide;
     };
-    problem.candidate_order = [](topo::VertexId) {
-        return std::vector<topo::VertexId>{99};  // not a codomain vertex
+    std::map<topo::VertexId, std::vector<topo::VertexId>> seen;
+    problem.order_candidates = [&seen](topo::VertexId v,
+                                       std::vector<topo::VertexId>& cands) {
+        seen[v] = cands;
+        std::sort(cands.rbegin(), cands.rend());
     };
     for (const SolverConfig& config :
          {SolverConfig::naive(), SolverConfig::fast()}) {
+        seen.clear();
         const auto result = solve_chromatic_map(problem, config);
-        EXPECT_FALSE(result.map.has_value());
-        EXPECT_TRUE(result.exhausted);
+        ASSERT_TRUE(result.map.has_value());
+        EXPECT_EQ(check_chromatic_map(problem, *result.map), "");
+        // Every free vertex has at least two candidates (nothing is
+        // fixed), so each is ranked, and each list arrives by id.
+        EXPECT_EQ(seen[0], (std::vector<topo::VertexId>{10, 12, 14}));
+        EXPECT_EQ(seen[1], (std::vector<topo::VertexId>{11, 13}));
+        EXPECT_EQ(seen[2], (std::vector<topo::VertexId>{10, 12}));
+        // The ranking is followed: highest id first, so 0 -> 14, whose
+        // only neighbor 13 forces 1 -> 13 and then 2 -> 12.
+        EXPECT_EQ(result.map->apply(topo::VertexId{0}), 14u);
+        EXPECT_EQ(result.map->apply(topo::VertexId{1}), 13u);
+        EXPECT_EQ(result.map->apply(topo::VertexId{2}), 12u);
     }
 }
 

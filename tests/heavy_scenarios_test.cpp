@@ -58,9 +58,13 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
     ASSERT_EQ(report.warnings.size(), 1u);
     EXPECT_NE(report.warnings[0].find("radial"), std::string::npos);
 
-    // The subdivision's shape, not only its wall time: a representation
-    // change that alters any complex shows up in these counts.
+    // The search's effort and the subdivision's shape, not only the wall
+    // time: a change to the CSP set-up that alters any domain or order,
+    // or a representation change that alters any complex, shows up in
+    // these counts.
     EXPECT_EQ(report.total_backtracks, 26u);
+    EXPECT_EQ(report.counters.nogoods_recorded, 26u);
+    EXPECT_EQ(report.counters.nogood_prunings, 3u);
     ASSERT_NE(report.tsub, nullptr);
     const core::TerminatingSubdivision& tsub = *report.tsub;
     ASSERT_EQ(tsub.stages(), 5u);

@@ -225,7 +225,7 @@ TEST(RadialProjection, CandidateOrderFollowsTheOracle) {
     // The approximation problem builds its projection once and orders
     // each vertex's candidates by l1 distance to f(x), ties by id. With
     // identity fixing on or off the order must be exactly the one the
-    // oracle's f(x) gives.
+    // oracle's f(x) gives, for the full color list and for a subset.
     for (int t : {1, 2}) {
         const Construction& c = construction(t);
         const ChromaticComplex& outputs = c.task.task.outputs;
@@ -247,9 +247,24 @@ TEST(RadialProjection, CandidateOrderFollowsTheOracle) {
         for (bool fix_identity : {true, false}) {
             const ChromaticMapProblem problem = lt_approximation_problem(
                 c.task, c.tsub, fix_identity, LtGuidance::kRadial);
-            ASSERT_TRUE(problem.candidate_order);
+            ASSERT_TRUE(problem.order_candidates);
             for (const auto& [v, order] : want) {
-                EXPECT_EQ(problem.candidate_order(v), order)
+                // Handed the color's vertices by id, as the solver's
+                // initial domains list them.
+                std::vector<VertexId> ranked = order;
+                std::sort(ranked.begin(), ranked.end());
+                problem.order_candidates(v, ranked);
+                EXPECT_EQ(ranked, order)
+                    << "t=" << t << " fix=" << fix_identity << " v=" << v;
+                // A subset ranks to its subsequence of the full order.
+                std::vector<VertexId> odd_want;
+                for (VertexId w : order) {
+                    if (w % 2 == 1) odd_want.push_back(w);
+                }
+                std::vector<VertexId> odd = odd_want;
+                std::sort(odd.begin(), odd.end());
+                problem.order_candidates(v, odd);
+                EXPECT_EQ(odd, odd_want)
                     << "t=" << t << " fix=" << fix_identity << " v=" << v;
             }
         }

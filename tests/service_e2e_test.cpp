@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -517,6 +518,29 @@ TEST(ServiceE2E, ExpiredQueueWaitDeadlineIsATimeoutReply) {
               "budget-exhausted");
     EXPECT_EQ(field(*timed_out, "id")->as_int(), 2);
 
+    server.stop();
+}
+
+TEST(ServiceE2E, LargestTimeoutSolvesInsteadOfExpiringAtOnce) {
+    // now + INT64_MAX ms does not fit the steady clock's nanosecond
+    // count; the deadline saturates instead of wrapping into the past.
+    // The same saturation guards the engine time budget the server
+    // derives from it.
+    SolveServer server(ServiceConfig{});
+    ASSERT_EQ(server.start(), "");
+    ServiceClient client;
+    ASSERT_EQ(client.connect("127.0.0.1", server.port()), "");
+    util::Json req = solve_request("ksa-2p-k2-wf", 7);
+    req.set("timeout_ms", std::numeric_limits<std::int64_t>::max());
+    ASSERT_EQ(client.send(req), "");
+    const auto reply = client.receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply_ok(*reply)) << reply->dump();
+    EXPECT_EQ(field(*reply, "id")->as_int(), 7);
+    const util::Json* report = field(*reply, "report");
+    ASSERT_NE(report, nullptr);
+    EXPECT_EQ(field(*report, "verdict")->as_string(),
+              engine::to_string(engine::Verdict::kSolvable));
     server.stop();
 }
 
