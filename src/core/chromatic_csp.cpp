@@ -749,6 +749,7 @@ ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
                                     const topo::AdjacencyIndex& index,
                                     const Decomposition& dec,
                                     const DomainTable& domains,
+                                    ConstraintTable& constraints,
                                     const SolverConfig& config) {
     ChromaticMapResult result;
     result.exhausted = true;
@@ -762,7 +763,7 @@ ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
     // is sound.
     std::optional<EvalCache> cache;
     if (!naive_engine) {
-        cache.emplace(index.indexed_simplex_count(), kEvalCacheCapacity);
+        cache.emplace(constraints, kEvalCacheCapacity);
     }
     // Cross-solve reuse: when the problem builder wired a SharedNogoodPool,
     // import every pool nogood whose variables all translate into the
@@ -911,13 +912,16 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
                                      !naive_engine);
     const Decomposition dec = csp_setup::decompose(problem, index);
     DomainTable domains = csp_setup::initial_domains(problem);
+    // Each constraint complex is resolved once per solve, by the root
+    // propagation or the search, whichever asks first.
+    ConstraintTable constraints(problem, index.id_bound());
     // Fixed-vertex root propagation, once per solve (fast engine only;
     // the naive reference keeps the full domains). A conflict among the
     // fixed assignments alone proves unsatisfiability outright (they are
     // not search decisions).
-    if (!naive_engine && !csp_setup::propagate_fixed(problem, index,
-                                                     dec.fixed_order,
-                                                     domains)) {
+    if (!naive_engine &&
+        !csp_setup::propagate_fixed(problem, index, constraints,
+                                    dec.fixed_order, domains)) {
         ChromaticMapResult result;
         result.exhausted = true;
         return result;
@@ -927,7 +931,7 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     csp_setup::rank_domains(problem, domains);
 
     ChromaticMapResult result =
-        solve_components(problem, index, dec, domains, config);
+        solve_components(problem, index, dec, domains, constraints, config);
     if (result.map.has_value()) {
         const std::string err = check_chromatic_map(problem, *result.map);
         ensure(err.empty(), "solve_chromatic_map: solver bug: " + err);

@@ -34,8 +34,8 @@
 // The fast engine's per-node work is flattened by three incremental
 // layers, all provably verdict/witness-preserving:
 //  * an evaluation cache (core/eval_cache.h) memoizing allowed()
-//    complexes and full image evaluations, keyed by dense constraint ids
-//    from the adjacency index;
+//    complexes, through the constraint table the set-up shares, and full
+//    image evaluations, keyed by constraint ids from the adjacency index;
 //  * nogood learning (core/nogood_store.h) recording each proven
 //    conflict's minimal assignment set and pruning branches that would
 //    recreate it;
@@ -152,10 +152,11 @@ struct SolverConfig {
     /// @note Eviction only forgets pruning shortcuts; verdicts and
     /// witnesses do not depend on the capacity.
     std::size_t nogood_capacity = 4096;
-    /// @brief Capacity of the carrier -> constraint-complex LRU used by
-    /// the *problem builders* (act_problem / lt_approximation_problem),
-    /// not by the CSP core itself: it persists across subdivision depths
-    /// where per-depth vertex ids do not. 0 disables it.
+    /// @brief Capacity of the carrier -> constraint-complex LRU that
+    /// run_act_search hands act_problem, not used by the CSP core
+    /// itself: it persists across subdivision depths where per-depth
+    /// vertex ids do not. 0 disables it. (The general route's one solve
+    /// needs none: the solver resolves each constraint once per solve.)
     std::size_t allowed_lru_capacity = 256;
     /// @brief External cancellation (exec/cancel.h): when set, the
     /// search aborts at its backtrack checkpoints once the token is

@@ -153,6 +153,7 @@ DomainTable initial_domains(const ChromaticMapProblem& problem) {
 
 bool propagate_fixed(const ChromaticMapProblem& problem,
                      const topo::AdjacencyIndex& index,
+                     ConstraintTable& constraints,
                      const std::vector<VertexId>& fixed_order,
                      DomainTable& domains) {
     if (fixed_order.empty()) return true;
@@ -166,7 +167,7 @@ bool propagate_fixed(const ChromaticMapProblem& problem,
     const topo::AdjacencyIndex cofaces(codomain.complex());
     std::vector<char> hit(id_slots(codomain.vertex_ids()), 0);
     std::vector<VertexId> hits;
-    std::vector<char> seen(index.indexed_simplex_count(), 0);
+    std::vector<char> seen(index.id_bound(), 0);
     std::vector<VertexId> images;
     const auto mark = [&](VertexId w) {
         if (hit[w] == 0) {
@@ -194,7 +195,7 @@ bool propagate_fixed(const ChromaticMapProblem& problem,
             }
             if (num_free > 1) continue;
             const Simplex tau{std::span<const VertexId>(images)};
-            const SimplicialComplex& allowed = problem.allowed(sigma);
+            const SimplicialComplex& allowed = constraints.at(id, sigma);
             const bool tau_ok =
                 codomain.contains(tau) && allowed.contains(tau);
             if (num_free == 0) {

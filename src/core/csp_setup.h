@@ -12,7 +12,8 @@
 //    complex;
 //  * propagate_fixed: each simplex incident to a fixed vertex once, its
 //    one free vertex (if any) filtered through the codomain cofaces of
-//    the fixed images;
+//    the fixed images, its constraint complex resolved through the
+//    solve's ConstraintTable (which the search then reads);
 //  * rank_domains: the caller's order applied to the surviving
 //    candidates only.
 #pragma once
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/chromatic_csp.h"
+#include "core/eval_cache.h"
 #include "topology/adjacency_index.h"
 
 namespace gact::core::csp_setup {
@@ -64,8 +66,10 @@ DomainTable initial_domains(const ChromaticMapProblem& problem);
 /// visiting order. Returns false on a root conflict: an empty fixed
 /// domain, a violated all-fixed simplex, or a free domain a filter left
 /// empty. Filters keep the surviving candidates in their order.
+/// `constraints` resolves allowed(sigma) by `index`'s constraint ids.
 bool propagate_fixed(const ChromaticMapProblem& problem,
                      const topo::AdjacencyIndex& index,
+                     ConstraintTable& constraints,
                      const std::vector<VertexId>& fixed_order,
                      DomainTable& domains);
 

@@ -5,9 +5,20 @@
 
 namespace gact::core {
 
-EvalCache::EvalCache(std::size_t num_constraints, std::size_t image_capacity)
-    : allowed_by_id_(num_constraints, nullptr),
-      image_capacity_(image_capacity) {
+ConstraintTable::ConstraintTable(const ChromaticMapProblem& problem,
+                                 std::size_t id_bound)
+    : problem_(problem), by_id_(id_bound, nullptr) {}
+
+const topo::SimplicialComplex& ConstraintTable::at(
+    std::size_t cid, const topo::Simplex& sigma) {
+    require(cid < by_id_.size(), "ConstraintTable: constraint id out of range");
+    const topo::SimplicialComplex*& slot = by_id_[cid];
+    if (slot == nullptr) slot = &problem_.allowed(sigma);
+    return *slot;
+}
+
+EvalCache::EvalCache(ConstraintTable& constraints, std::size_t image_capacity)
+    : constraints_(constraints), image_capacity_(image_capacity) {
     // Sized generously up front: the image memo is the hot map and
     // rehashing mid-search would show up in the profiles this cache
     // exists to flatten.
@@ -15,17 +26,13 @@ EvalCache::EvalCache(std::size_t num_constraints, std::size_t image_capacity)
 }
 
 const topo::SimplicialComplex& EvalCache::allowed(
-    const ChromaticMapProblem& problem, std::size_t cid,
-    const topo::Simplex& sigma) {
-    require(cid < allowed_by_id_.size(), "EvalCache: constraint id out of range");
-    const topo::SimplicialComplex*& slot = allowed_by_id_[cid];
-    if (slot != nullptr) {
+    std::size_t cid, const topo::Simplex& sigma) {
+    if (constraints_.resolved(cid)) {
         ++stats_.allowed_hits;
-        return *slot;
+    } else {
+        ++stats_.allowed_misses;
     }
-    ++stats_.allowed_misses;
-    slot = &problem.allowed(sigma);
-    return *slot;
+    return constraints_.at(cid, sigma);
 }
 
 bool EvalCache::image_allowed(const ChromaticMapProblem& problem,
@@ -39,7 +46,7 @@ bool EvalCache::image_allowed(const ChromaticMapProblem& problem,
     }
     const topo::Simplex img{std::vector<topo::VertexId>(image)};
     const bool ok = problem.codomain->contains(img) &&
-                    allowed(problem, cid, sigma).contains(img);
+                    allowed(cid, sigma).contains(img);
     if (admit_one()) {
         ++stats_.image_misses;
         image_memo_.emplace(
@@ -80,7 +87,7 @@ const std::vector<std::uint64_t>& EvalCache::allowed_mask(
         ++stats_.image_hits;
         return it->second;
     }
-    const topo::SimplicialComplex& constraint = allowed(problem, cid, sigma);
+    const topo::SimplicialComplex& constraint = allowed(cid, sigma);
     std::vector<std::uint64_t> mask((values.size() + 63) / 64, 0);
     for (std::size_t i = 0; i < values.size(); ++i) {
         image[hole_slot] = values[i];

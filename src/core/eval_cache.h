@@ -10,11 +10,15 @@
 //  * the leaf/filter constraint checks re-build and re-hash the same
 //    image simplices along every branch of the tree that reproduces the
 //    same partial assignment.
-// Two caches remove that rework:
-//  * EvalCache — a per-search (single-threaded) memo pairing a dense
-//    constraint-indexed table of `allowed()` results with a capped hash
-//    map of full image evaluations keyed by (constraint id, image
-//    fingerprint). Owned by one solve; never shared.
+// Three caches remove that rework:
+//  * ConstraintTable — the `allowed()` result of every domain simplex by
+//    constraint id, resolved the first time the set-up's root
+//    propagation or the search asks for it, so each constraint complex
+//    is resolved at most once per solve. Owned by one solve.
+//  * EvalCache — a per-search (single-threaded) memo pairing the
+//    solve's ConstraintTable with a capped hash map of full image
+//    evaluations keyed by (constraint id, image fingerprint). Owned by
+//    one solve; never shared.
 //  * AllowedComplexLru — a small thread-safe LRU keyed by *carrier*
 //    simplex, shared by the problem builders (core/act_solver.h,
 //    core/lt_pipeline.h) across subdivision depths: vertex ids change
@@ -65,8 +69,34 @@ struct EvalCacheStats {
     }
 };
 
+/// The constraint complex `problem.allowed(sigma)` of each domain
+/// simplex, by constraint id (topo::AdjacencyIndex::id_of): resolved on
+/// first use and read from the table after that. One per solve, shared
+/// by the set-up (csp_setup::propagate_fixed) and the search's
+/// EvalCache; single-threaded.
+class ConstraintTable {
+public:
+    /// Constraint ids lie in [0, `id_bound`).
+    ConstraintTable(const ChromaticMapProblem& problem, std::size_t id_bound);
+
+    /// `problem.allowed(sigma)` for the simplex `sigma` with constraint
+    /// id `cid`. The reference is stable for the lifetime of the problem
+    /// (it points into the caller's carrier-map storage).
+    const topo::SimplicialComplex& at(std::size_t cid,
+                                      const topo::Simplex& sigma);
+
+    /// Has at(cid, ...) been called yet?
+    bool resolved(std::size_t cid) const {
+        return cid < by_id_.size() && by_id_[cid] != nullptr;
+    }
+
+private:
+    const ChromaticMapProblem& problem_;
+    std::vector<const topo::SimplicialComplex*> by_id_;
+};
+
 /// Per-search memoization of constraint evaluations. One instance per
-/// search (no locking); constraint ids are the dense ids handed out by
+/// search (no locking); constraint ids are the ids handed out by
 /// topo::AdjacencyIndex for the problem's domain complex.
 ///
 /// @note The cache is only sound within one (problem, fixed-assignment)
@@ -75,16 +105,15 @@ struct EvalCacheStats {
 /// assume each vertex's candidate list is the same on every call.
 class EvalCache {
 public:
-    /// `num_constraints` sizes the dense allowed() table;
-    /// `image_capacity` caps the image-evaluation memo (0 disables just
-    /// that memo — allowed() results are always memoized).
-    EvalCache(std::size_t num_constraints, std::size_t image_capacity);
+    /// `constraints` is the solve's constraint table, which must outlive
+    /// the cache; `image_capacity` caps the image-evaluation memo (0
+    /// disables just that memo — allowed() results are always memoized).
+    EvalCache(ConstraintTable& constraints, std::size_t image_capacity);
 
-    /// Memoized `problem.allowed(sigma)` for the constraint with dense
-    /// id `cid`. The returned reference is stable for the lifetime of
-    /// the problem (it points into the caller's carrier-map storage).
-    const topo::SimplicialComplex& allowed(const ChromaticMapProblem& problem,
-                                           std::size_t cid,
+    /// `problem.allowed(sigma)` for the constraint with id `cid`, through
+    /// the constraint table: a hit when the table already held it (the
+    /// set-up or an earlier search step resolved it), else a miss.
+    const topo::SimplicialComplex& allowed(std::size_t cid,
                                            const topo::Simplex& sigma);
 
     /// Memoized full constraint evaluation: does the image simplex
@@ -170,7 +199,7 @@ private:
     /// allowed_mask contract), so the reset invalidates nothing live.
     bool admit_one();
 
-    std::vector<const topo::SimplicialComplex*> allowed_by_id_;
+    ConstraintTable& constraints_;
     std::unordered_map<ImageKey, bool, ImageKeyHash, ImageKeyEq> image_memo_;
     std::unordered_map<ImageKey, std::vector<std::uint64_t>, ImageKeyHash,
                        ImageKeyEq>

@@ -294,9 +294,21 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
         };
     }
     const tasks::Task& inner = task.task;
-    problem.allowed = [&inner, &tsub, lru](const Simplex& sigma)
+    // A K(T) simplex's carrier (tsub.stable_carrier) is the union of its
+    // vertices' carriers: each vertex's is computed once, here, in a
+    // table by vertex id. The solver resolves each constraint once per
+    // solve (core::ConstraintTable).
+    auto vertex_carrier = std::make_shared<std::vector<Simplex>>();
+    for (VertexId v : k_complex.vertex_ids()) {
+        if (v >= vertex_carrier->size()) vertex_carrier->resize(v + 1);
+        (*vertex_carrier)[v] = tsub.stable_position(v).support();
+    }
+    problem.allowed = [&inner, vertex_carrier, lru](const Simplex& sigma)
         -> const SimplicialComplex& {
-        const Simplex carrier = tsub.stable_carrier(sigma);
+        Simplex carrier;
+        for (VertexId v : sigma.vertices()) {
+            carrier = carrier.union_with((*vertex_carrier)[v]);
+        }
         if (lru == nullptr) return inner.delta.at(carrier);
         return lru->get(carrier,
                         [&]() { return &inner.delta.at(carrier); });

@@ -69,9 +69,10 @@ enum class LtGuidance {
 /// constraints from Delta, optional identity fixing on the stable
 /// vertices lying in L, and optional geometric candidate guidance. The
 /// returned problem's closures reference `task` and `tsub`, which must
-/// outlive it — and `lru`, when non-null: carrier lookups
-/// (tsub.stable_carrier + the Delta walk) are then memoized through it
-/// (core/eval_cache.h).
+/// outlive it — and `lru`, when non-null: the Delta lookups by carrier
+/// are then memoized through it (core/eval_cache.h). Every K(T) vertex's
+/// carrier is computed once, here; allowed(sigma) unions those of
+/// sigma's vertices.
 ///
 /// Everything candidate guidance needs is built here, once per problem:
 /// every output vertex's position by id, the positions' shared integer

@@ -1,7 +1,5 @@
 #include "core/terminating_subdivision.h"
 
-#include <unordered_map>
-
 #include "exec/for_index.h"
 #include "util/require.h"
 
@@ -65,35 +63,36 @@ void TerminatingSubdivision::advance(
         }
     }
 
-    // Record the newly stable simplices into the global complex, stamping
-    // first-stabilization stages (faces stabilize with their cofaces).
-    // Only the simplices selected THIS stage need recording: everything
-    // else in current.stable is either a face of one of them (covered by
-    // the faces loop below) or the persisted image of a simplex that
-    // was recorded — under the same position/color global ids — at an
-    // earlier stage, where stable_since_ already holds its first
-    // stabilization stage (try_emplace keeps the first stamp).
-    const std::size_t stage = stages_.size() - 1;
+    // Record the newly stable simplices into K(T), stamping each global
+    // simplex once, when it is first inserted (faces stabilize with their
+    // cofaces). Only the simplices selected THIS stage need recording:
+    // everything else in current.stable is either a face of one of them
+    // or the persisted image of a simplex that was recorded, under the
+    // same position/color global ids, at an earlier stage with its
+    // first stabilization stage.
+    const auto stage = static_cast<std::uint32_t>(stages_.size() - 1);
     // global_id resolves through the exact-rational position index;
-    // memoize per stage so each stage vertex pays for one probe however
-    // many stable simplices share it.
-    std::unordered_map<VertexId, VertexId> global_of;
-    const auto global_id_memo = [&](VertexId v) {
-        const auto it = global_of.find(v);
-        if (it != global_of.end()) return it->second;
-        const VertexId id = global_id(cx, v);
-        global_of.emplace(v, id);
-        return id;
-    };
+    // memoize per stage vertex so each pays for one probe however many
+    // stable simplices share it.
+    constexpr VertexId kUnset = ~VertexId{0};
+    std::vector<VertexId> global_of(cx.vertex_id_bound(), kUnset);
     std::vector<VertexId> verts;
     for (const Simplex& s : newly_stable) {
         verts.clear();
-        for (VertexId v : s.vertices()) verts.push_back(global_id_memo(v));
-        const Simplex global(verts);
-        for (Simplex& face : global.faces()) {
-            stable_since_.try_emplace(std::move(face), stage);
+        for (VertexId v : s.vertices()) {
+            if (global_of[v] == kUnset) global_of[v] = global_id(cx, v);
+            verts.push_back(global_of[v]);
         }
-        stable_simplices_.add_simplex(global);
+        for (Simplex& face : Simplex(verts).faces()) {
+            const auto next = static_cast<VertexId>(stable_simplices_.size());
+            const VertexId id = stable_index_.find_or_insert(
+                std::hash<Simplex>{}(face), next,
+                [&](VertexId w) { return stable_simplices_[w] == face; });
+            if (id == next) {
+                stable_simplices_.push_back(std::move(face));
+                stable_since_.push_back(stage);
+            }
+        }
     }
     stable_stale_ = true;
 
@@ -109,23 +108,20 @@ void TerminatingSubdivision::advance(
     // goes through the exact-rational position index, so memoize it:
     // stable simplices share vertices heavily and hashing the exact
     // position is the expensive part of this check.
-    std::unordered_map<VertexId, VertexId> vertex_image;
+    std::vector<VertexId> vertex_image(cx.vertex_id_bound(), kUnset);
     std::vector<Simplex> images;
     images.reserve(sigma.simplices().size());
     for (const Simplex& s : sigma.simplices()) {
         verts.clear();
         for (VertexId v : s.vertices()) {
-            const auto memo = vertex_image.find(v);
-            if (memo != vertex_image.end()) {
-                verts.push_back(memo->second);
-                continue;
+            if (vertex_image[v] == kUnset) {
+                const auto nv = next.complex.find_vertex(
+                    cx.position(v), cx.complex().color(v));
+                ensure(nv.has_value(),
+                       "TerminatingSubdivision: stable vertex vanished");
+                vertex_image[v] = *nv;
             }
-            const auto nv = next.complex.find_vertex(
-                cx.position(v), cx.complex().color(v));
-            ensure(nv.has_value(),
-                   "TerminatingSubdivision: stable vertex vanished");
-            vertex_image.emplace(v, *nv);
-            verts.push_back(*nv);
+            verts.push_back(vertex_image[v]);
         }
         Simplex image(verts);
         ensure(next.complex.complex().contains(image),
@@ -142,7 +138,8 @@ const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
     if (stable_stale_) {
         // Trusted: global simplices are color-preserving images of
         // properly colored stage simplices, so the coloring stays proper.
-        stable_ = ChromaticComplex::trusted(stable_simplices_, global_color_);
+        stable_ = ChromaticComplex::trusted(
+            SimplicialComplex::from_closed(stable_simplices_), global_color_);
         stable_stale_ = false;
     }
     return stable_;
@@ -186,10 +183,12 @@ std::vector<BaryPoint> TerminatingSubdivision::stable_positions_of(
 
 std::size_t TerminatingSubdivision::stable_since(
     const Simplex& global_simplex) const {
-    const auto it = stable_since_.find(global_simplex);
-    require(it != stable_since_.end(),
-            "TerminatingSubdivision: simplex is not stable");
-    return it->second;
+    const std::optional<VertexId> id = stable_index_.find(
+        std::hash<Simplex>{}(global_simplex), [&](VertexId w) {
+            return stable_simplices_[w] == global_simplex;
+        });
+    require(id.has_value(), "TerminatingSubdivision: simplex is not stable");
+    return stable_since_[*id];
 }
 
 std::optional<VertexId> TerminatingSubdivision::find_stable_vertex(

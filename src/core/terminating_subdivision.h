@@ -13,8 +13,10 @@
 // the same K(T) vertex no matter at which stage it stabilized.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "topology/subdivision.h"
 #include "topology/vertex_table.h"
@@ -42,13 +44,16 @@ public:
     /// faces together with the already-stable simplices), then build the
     /// next complex by partial chromatic subdivision.
     ///
-    /// `num_threads > 1` shards the stage into per-facet work units on a
-    /// self-scheduling pool: the stabilization scan and the subdivision
-    /// build (see SubdividedComplex::chromatic_subdivision_with_termination)
-    /// run in parallel, with results merged in facet order — the stage
-    /// produced is bit-identical to the single-threaded one. `stabilize`
-    /// must then be a pure predicate safe for concurrent calls (every
-    /// StableRule is).
+    /// `num_threads > 1` shards the stage on the shared scheduler: the
+    /// stabilization scan and the subdivision build run as per-facet
+    /// work units merged in facet order, and the closure of the next
+    /// stage's facets as contiguous slot ranges of its table (see
+    /// SubdividedComplex::chromatic_subdivision_with_termination and
+    /// SimplicialComplex::from_facets). Every vertex id, facet, stable
+    /// set and stable_since stamp is identical to the single-threaded
+    /// stage's; only the slot order of the stage complex's table may
+    /// differ. `stabilize` must then be a pure predicate safe for
+    /// concurrent calls (every StableRule is).
     void advance(const std::function<bool(const SubdividedComplex&,
                                           const Simplex&)>& stabilize,
                  unsigned num_threads = 1);
@@ -124,8 +129,13 @@ private:
     topo::VertexTable global_index_;
     std::vector<BaryPoint> global_position_;
     std::unordered_map<VertexId, Color> global_color_;
-    SimplicialComplex stable_simplices_;
-    std::unordered_map<Simplex, std::size_t> stable_since_;
+    /// K(T)'s simplices in the order they were first stabilized, each
+    /// stamped once with its stage in stable_since_; stable_index_ finds
+    /// one by its std::hash (keys read from stable_simplices_), and
+    /// stable_complex() builds K(T) from the list.
+    std::vector<Simplex> stable_simplices_;
+    std::vector<std::uint32_t> stable_since_;
+    topo::VertexTable stable_index_;
 };
 
 }  // namespace gact::core

@@ -33,14 +33,12 @@ GeneralWitness build_general_witness(const tasks::AffineTask& task,
     if (out.tsub.stable_complex().is_empty()) return out;
 
     start = stage_clock_now();
-    // The carrier-keyed LRU memoizes the constraint complexes the
-    // approximation CSP asks for; it must outlive the solve below.
-    core::AllowedComplexLru lru(solver.allowed_lru_capacity);
+    // No carrier LRU: the solver resolves each constraint complex once
+    // per solve (core::ConstraintTable), and nothing outlives this one.
     const core::ChromaticMapProblem problem =
-        core::lt_approximation_problem(
-            task, out.tsub, fix_identity, guidance,
-            solver.allowed_lru_capacity > 0 ? &lru : nullptr, nogood_pool,
-            rule.name());
+        core::lt_approximation_problem(task, out.tsub, fix_identity,
+                                       guidance, nullptr, nogood_pool,
+                                       rule.name());
     const core::ChromaticMapResult result =
         core::solve_chromatic_map(problem, solver);
     out.approximation_millis = millis_since(start);

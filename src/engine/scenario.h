@@ -81,9 +81,11 @@ struct EngineOptions {
     std::string pool_file;
 
     /// @brief Intra-scenario sharding (general route): split each
-    /// terminating-subdivision stage into per-facet work units across
-    /// this many self-scheduling threads. Bit-identical to 1-thread
-    /// builds; wall clock only. (The approximation CSP itself is
+    /// terminating-subdivision stage into per-facet work units, and the
+    /// closure of each stage's facets into slot ranges, across at most
+    /// this many workers of the shared scheduler. Every complex, stable
+    /// set and verdict is identical to the 1-thread build's; wall clock
+    /// only. The wire accepts 1..1024. (The approximation CSP itself is
     /// single-threaded.)
     unsigned shard_threads = 1;
 

@@ -42,8 +42,8 @@ AdjacencyIndex::AdjacencyIndex(const SimplicialComplex& complex,
             "AdjacencyIndex: complex too large for 32-bit offsets");
     prefix_sum(neighbor_offsets_);
 
-    // Pass 2: fill, in the complex's iteration order. `simplices_` is
-    // sized exactly up front, so the pointers handed out stay stable.
+    // Pass 2: fill, in the complex's iteration order, with pointers into
+    // the complex's own table.
     std::vector<std::uint32_t> fill(neighbor_offsets_.begin(),
                                     neighbor_offsets_.end() - 1);
     neighbors_.resize(neighbor_offsets_.back());
@@ -53,14 +53,14 @@ AdjacencyIndex::AdjacencyIndex(const SimplicialComplex& complex,
         incident_fill.assign(incident_offsets_.begin(),
                              incident_offsets_.end() - 1);
         incident_.resize(incident_offsets_.back());
-        simplices_.reserve(count);
+        first_slot_ = &complex.simplices().slot(0);
+        id_bound_ = complex.simplices().slot_count();
     }
     for (const Simplex& sigma : complex.simplices()) {
         if (sigma.dimension() < 1) continue;
         if (index_simplices) {
-            simplices_.push_back(sigma);
             for (VertexId v : sigma.vertices()) {
-                incident_[incident_fill[v]++] = &simplices_.back();
+                incident_[incident_fill[v]++] = &sigma;
             }
         }
         if (sigma.dimension() == 1) {

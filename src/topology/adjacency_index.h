@@ -45,13 +45,11 @@ private:
 };
 
 /// Immutable incidence index over one complex. The complex must outlive
-/// nothing: every indexed simplex is stored (once) by value, so the
-/// index stays valid if the complex is later mutated (but then no longer
-/// reflects it). Both per-vertex tables are flat (CSR): one offset array
-/// indexed by vertex id plus one array of entries, so a lookup is two
-/// loads and building the index allocates a fixed handful of arrays. The
-/// incidence entries point into the shared simplex storage to avoid
-/// duplicating each k-simplex k+1 times.
+/// the index and must not change while the index is in use: the
+/// incidence entries point into the complex's own simplex table, so no
+/// simplex is copied. Both per-vertex tables are flat (CSR): one offset
+/// array indexed by vertex id plus one array of entries, so a lookup is
+/// two loads and building the index allocates a fixed handful of arrays.
 class AdjacencyIndex {
 public:
     AdjacencyIndex() = default;
@@ -62,33 +60,27 @@ public:
     /// decomposition and degree queries, not for forward checking.
     explicit AdjacencyIndex(const SimplicialComplex& complex,
                             bool index_simplices = true);
-
-    // Copies and moves would dangle the incidence pointers into
-    // simplices_; the solver only ever passes the index by reference, so
-    // forbid copies and moves outright.
-    AdjacencyIndex(const AdjacencyIndex&) = delete;
-    AdjacencyIndex& operator=(const AdjacencyIndex&) = delete;
+    /// A temporary complex would die before the index.
+    explicit AdjacencyIndex(SimplicialComplex&& complex,
+                            bool index_simplices = true) = delete;
 
     /// Simplices of dimension >= 1 containing `v`, in the complex's
     /// iteration order. Empty for unknown or isolated vertices. The
-    /// pointed-to simplices live as long as the index.
+    /// pointed-to simplices are the complex's own.
     IndexSlice<const Simplex*> incident_simplices(VertexId v) const {
         return slice(incident_offsets_, incident_, v);
     }
 
-    /// Number of indexed simplices (dimension >= 1); the dense id space
-    /// of `id_of`. 0 when built with `index_simplices` false.
-    std::size_t indexed_simplex_count() const noexcept {
-        return simplices_.size();
-    }
+    /// One past the largest constraint id: the slot count of the
+    /// complex's table, or 0 when built with `index_simplices` false.
+    std::size_t id_bound() const noexcept { return id_bound_; }
 
-    /// Dense id in [0, indexed_simplex_count()) of a pointer obtained
-    /// from incident_simplices(). Constraint caches (core/eval_cache.h)
-    /// key their per-constraint tables on it, turning simplex hashing
-    /// into an array index. Valid only for pointers handed out by this
-    /// index (they point into one contiguous array).
+    /// The constraint id of a pointer obtained from incident_simplices():
+    /// the simplex's slot in the complex's table, in [0, id_bound()).
+    /// Per-constraint tables (core/eval_cache.h) index by it, turning
+    /// simplex hashing into an array index.
     std::size_t id_of(const Simplex* s) const noexcept {
-        return static_cast<std::size_t>(s - simplices_.data());
+        return static_cast<std::size_t>(s - first_slot_);
     }
 
     /// Sorted distinct vertices sharing a 1-simplex with `v`.
@@ -107,7 +99,8 @@ private:
         return {entries.data() + offsets[v], entries.data() + offsets[v + 1]};
     }
 
-    std::vector<Simplex> simplices_;  // one copy per indexed simplex
+    const Simplex* first_slot_ = nullptr;  // slot 0 of the complex's table
+    std::size_t id_bound_ = 0;
     // Vertex v's entries are [offsets[v], offsets[v + 1]); the offset
     // arrays span 0..max vertex id + 1 (empty for an edgeless complex).
     std::vector<std::uint32_t> incident_offsets_;

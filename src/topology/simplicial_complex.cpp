@@ -1,33 +1,97 @@
 #include "topology/simplicial_complex.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <unordered_map>
+#include <utility>
+
+#include "exec/for_index.h"
 
 namespace gact::topo {
 
 namespace {
 
-// Fibonacci hashing: spreads std::hash<Simplex> over the top bits.
-std::size_t home_slot(const Simplex& s, std::size_t slot_count) noexcept {
+// Fibonacci hashing: spreads a std::hash<Simplex> value over the top bits.
+std::size_t home_slot(std::size_t hash, std::size_t slot_count) noexcept {
     const std::uint64_t h =
-        static_cast<std::uint64_t>(std::hash<Simplex>{}(s)) *
-        0x9e3779b97f4a7c15ULL;
+        static_cast<std::uint64_t>(hash) * 0x9e3779b97f4a7c15ULL;
     return static_cast<std::size_t>(h >> (64 - std::countr_zero(slot_count)));
 }
 
+// The power-of-two slot count that holds n elements at load <= 3/4;
+// linear probing degrades past it.
+std::size_t slots_for(std::size_t n) noexcept {
+    std::size_t count = 8;
+    while (4 * n > 3 * count) count *= 2;
+    return count;
+}
+
+// The smallest slot range a sharded closure build hands one worker: below
+// it the fork/join costs more than the range's share of the build.
+constexpr std::size_t kMinRangeSlots = 4096;
+
+// Simplex::faces enumerates at most this many vertices.
+constexpr std::size_t kMaxFacetVertices = 24;
+
 }  // namespace
 
+SimplexSet::SimplexSet(const SimplexSet& other) {
+    if (other.slot_count_ == 0) return;
+    std::allocator<Simplex> alloc;
+    Simplex* slots = alloc.allocate(other.slot_count_);
+    try {
+        std::uninitialized_copy_n(other.slots_, other.slot_count_, slots);
+    } catch (...) {
+        alloc.deallocate(slots, other.slot_count_);
+        throw;
+    }
+    slots_ = slots;
+    slot_count_ = other.slot_count_;
+    size_ = other.size_;
+}
+
+SimplexSet::SimplexSet(SimplexSet&& other) noexcept
+    : slots_(std::exchange(other.slots_, nullptr)),
+      slot_count_(std::exchange(other.slot_count_, 0)),
+      size_(std::exchange(other.size_, 0)) {}
+
+SimplexSet& SimplexSet::operator=(const SimplexSet& other) {
+    if (this != &other) *this = SimplexSet(other);
+    return *this;
+}
+
+SimplexSet& SimplexSet::operator=(SimplexSet&& other) noexcept {
+    if (this != &other) {
+        release();
+        slots_ = std::exchange(other.slots_, nullptr);
+        slot_count_ = std::exchange(other.slot_count_, 0);
+        size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+}
+
+void SimplexSet::release() noexcept {
+    if (slots_ == nullptr) return;
+    std::destroy_n(slots_, slot_count_);
+    std::allocator<Simplex>{}.deallocate(slots_, slot_count_);
+    slots_ = nullptr;
+    slot_count_ = 0;
+    size_ = 0;
+}
+
 std::size_t SimplexSet::probe(const Simplex& s) const noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = home_slot(s, slots_.size());
+    const std::size_t mask = slot_count_ - 1;
+    std::size_t i = home_slot(std::hash<Simplex>{}(s), slot_count_);
     while (!slots_[i].empty() && !(slots_[i] == s)) i = (i + 1) & mask;
     return i;
 }
 
 std::size_t SimplexSet::find(const Simplex& s) const noexcept {
-    if (slots_.empty() || s.empty()) return npos;
+    if (slot_count_ == 0 || s.empty()) return npos;
     const std::size_t i = probe(s);
     return slots_[i].empty() ? npos : i;
 }
@@ -35,7 +99,7 @@ std::size_t SimplexSet::find(const Simplex& s) const noexcept {
 bool SimplexSet::insert(Simplex&& s) {
     require(!s.empty(), "SimplexSet: cannot insert the empty simplex");
     // Grow at a load factor of 3/4; linear probing degrades past it.
-    if (4 * (size_ + 1) > 3 * slots_.size()) reserve(size_ + 1);
+    if (4 * (size_ + 1) > 3 * slot_count_) reserve(size_ + 1);
     Simplex& slot = slots_[probe(s)];
     if (!slot.empty()) return false;
     slot = std::move(s);
@@ -44,16 +108,166 @@ bool SimplexSet::insert(Simplex&& s) {
 }
 
 void SimplexSet::reserve(std::size_t n) {
-    std::size_t count = 8;
-    while (4 * n > 3 * count) count *= 2;
-    if (count > slots_.size()) rehash(count);
+    const std::size_t count = slots_for(n);
+    if (count > slot_count_) rehash(count);
 }
 
 void SimplexSet::rehash(std::size_t slot_count) {
-    std::vector<Simplex> old(slot_count);
-    old.swap(slots_);
-    for (Simplex& s : old) {
+    Simplex* const slots = std::allocator<Simplex>{}.allocate(slot_count);
+    std::uninitialized_default_construct_n(slots, slot_count);
+    SimplexSet old = std::move(*this);
+    slots_ = slots;
+    slot_count_ = slot_count;
+    size_ = old.size_;
+    for (std::size_t i = 0; i < old.slot_count_; ++i) {
+        Simplex& s = old.slots_[i];
         if (!s.empty()) slots_[probe(s)] = std::move(s);
+    }
+}
+
+void SimplexSet::build_closure(const std::vector<Simplex>& facets,
+                               unsigned num_threads, ClosureStats& stats) {
+    // Size the table once: about one element per facet vertex, plus an
+    // eighth. Neighbouring facets of a subdivision share most faces,
+    // which keeps the distinct simplices near that count (a
+    // 3-dimensional one has ~4.4 per facet, a 2-dimensional one ~3), and
+    // never above the number of faces listed.
+    std::size_t vertices = 0;
+    std::size_t listed = 0;
+    for (const Simplex& f : facets) {
+        require(!f.empty(),
+                "SimplicialComplex: cannot add the empty simplex");
+        require(f.size() <= kMaxFacetVertices,
+                "Simplex::faces: simplex too large to enumerate faces");
+        vertices += f.size();
+        listed += (std::size_t{1} << f.size()) - 1;
+    }
+    if (facets.empty()) return;
+    std::size_t slot_count =
+        slots_for(std::min(listed, vertices + vertices / 8));
+
+    struct Range {
+        std::size_t lo = 0;
+        std::size_t hi = 0;
+        std::size_t count = 0;  // faces inserted or deferred
+        std::vector<Simplex> deferred;
+        bool constructed = false;
+    };
+    std::allocator<Simplex> alloc;
+    for (;;) {
+        // A one-thread build starts no pool.
+        const std::size_t num_ranges =
+            num_threads <= 1
+                ? 1
+                : std::max<std::size_t>(
+                      1, std::min({std::size_t{num_threads},
+                                   std::size_t{exec::Scheduler::shared()
+                                                   .worker_count()},
+                                   slot_count / kMinRangeSlots}));
+        std::vector<Range> ranges(num_ranges);
+        for (std::size_t r = 0; r < num_ranges; ++r) {
+            ranges[r].lo = r * slot_count / num_ranges;
+            ranges[r].hi = (r + 1) * slot_count / num_ranges;
+        }
+        Simplex* const slots = alloc.allocate(slot_count);
+        std::atomic<bool> overflow{false};
+        const auto fill = [&](std::size_t r) {
+            Range& range = ranges[r];
+            std::uninitialized_default_construct(slots + range.lo,
+                                                 slots + range.hi);
+            range.constructed = true;
+            const std::size_t capacity = 3 * (range.hi - range.lo) / 4;
+            // The faces of a facet are hashed in batches, and the home
+            // slots in this range prefetched, before any is probed, so
+            // the probes' cache misses overlap.
+            constexpr std::size_t kBatch = 16;
+            std::size_t homes[kBatch];
+            VertexId face[kMaxFacetVertices];
+            const auto gather = [&face](std::span<const VertexId> v,
+                                        std::size_t mask) {
+                std::size_t k = 0;
+                for (std::size_t i = 0; i < v.size(); ++i) {
+                    if (mask & (std::size_t{1} << i)) face[k++] = v[i];
+                }
+                return std::span<const VertexId>(face, k);
+            };
+            const auto mine = [&range](std::size_t home) {
+                return home >= range.lo && home < range.hi;
+            };
+            for (const Simplex& f : facets) {
+                if (overflow.load(std::memory_order_relaxed)) return;
+                const std::span<const VertexId> v = f.vertices();
+                const std::size_t end = std::size_t{1} << v.size();
+                for (std::size_t first = 1; first < end; first += kBatch) {
+                    const std::size_t n = std::min(kBatch, end - first);
+                    for (std::size_t b = 0; b < n; ++b) {
+                        homes[b] = home_slot(hash_range(gather(v, first + b)),
+                                             slot_count);
+                        if (mine(homes[b])) __builtin_prefetch(slots + homes[b]);
+                    }
+                    for (std::size_t b = 0; b < n; ++b) {
+                        if (!mine(homes[b])) continue;
+                        const std::span<const VertexId> vs = gather(v, first + b);
+                        std::size_t i = homes[b];
+                        while (i < range.hi && !slots[i].empty() &&
+                               !std::ranges::equal(slots[i].vertices(), vs)) {
+                            ++i;
+                        }
+                        if (i < range.hi && !slots[i].empty()) continue;
+                        if (++range.count > capacity) {
+                            overflow.store(true, std::memory_order_relaxed);
+                            return;
+                        }
+                        if (i == range.hi) {
+                            range.deferred.emplace_back(vs);
+                        } else {
+                            slots[i] = Simplex(vs);
+                        }
+                    }
+                }
+            }
+        };
+        const auto free_slots = [&] {
+            std::destroy_n(slots, slot_count);
+            alloc.deallocate(slots, slot_count);
+        };
+        try {
+            if (num_ranges == 1) {
+                fill(0);
+            } else {
+                exec::for_index(exec::Scheduler::shared(), num_ranges,
+                                static_cast<unsigned>(num_ranges), fill);
+            }
+        } catch (...) {
+            // A worker that threw may have kept others from starting:
+            // construct their ranges so that every slot can be freed.
+            for (const Range& range : ranges) {
+                if (!range.constructed) {
+                    std::uninitialized_default_construct(slots + range.lo,
+                                                         slots + range.hi);
+                }
+            }
+            free_slots();
+            throw;
+        }
+        if (overflow.load(std::memory_order_relaxed)) {
+            free_slots();
+            slot_count *= 2;
+            ++stats.rebuilds;
+            continue;
+        }
+        slots_ = slots;
+        slot_count_ = slot_count;
+        size_ = 0;
+        for (const Range& range : ranges) {
+            size_ += range.count - range.deferred.size();
+        }
+        stats.ranges = num_ranges;
+        for (Range& range : ranges) {
+            stats.spills += range.deferred.size();
+            for (Simplex& s : range.deferred) insert(std::move(s));
+        }
+        return;
     }
 }
 
@@ -66,15 +280,12 @@ bool operator==(const SimplexSet& a, const SimplexSet& b) {
 }
 
 SimplicialComplex SimplicialComplex::from_facets(
-    const std::vector<Simplex>& facets) {
+    const std::vector<Simplex>& facets, unsigned num_threads,
+    ClosureStats* stats) {
     SimplicialComplex c;
-    // Reserve about one element per facet vertex: neighbouring facets of
-    // a subdivision share most faces, which keeps the distinct simplices
-    // near that count (a 3-dimensional one has ~4.4 per facet).
-    std::size_t estimate = 0;
-    for (const Simplex& f : facets) estimate += f.size();
-    c.simplices_.reserve(estimate);
-    for (const Simplex& f : facets) c.add_simplex(f);
+    ClosureStats done;
+    c.simplices_.build_closure(facets, num_threads, done);
+    if (stats != nullptr) *stats = done;
     return c;
 }
 

@@ -13,6 +13,16 @@
 
 namespace gact::topo {
 
+/// What one SimplicialComplex::from_facets build did: the contiguous
+/// slot ranges it was split into (one per worker), the faces deferred
+/// because their probe would have run past the end of their home range,
+/// and the rebuilds a range passing 3/4 load forced.
+struct ClosureStats {
+    std::size_t ranges = 0;
+    std::size_t spills = 0;
+    std::size_t rebuilds = 0;
+};
+
 /// A set of nonempty simplices: one flat open-addressing table with
 /// linear probing. Slots hold simplices by value (inline up to
 /// Simplex::kInline vertices), a vacant slot holds the empty simplex, and
@@ -22,6 +32,13 @@ namespace gact::topo {
 class SimplexSet {
 public:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    SimplexSet() = default;
+    SimplexSet(const SimplexSet& other);
+    SimplexSet(SimplexSet&& other) noexcept;
+    SimplexSet& operator=(const SimplexSet& other);
+    SimplexSet& operator=(SimplexSet&& other) noexcept;
+    ~SimplexSet() { release(); }
 
     class const_iterator {
     public:
@@ -64,10 +81,10 @@ public:
     bool empty() const noexcept { return size_ == 0; }
 
     const_iterator begin() const noexcept {
-        return {slots_.data(), slots_.data() + slots_.size()};
+        return {slots_, slots_ + slot_count_};
     }
     const_iterator end() const noexcept {
-        return {slots_.data() + slots_.size(), slots_.data() + slots_.size()};
+        return {slots_ + slot_count_, slots_ + slot_count_};
     }
 
     bool contains(const Simplex& s) const noexcept { return find(s) != npos; }
@@ -82,18 +99,34 @@ public:
     /// Slot-level access for passes over the whole table: the table has
     /// slot_count() slots, a vacant one holds the empty simplex, and
     /// find() returns the slot holding `s`, or npos.
-    std::size_t slot_count() const noexcept { return slots_.size(); }
+    std::size_t slot_count() const noexcept { return slot_count_; }
     const Simplex& slot(std::size_t i) const noexcept { return slots_[i]; }
     std::size_t find(const Simplex& s) const noexcept;
 
     friend bool operator==(const SimplexSet& a, const SimplexSet& b);
 
 private:
+    friend class SimplicialComplex;
+
     /// The slot holding `s`, or the vacant slot where it would go.
     std::size_t probe(const Simplex& s) const noexcept;
     void rehash(std::size_t slot_count);
+    /// Destroy and free every slot, leaving the set empty.
+    void release() noexcept;
 
-    std::vector<Simplex> slots_;  // size 0 or a power of two
+    /// Fill an empty set with the downward closure of `facets` (each
+    /// nonempty, at most 24 vertices), sharded into at most
+    /// `num_threads` contiguous slot ranges; see
+    /// SimplicialComplex::from_facets.
+    void build_closure(const std::vector<Simplex>& facets,
+                       unsigned num_threads, ClosureStats& stats);
+
+    // The slots are allocated apart from their construction, so that a
+    // sharded build constructs, and so first touches, each slot range on
+    // the worker that fills it. Outside build_closure every slot is
+    // constructed.
+    Simplex* slots_ = nullptr;
+    std::size_t slot_count_ = 0;  // 0 or a power of two
     std::size_t size_ = 0;
 };
 
@@ -103,7 +136,27 @@ public:
     SimplicialComplex() = default;
 
     /// Build the downward closure of the given facets.
-    static SimplicialComplex from_facets(const std::vector<Simplex>& facets);
+    ///
+    /// The table is sized once, up front, from the facet sizes, and split
+    /// into contiguous slot ranges: at most `num_threads`, at most the
+    /// shared scheduler's worker count, and none smaller than a minimum
+    /// range (a small complex is one range, built on the calling thread).
+    /// Each range has one worker, which constructs its slots first and
+    /// then walks every facet: it hashes each face from the facet's
+    /// vertex subset (the std::hash<Simplex> recipe) without building it,
+    /// and builds and inserts only the faces homed in its own range. So
+    /// workers write disjoint slot ranges and read no other slot. A probe
+    /// that would run past the end of its range is deferred (`spills`);
+    /// the deferred faces are inserted on the calling thread after the
+    /// join, so every element stays reachable from its home slot. When a
+    /// range passes 3/4 load (a complex of disjoint facets has more faces
+    /// than the size estimate), the table doubles and the build restarts
+    /// (`rebuilds`). The simplices are the same for every `num_threads`;
+    /// only their slot order may differ. `stats`, when given, receives
+    /// what the build did.
+    static SimplicialComplex from_facets(const std::vector<Simplex>& facets,
+                                         unsigned num_threads = 1,
+                                         ClosureStats* stats = nullptr);
 
     /// Build from a simplex list that is already closed under faces
     /// (every face of every entry appears in the list). Skips the

@@ -224,7 +224,8 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
     std::sort(facets.begin(), facets.end());
     facets.erase(std::unique(facets.begin(), facets.end()), facets.end());
 
-    SimplicialComplex closure = SimplicialComplex::from_facets(facets);
+    SimplicialComplex closure =
+        SimplicialComplex::from_facets(facets, num_threads);
     // Trusted: the chromatic subdivision colors each new vertex with the
     // color of the original-complex vertex it replaces, facet by facet —
     // proper coloring is structural here.

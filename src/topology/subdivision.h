@@ -52,11 +52,13 @@ public:
     /// `num_threads > 1` shards the build across a self-scheduling pool
     /// in per-parent-facet work units: facet-key generation and the
     /// exact rational vertex geometry run in parallel, with vertex
-    /// interning merged in the sequential build's enumeration order —
-    /// the result (every vertex id, facet, position, provenance) is
-    /// bit-identical to the single-threaded build. `terminated` must
-    /// then be safe for concurrent calls (a pure predicate over an
-    /// immutable complex is).
+    /// interning merged in the sequential build's enumeration order, and
+    /// the closure of the facet list splits into slot ranges
+    /// (SimplicialComplex::from_facets). Every vertex id, facet,
+    /// simplex, position and provenance is identical to the
+    /// single-threaded build's; only the slot order of the complex's
+    /// table may differ. `terminated` must then be safe for concurrent
+    /// calls (a pure predicate over an immutable complex is).
     SubdividedComplex chromatic_subdivision_with_termination(
         const std::function<bool(const Simplex&)>& terminated,
         unsigned num_threads = 1) const;
@@ -80,6 +82,10 @@ public:
 
     /// Number of subdivision steps applied since `identity` (0 for it).
     int depth() const noexcept { return depth_; }
+
+    /// Every vertex id is below this bound (ids are dense from a
+    /// subdivision step on; the base complex's may have gaps).
+    std::size_t vertex_id_bound() const noexcept { return position_.size(); }
 
     /// Exact position of a subdivision vertex in |base|.
     const BaryPoint& position(VertexId v) const;

@@ -3,7 +3,9 @@
 // Subdivisions intern vertices by a key — the provenance pair (p, tau),
 // or the exact position plus color — and already keep that key per vertex
 // id. A node-based map would store a second copy of every key; this table
-// stores only the ids and reads the keys back through the caller.
+// stores only the ids and reads the keys back through the caller. The
+// ids need not be vertex ids: the terminating subdivision indexes its
+// list of K(T) simplices with one, by position in the list.
 #pragma once
 
 #include <bit>

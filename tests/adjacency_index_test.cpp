@@ -8,7 +8,9 @@ namespace gact::topo {
 namespace {
 
 TEST(AdjacencyIndex, EmptyComplex) {
-    const AdjacencyIndex index{SimplicialComplex{}};
+    const SimplicialComplex empty;
+    const AdjacencyIndex index(empty);
+    EXPECT_EQ(index.id_bound(), 0u);
     EXPECT_TRUE(index.incident_simplices(0).empty());
     EXPECT_TRUE(index.neighbors(0).empty());
     EXPECT_EQ(index.degree(0), 0u);
@@ -26,6 +28,14 @@ TEST(AdjacencyIndex, TriangleIncidence) {
     for (const Simplex* sigma : index.incident_simplices(0)) {
         EXPECT_GE(sigma->dimension(), 1);
         EXPECT_TRUE(sigma->contains(0));
+    }
+    // The entries are the complex's own simplices, and a constraint id
+    // is the slot holding one.
+    EXPECT_EQ(index.id_bound(), triangle.simplices().slot_count());
+    for (const Simplex* sigma : index.incident_simplices(1)) {
+        ASSERT_LT(index.id_of(sigma), index.id_bound());
+        EXPECT_EQ(sigma, &triangle.simplices().slot(index.id_of(sigma)));
+        EXPECT_EQ(triangle.simplices().find(*sigma), index.id_of(sigma));
     }
 }
 

@@ -246,8 +246,9 @@ void compare_setup(const ChromaticMapProblem& problem,
     ASSERT_EQ(base, reference_initial_domains(problem)) << label;
 
     DomainTable propagated = base;
-    const bool ok = csp_setup::propagate_fixed(problem, index,
-                                               dec.fixed_order, propagated);
+    ConstraintTable constraints(problem, index.id_bound());
+    const bool ok = csp_setup::propagate_fixed(
+        problem, index, constraints, dec.fixed_order, propagated);
     const std::optional<DomainTable> ref_propagated =
         reference_propagate(problem, index, ref_dec.fixed_order, base);
     ASSERT_EQ(ok, ref_propagated.has_value()) << label;
@@ -384,8 +385,9 @@ protected:
         const topo::AdjacencyIndex index(domain_.complex());
         const Decomposition dec = csp_setup::decompose(problem_, index);
         DomainTable domains = csp_setup::initial_domains(problem_);
-        const bool ok = csp_setup::propagate_fixed(problem_, index,
-                                                   dec.fixed_order, domains);
+        ConstraintTable constraints(problem_, index.id_bound());
+        const bool ok = csp_setup::propagate_fixed(
+            problem_, index, constraints, dec.fixed_order, domains);
         return {ok, ok ? domains[1] : std::vector<VertexId>{}};
     }
 

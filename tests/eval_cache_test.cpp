@@ -39,7 +39,8 @@ struct PathFixture {
 
 TEST(EvalCache, ImageMemoizationContinuesPastCapacity) {
     PathFixture f;
-    EvalCache cache(1, 4);
+    ConstraintTable constraints(f.problem, 1);
+    EvalCache cache(constraints, 4);
     const Simplex sigma{0, 1};
     // Six distinct evaluations overflow the 4-entry memo: the fifth
     // lands on a full memo and must trigger an epoch reset, not a
@@ -68,7 +69,8 @@ TEST(EvalCache, ImageMemoizationContinuesPastCapacity) {
 
 TEST(EvalCache, MaskMemoizationContinuesPastCapacity) {
     PathFixture f;
-    EvalCache cache(1, 2);
+    ConstraintTable constraints(f.problem, 1);
+    EvalCache cache(constraints, 2);
     const Simplex sigma{0, 1};
     // Three distinct neighborhood fingerprints against a 2-entry memo.
     for (topo::VertexId j : {1u, 3u, 5u}) {
@@ -94,7 +96,8 @@ TEST(EvalCache, MaskMemoizationContinuesPastCapacity) {
 
 TEST(EvalCache, ZeroCapacityDisablesTheImageMemosButStaysCorrect) {
     PathFixture f;
-    EvalCache cache(1, 0);
+    ConstraintTable constraints(f.problem, 1);
+    EvalCache cache(constraints, 0);
     const Simplex sigma{0, 1};
     for (int round = 0; round < 2; ++round) {
         EXPECT_TRUE(cache.image_allowed(f.problem, 0, sigma, {0, 1}));

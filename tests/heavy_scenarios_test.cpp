@@ -1,5 +1,6 @@
 // The heavy-scenario gate: the sharded lt-3-2-res2 run, timed, with the
-// shape of its terminating subdivision pinned.
+// shape of its terminating subdivision pinned, and its stable_since
+// stamps held against the map-based stamping they replaced.
 //
 // This test is labeled `heavy` in CTest and self-skips unless
 // GACT_RUN_HEAVY=1, so the tier-1 suite stays fast while CI (and anyone
@@ -8,8 +9,8 @@
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
 // The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — ~4.3 s on a 4-vCPU
-// x86-64 host (gcc, RelWithDebInfo) — so the gate catches
+// is deliberately far above the measured time — ~2 s for the solve on
+// a 4-vCPU x86-64 host (gcc, RelWithDebInfo) — so the gate catches
 // order-of-magnitude regressions, not host noise. The subdivision counts
 // are exact: a change of representation that alters any stage complex
 // fails them however fast it runs.
@@ -22,6 +23,7 @@
 #include "core/terminating_subdivision.h"
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
+#include "stable_since_oracle.h"
 
 namespace gact::engine {
 namespace {
@@ -77,6 +79,33 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
     EXPECT_LT(elapsed, budget_seconds)
         << "sharded lt-3-2-res2 took " << elapsed
         << " s; budget " << budget_seconds << " s — " << report.summary();
+}
+
+// The flat stable_since stamps against the map-based stamping they
+// replaced, on the heavy scenario's own construction (its input complex,
+// rule and stage count), built at 1 and at 4 threads.
+TEST(HeavyScenarios, StableSinceMatchesTheMapOracleOnLt32Res2) {
+    const char* run = std::getenv("GACT_RUN_HEAVY");
+    if (run == nullptr || std::string(run) == "0") {
+        GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the heavy comparison";
+    }
+    const auto scenario = ScenarioRegistry::standard().find("lt-3-2-res2");
+    ASSERT_TRUE(scenario.has_value());
+    ASSERT_TRUE(scenario->affine.has_value());
+    const StableRule& rule = *scenario->options.stable_rule;
+    for (const unsigned threads : {1u, 4u}) {
+        core::TerminatingSubdivision tsub(scenario->affine->task.inputs);
+        for (std::size_t i = 0; i < scenario->options.subdivision_stages;
+             ++i) {
+            tsub.advance(
+                [&rule](const core::SubdividedComplex& cx,
+                        const topo::Simplex& s) { return rule.stable(cx, s); },
+                threads);
+        }
+        ASSERT_EQ(tsub.stages(), 5u);
+        EXPECT_EQ(tsub.stable_complex().complex().size(), 148407u);
+        core::expect_stamps_match_map_oracle(tsub);
+    }
 }
 
 }  // namespace

@@ -152,6 +152,8 @@ TEST(ReportJson, OptionOverridesRejectBadInput) {
         {"max_depth", std::int64_t{2147483648}},
         {"max_depth", std::int64_t{4294967299}},
         {"shard_threads", std::int64_t{4294967296}},
+        {"shard_threads", std::int64_t{4294967295}},
+        {"shard_threads", std::int64_t{1025}},
         {"run_prefix_depth", std::int64_t{4294967296}},
     };
     for (const auto& c : out_of_range) {
@@ -168,6 +170,11 @@ TEST(ReportJson, OptionOverridesRejectBadInput) {
     EngineOptions widest;
     EXPECT_EQ(apply_options_json(at_max, widest), "");
     EXPECT_EQ(widest.max_depth, 2147483647);
+    // shard_threads is capped at the server's worker range, 1..1024.
+    util::Json most_threads = util::Json::object();
+    most_threads.set("shard_threads", 1024);
+    EXPECT_EQ(apply_options_json(most_threads, widest), "");
+    EXPECT_EQ(widest.shard_threads, 1024u);
 
     // The solver's former engine knobs are gone from the wire: they
     // get the ordinary unknown-option diagnostic.

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <thread>
+
+#include "exec/scheduler.h"
 
 namespace gact::topo {
 namespace {
@@ -217,6 +220,140 @@ TEST(SimplexSet, GrowthKeepsEveryElement) {
     }
     EXPECT_EQ(visited, inserted.size());
     EXPECT_THROW(set.insert(Simplex()), precondition_error);
+}
+
+// Every element of a built complex is reachable from its home slot:
+// find() lands on the slot that holds it.
+void expect_every_element_found(const SimplicialComplex& c) {
+    const SimplexSet& set = c.simplices();
+    std::size_t occupied = 0;
+    for (std::size_t i = 0; i < set.slot_count(); ++i) {
+        if (set.slot(i).empty()) continue;
+        ++occupied;
+        EXPECT_EQ(set.find(set.slot(i)), i) << set.slot(i).to_string();
+    }
+    EXPECT_EQ(occupied, c.size());
+}
+
+// The ranges a sharded closure build splits a table of `slot_count`
+// slots into at `threads` threads.
+std::size_t expected_ranges(unsigned threads, std::size_t slot_count) {
+    return std::max<std::size_t>(
+        1, std::min({std::size_t{threads},
+                     std::size_t{exec::Scheduler::shared().worker_count()},
+                     slot_count / 4096}));
+}
+
+// The sharded closure build equals the one-range build at every thread
+// count, on a complex of 4- and 5-vertex facets (inline and heap
+// simplices) whose table is large enough for several ranges.
+TEST(SimplicialComplex, ShardedFromFacetsMatchesTheOneRangeBuild) {
+    std::vector<Simplex> facets;
+    std::mt19937 rng(19);
+    std::uniform_int_distribution<VertexId> vertex(0, 2999);
+    for (int i = 0; i < 6000; ++i) {
+        std::vector<VertexId> v;
+        const std::size_t n = i % 7 == 0 ? 5 : 4;
+        while (v.size() < n) {
+            const VertexId x = vertex(rng);
+            if (std::find(v.begin(), v.end(), x) == v.end()) v.push_back(x);
+        }
+        facets.emplace_back(v);
+    }
+    ClosureStats one_stats;
+    const SimplicialComplex one =
+        SimplicialComplex::from_facets(facets, 1, &one_stats);
+    EXPECT_EQ(one_stats.ranges, 1u);
+    SimplicialComplex added;
+    for (const Simplex& f : facets) added.add_simplex(f);
+    EXPECT_EQ(one, added);
+    expect_every_element_found(one);
+
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+        ClosureStats stats;
+        const SimplicialComplex sharded =
+            SimplicialComplex::from_facets(facets, threads, &stats);
+        EXPECT_EQ(stats.ranges,
+                  expected_ranges(threads, sharded.simplices().slot_count()))
+            << threads;
+        EXPECT_EQ(sharded, one) << threads;
+        EXPECT_EQ(sharded.size(), one.size()) << threads;
+        EXPECT_EQ(sharded.facets(), one.facets()) << threads;
+        expect_every_element_found(sharded);
+        for (const Simplex& f : facets) {
+            for (const Simplex& face : f.faces()) {
+                ASSERT_TRUE(sharded.contains(face)) << face.to_string();
+            }
+        }
+    }
+}
+
+// A table loaded close to 3/4 has long clusters, so probes run past the
+// ends of the ranges (and of the table): those faces are deferred and
+// inserted after the join, and every element must still be found from
+// its home slot.
+TEST(SimplicialComplex, ShardedFromFacetsSpillsAcrossRangeBoundaries) {
+    // 36,293 isolated vertices and 3,631 disjoint edges at pseudo-random
+    // ids (a SplitMix64 stream, the same on every platform): 47,186
+    // simplices against an estimate of 49,000, so a 65,536-slot table at
+    // load 0.72 whose clusters cross every range end at 1 to 4 ranges.
+    const auto splitmix = [](std::uint64_t z) {
+        z += 0x9e3779b97f4a7c15ULL;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return static_cast<VertexId>(z ^ (z >> 31));
+    };
+    std::uint64_t next = std::uint64_t{9} << 32;
+    std::vector<Simplex> facets;
+    for (int i = 0; i < 36293; ++i) facets.push_back(Simplex{splitmix(next++)});
+    for (int i = 0; i < 3631; ++i) {
+        const VertexId a = splitmix(next++);
+        facets.push_back(Simplex{a, splitmix(next++)});
+    }
+    SimplicialComplex added;
+    for (const Simplex& f : facets) added.add_simplex(f);
+    ASSERT_EQ(added.size(), 47186u);
+
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        ClosureStats stats;
+        const SimplicialComplex c =
+            SimplicialComplex::from_facets(facets, threads, &stats);
+        ASSERT_EQ(c.simplices().slot_count(), 65536u);
+        EXPECT_EQ(stats.ranges, expected_ranges(threads, 65536)) << threads;
+        EXPECT_EQ(stats.rebuilds, 0u) << threads;
+        if (threads <= 4) EXPECT_GT(stats.spills, 0u) << threads;
+        EXPECT_EQ(c, added) << threads;
+        expect_every_element_found(c);
+    }
+}
+
+// Disjoint facets have 2^n - 1 faces each, far above the one-per-vertex
+// estimate: a range passing 3/4 load doubles the table and rebuilds, so
+// the build terminates with every face in place.
+TEST(SimplicialComplex, FromFacetsGrowsPastADisjointFacetsOverflow) {
+    std::vector<Simplex> facets;
+    for (VertexId i = 0; i < 4000; ++i) {
+        facets.push_back(Simplex{4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3});
+    }
+    SimplicialComplex added;
+    for (const Simplex& f : facets) added.add_simplex(f);
+    for (const unsigned threads : {1u, 4u}) {
+        ClosureStats stats;
+        const SimplicialComplex c =
+            SimplicialComplex::from_facets(facets, threads, &stats);
+        EXPECT_GT(stats.rebuilds, 0u) << threads;
+        EXPECT_EQ(c.size(), 15 * facets.size()) << threads;
+        EXPECT_EQ(c, added) << threads;
+        EXPECT_LE(4 * c.size(), 3 * c.simplices().slot_count()) << threads;
+        expect_every_element_found(c);
+    }
+    // One facet alone overflows its estimate as well.
+    const SimplicialComplex tetrahedron =
+        SimplicialComplex::from_facets({Simplex{0, 1, 2, 3}}, 4);
+    EXPECT_EQ(tetrahedron.size(), 15u);
+    EXPECT_THROW(SimplicialComplex::from_facets({Simplex{0, 1}, Simplex()}, 4),
+                 precondition_error);
+    EXPECT_TRUE(SimplicialComplex::from_facets({}, 4).is_empty());
 }
 
 // Const access is a pure read of the flat table: several threads may

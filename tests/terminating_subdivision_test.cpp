@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lt_pipeline.h"
+#include "stable_since_oracle.h"
+
 namespace gact::core {
 namespace {
 
@@ -181,6 +184,34 @@ TEST(TerminatingSubdivision, ShardedAdvanceIsBitIdenticalToSequential) {
         EXPECT_EQ(seq.stable_complex().color(v),
                   par.stable_complex().color(v));
     }
+}
+
+TEST(TerminatingSubdivision, StableSinceMatchesTheMapOracleUnderTheLtRule) {
+    // Every K(T) simplex is stamped once, when first inserted; the stamp
+    // must be the first stage whose Sigma_k holds it (the map-based
+    // stamping it replaced), at 1 and at 4 threads. Four stages of the
+    // L_t rule stabilize R_0 at depth 2 and a ring per later stage.
+    for (const unsigned threads : {1u, 4u}) {
+        TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+        for (int i = 0; i < 4; ++i) {
+            t.advance(
+                [](const SubdividedComplex& cx, const Simplex& s) {
+                    return lt_stable_rule(2, 1, cx, s);
+                },
+                threads);
+        }
+        expect_stamps_match_map_oracle(t);
+        std::vector<std::size_t> stamps_seen(t.stages(), 0);
+        for (const Simplex& s : t.stable_complex().complex().simplices()) {
+            ++stamps_seen[t.stable_since(s)];
+        }
+        EXPECT_EQ(stamps_seen[0] + stamps_seen[1], 0u) << threads;
+        EXPECT_GT(stamps_seen[2], 0u) << threads;
+        EXPECT_GT(stamps_seen[3], 0u) << threads;
+    }
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(1));
+    t.advance(kNothing);
+    EXPECT_THROW(t.stable_since(Simplex{0}), precondition_error);
 }
 
 TEST(TerminatingSubdivision, ShardedPlainSubdivisionMatchesSequential) {
