@@ -25,7 +25,9 @@ std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
                                  const Simplex& global_facet) {
     // A facet belongs to ring m when it first appears in Sigma_{m+2}; we
     // recover this from the stage complexes by locating its vertices.
-    for (std::size_t k = 2; k < tsub.stages(); ++k) {
+    // K(T) is Sigma_0 ∪ .. ∪ Sigma_{stages()-2}, so the scan ends before
+    // the last stage and never builds a deferred one.
+    for (std::size_t k = 2; k + 1 < tsub.stages(); ++k) {
         const SubdividedComplex& cx = tsub.complex_at(k);
         bool all_found = true;
         std::vector<VertexId> stage_verts;

@@ -1,14 +1,22 @@
 #include "core/terminating_subdivision.h"
 
+#include <algorithm>
+
 #include "exec/for_index.h"
 #include "util/require.h"
 
 namespace gact::core {
 
+namespace {
+
+constexpr VertexId kUnset = ~VertexId{0};
+
+}  // namespace
+
 TerminatingSubdivision::TerminatingSubdivision(const ChromaticComplex& base)
     : base_(base) {
-    Stage s;
-    s.complex = SubdividedComplex::identity(base);
+    auto s = std::make_unique<Stage>();
+    s->complex = SubdividedComplex::identity(base);
     stages_.push_back(std::move(s));
 }
 
@@ -34,24 +42,38 @@ void TerminatingSubdivision::advance(
     unsigned num_threads) {
     require(!stages_.empty(),
             "TerminatingSubdivision: advance on an empty placeholder");
-    Stage& current = stages_.back();
+    if (pending_) {
+        materialize();
+        stages_.push_back(std::move(pending_->stage));
+        pending_.reset();
+    }
+    Stage& current = *stages_.back();
     const SubdividedComplex& cx = current.complex;
 
     // Collect Sigma_k: previously stable simplices persist; new ones come
     // from the predicate. Closure under faces is enforced by construction
     // (SimplicialComplex::add_simplex adds all faces). The predicate scan
-    // is per-facet work over immutable state, so it shards as
-    // index-slotted tasks on the resident scheduler; the selected faces
-    // are merged in facet order, and since the stable set is a *set*,
-    // the merged result is identical to the sequential scan's.
+    // is work over immutable state, so it shards as index-slotted chunks
+    // of facets on the resident scheduler, each reusing one face buffer;
+    // the selected faces are merged in facet order, and since the stable
+    // set is a *set*, the merged result is identical to the sequential
+    // scan's.
     const std::vector<Simplex>& facets = cx.facets();
-    std::vector<std::vector<Simplex>> selected(facets.size());
+    constexpr std::size_t kChunk = 64;
+    const std::size_t chunks = (facets.size() + kChunk - 1) / kChunk;
+    std::vector<std::vector<Simplex>> selected(chunks);
     exec::for_index(
-        exec::Scheduler::shared(), facets.size(), num_threads,
-        [&](std::size_t fi) {
-            for (const Simplex& s : facets[fi].faces()) {
-                if (current.stable.contains(s)) continue;
-                if (stabilize(cx, s)) selected[fi].push_back(s);
+        exec::Scheduler::shared(), chunks, num_threads,
+        [&](std::size_t ci) {
+            std::vector<Simplex> faces;
+            const std::size_t end =
+                std::min(facets.size(), (ci + 1) * kChunk);
+            for (std::size_t fi = ci * kChunk; fi < end; ++fi) {
+                facets[fi].faces_into(faces);
+                for (const Simplex& s : faces) {
+                    if (current.stable.contains(s)) continue;
+                    if (stabilize(cx, s)) selected[ci].push_back(s);
+                }
             }
         });
     std::vector<Simplex> newly_stable;
@@ -74,7 +96,6 @@ void TerminatingSubdivision::advance(
     // global_id resolves through the exact-rational position index;
     // memoize per stage vertex so each pays for one probe however many
     // stable simplices share it.
-    constexpr VertexId kUnset = ~VertexId{0};
     std::vector<VertexId> global_of(cx.vertex_id_bound(), kUnset);
     std::vector<VertexId> verts;
     for (const Simplex& s : newly_stable) {
@@ -96,42 +117,67 @@ void TerminatingSubdivision::advance(
     }
     stable_stale_ = true;
 
-    // Build C_{k+1}: partial chromatic subdivision terminating Sigma_k.
-    const SimplicialComplex& sigma = current.stable;
-    Stage next;
-    next.complex = cx.chromatic_subdivision_with_termination(
-        [&sigma](const Simplex& t) { return sigma.contains(t); },
-        num_threads);
+    // C_{k+1} adds nothing to K(T): defer it to its first reader.
+    pending_ = std::make_unique<Pending>(num_threads);
+}
 
-    // Sigma_k persists in C_{k+1}: terminated simplices survive with new
-    // vertex ids (matched by position + color). The per-vertex lookup
-    // goes through the exact-rational position index, so memoize it:
-    // stable simplices share vertices heavily and hashing the exact
-    // position is the expensive part of this check.
-    std::vector<VertexId> vertex_image(cx.vertex_id_bound(), kUnset);
-    std::vector<Simplex> images;
-    images.reserve(sigma.simplices().size());
-    for (const Simplex& s : sigma.simplices()) {
-        verts.clear();
-        for (VertexId v : s.vertices()) {
-            if (vertex_image[v] == kUnset) {
-                const auto nv = next.complex.find_vertex(
-                    cx.position(v), cx.complex().color(v));
-                ensure(nv.has_value(),
-                       "TerminatingSubdivision: stable vertex vanished");
-                vertex_image[v] = *nv;
+const TerminatingSubdivision::Stage& TerminatingSubdivision::materialize()
+    const {
+    // Builds into *pending_ (owned through a pointer, so this const
+    // method may fill it); call_once makes concurrent first readers
+    // wait for the one build.
+    std::call_once(pending_->once, [this] {
+        const Stage& current = *stages_.back();
+        const SubdividedComplex& cx = current.complex;
+
+        // Build C_{k+1}: partial chromatic subdivision terminating
+        // Sigma_k.
+        const SimplicialComplex& sigma = current.stable;
+        auto next = std::make_unique<Stage>();
+        next->complex = cx.chromatic_subdivision_with_termination(
+            [&sigma](const Simplex& t) { return sigma.contains(t); },
+            pending_->num_threads);
+
+        // Sigma_k persists in C_{k+1}: terminated simplices survive with
+        // new vertex ids (matched by position + color). The per-vertex
+        // lookup goes through the exact-rational position index, so
+        // memoize it: stable simplices share vertices heavily and hashing
+        // the exact position is the expensive part of this check.
+        std::vector<VertexId> vertex_image(cx.vertex_id_bound(), kUnset);
+        std::vector<VertexId> verts;
+        std::vector<Simplex> images;
+        images.reserve(sigma.simplices().size());
+        for (const Simplex& s : sigma.simplices()) {
+            verts.clear();
+            for (VertexId v : s.vertices()) {
+                if (vertex_image[v] == kUnset) {
+                    const auto nv = next->complex.find_vertex(
+                        cx.position(v), cx.complex().color(v));
+                    ensure(nv.has_value(),
+                           "TerminatingSubdivision: stable vertex vanished");
+                    vertex_image[v] = *nv;
+                }
+                verts.push_back(vertex_image[v]);
             }
-            verts.push_back(vertex_image[v]);
+            Simplex image(verts);
+            ensure(next->complex.complex().contains(image),
+                   "TerminatingSubdivision: stable simplex not preserved");
+            images.push_back(std::move(image));
         }
-        Simplex image(verts);
-        ensure(next.complex.complex().contains(image),
-               "TerminatingSubdivision: stable simplex not preserved");
-        images.push_back(std::move(image));
-    }
-    // Sigma_k is closed under faces and the vertexwise image of a closed
-    // set is closed, so the images need no per-simplex face enumeration.
-    next.stable = SimplicialComplex::from_closed(std::move(images));
-    stages_.push_back(std::move(next));
+        // Sigma_k is closed under faces and the vertexwise image of a
+        // closed set is closed, so the images need no per-simplex face
+        // enumeration.
+        next->stable = SimplicialComplex::from_closed(std::move(images));
+        pending_->stage = std::move(next);
+    });
+    return *pending_->stage;
+}
+
+const TerminatingSubdivision::Stage& TerminatingSubdivision::stage_at(
+    std::size_t k) const {
+    require(k < stages(), "TerminatingSubdivision: no such stage");
+    if (k < stages_.size()) return *stages_[k];
+    return materialize();
 }
 
 const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
@@ -147,14 +193,12 @@ const ChromaticComplex& TerminatingSubdivision::stable_complex() const {
 
 const SubdividedComplex& TerminatingSubdivision::complex_at(
     std::size_t k) const {
-    require(k < stages_.size(), "TerminatingSubdivision: stage not built");
-    return stages_[k].complex;
+    return stage_at(k).complex;
 }
 
 const SimplicialComplex& TerminatingSubdivision::stable_at(
     std::size_t k) const {
-    require(k < stages_.size(), "TerminatingSubdivision: stage not built");
-    return stages_[k].stable;
+    return stage_at(k).stable;
 }
 
 const BaryPoint& TerminatingSubdivision::stable_position(

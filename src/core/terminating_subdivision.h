@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -40,31 +42,47 @@ public:
     explicit TerminatingSubdivision(const ChromaticComplex& base);
 
     /// Advance one stage: mark as stable every *not yet stable* simplex of
-    /// the current complex selected by `stabilize` (must be closed under
-    /// faces together with the already-stable simplices), then build the
-    /// next complex by partial chromatic subdivision.
+    /// the current complex C_k selected by `stabilize` (must be closed
+    /// under faces together with the already-stable simplices) and record
+    /// them into K(T) with their stable_since stamps. The next complex
+    /// C_{k+1}, the partial chromatic subdivision of C_k terminating
+    /// Sigma_k, is deferred: K(T) after k advances is Sigma_0 ∪ .. ∪
+    /// Sigma_{k-1}, so C_{k+1} is built (and Sigma_k carried into it)
+    /// only by the next advance() or by the first complex_at / stable_at
+    /// of stage k+1.
     ///
     /// `num_threads > 1` shards the stage on the shared scheduler: the
-    /// stabilization scan and the subdivision build run as per-facet
-    /// work units merged in facet order, and the closure of the next
-    /// stage's facets as contiguous slot ranges of its table (see
+    /// stabilization scan runs in chunks of facets and the subdivision
+    /// build in per-facet work units, merged in facet order, and the
+    /// closure of the next stage's facets as contiguous slot ranges of
+    /// its table (see
     /// SubdividedComplex::chromatic_subdivision_with_termination and
-    /// SimplicialComplex::from_facets). Every vertex id, facet, stable
-    /// set and stable_since stamp is identical to the single-threaded
-    /// stage's; only the slot order of the stage complex's table may
-    /// differ. `stabilize` must then be a pure predicate safe for
-    /// concurrent calls (every StableRule is).
+    /// SimplicialComplex::from_facets); the deferred build uses this
+    /// call's `num_threads`. Every vertex id, facet, stable set and
+    /// stable_since stamp is identical to the single-threaded stage's;
+    /// only the slot order of the stage complex's table may differ.
+    /// `stabilize` must then be a pure predicate safe for concurrent
+    /// calls (every StableRule is).
     void advance(const std::function<bool(const SubdividedComplex&,
                                           const Simplex&)>& stabilize,
                  unsigned num_threads = 1);
 
-    /// Number of stages built (C_0 .. C_{stages()-1}).
-    std::size_t stages() const noexcept { return stages_.size(); }
+    /// Number of stages, C_0 .. C_{stages()-1}: one more than the number
+    /// of advance() calls. The last one, after an advance(), may not be
+    /// built yet; reading it builds it.
+    std::size_t stages() const noexcept {
+        return stages_.size() + (pending_ ? 1 : 0);
+    }
 
-    /// The stage complex C_k.
+    /// The stage complex C_k. The first read of a deferred last stage
+    /// builds it; concurrent const readers are safe, and all see the one
+    /// complex. The reference stays valid across later advance() calls
+    /// and moves of this object.
     const SubdividedComplex& complex_at(std::size_t k) const;
 
-    /// The stable subcomplex Sigma_k in C_k's vertex ids.
+    /// The stable subcomplex Sigma_k in C_k's vertex ids (for the last
+    /// stage: the Sigma_{k-1} carried into it). Builds a deferred stage
+    /// as complex_at does.
     const SimplicialComplex& stable_at(std::size_t k) const;
 
     /// K(T) so far: the union of stable simplices, in global vertex ids.
@@ -112,12 +130,31 @@ private:
         SubdividedComplex complex;
         SimplicialComplex stable;  // Sigma_k, in this stage's vertex ids
     };
+    /// The stage after stages_.back(), deferred by advance(): built once,
+    /// under `once`, by whichever reader or advance() needs it first.
+    struct Pending {
+        explicit Pending(unsigned threads) : num_threads(threads) {}
+        std::once_flag once;
+        unsigned num_threads;
+        std::unique_ptr<Stage> stage;
+    };
+
+    /// The stage at index k, built stage or pending.
+    const Stage& stage_at(std::size_t k) const;
+
+    /// Build the pending stage, if not built yet: C_{k+1} by partial
+    /// chromatic subdivision of C_k terminating Sigma_k, then Sigma_k
+    /// carried into it.
+    const Stage& materialize() const;
 
     /// Intern a stage vertex into the global registry.
     VertexId global_id(const SubdividedComplex& stage_complex, VertexId v);
 
     ChromaticComplex base_;
-    std::vector<Stage> stages_;
+    /// Built stages, each on the heap so a complex_at reference outlives
+    /// the vector's growth.
+    std::vector<std::unique_ptr<Stage>> stages_;
+    std::unique_ptr<Pending> pending_;
 
     // Global stable complex and geometry. stable_ mirrors
     // stable_simplices_ + global_color_; advance() only marks it stale

@@ -119,6 +119,12 @@ Simplex Simplex::without(VertexId v) const {
 
 std::vector<Simplex> Simplex::faces() const {
     std::vector<Simplex> out;
+    faces_into(out);
+    return out;
+}
+
+void Simplex::faces_into(std::vector<Simplex>& out) const {
+    out.clear();
     const std::size_t n = size_;
     require(n <= 24, "Simplex::faces: simplex too large to enumerate faces");
     const std::size_t total = (std::size_t{1} << n) - 1;
@@ -133,7 +139,6 @@ std::vector<Simplex> Simplex::faces() const {
         }
         out.push_back(std::move(face));
     }
-    return out;
 }
 
 std::vector<Simplex> Simplex::faces_of_dimension(int d) const {

@@ -78,6 +78,10 @@ public:
     /// simplex. 2^size - 1 results.
     std::vector<Simplex> faces() const;
 
+    /// faces(), in the same order, written over `out` so a loop over
+    /// many simplices reuses one buffer.
+    void faces_into(std::vector<Simplex>& out) const;
+
     /// All faces of exactly dimension d.
     std::vector<Simplex> faces_of_dimension(int d) const;
 

@@ -28,7 +28,11 @@ SubdividedComplex SubdividedComplex::identity(const ChromaticComplex& base) {
     VertexId max_id = 0;
     for (VertexId v : verts) max_id = std::max(max_id, v);
     out.position_.resize(verts.empty() ? 0 : max_id + 1);
-    for (VertexId v : verts) out.position_[v] = BaryPoint::vertex(v);
+    out.carrier_.resize(out.position_.size());
+    for (VertexId v : verts) {
+        out.position_[v] = BaryPoint::vertex(v);
+        out.carrier_[v] = Simplex{v};
+    }
     out.index_positions();
     out.depth_ = 0;
     return out;
@@ -190,16 +194,19 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
 
 
     // Phase 3 — exact positions per Section 3.2, one work unit per new
-    // vertex (a singleton tau keeps the parent vertex's position). The
-    // (position, color) index follows once the coloring is in place.
+    // vertex (a singleton tau keeps the parent vertex's position and
+    // carrier). The (position, color) index follows once the coloring
+    // is in place.
     const std::size_t vertex_count = out.provenance_.size();
     out.position_.resize(vertex_count);
+    out.carrier_.resize(vertex_count);
     exec::for_index(exec::Scheduler::shared(), vertex_count, num_threads,
                     [&](std::size_t id) {
         const VertexId p = out.provenance_[id].parent_vertex;
         const Simplex& t = out.provenance_[id].parent_simplex;
         if (t.size() == 1) {
             out.position_[id] = position(p);
+            out.carrier_[id] = carrier(p);
             return;
         }
         const auto k = static_cast<std::int64_t>(t.size());
@@ -213,6 +220,7 @@ SubdividedComplex SubdividedComplex::subdivide_impl(
             weights.emplace_back(2, 2 * k - 1);
         }
         out.position_[id] = BaryPoint::combination(pts, weights);
+        out.carrier_[id] = out.position_[id].support();
     });
 
     // The canonical taus of a facet's vertices cover its parent (the last
@@ -264,6 +272,7 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
             weights.push_back(w);
         }
         out.position_.push_back(BaryPoint::combination(pts, weights));
+        out.carrier_.push_back(out.position_.back().support());
         colors[id] = static_cast<Color>(sigma.dimension());
         return id;
     };
@@ -300,6 +309,11 @@ SubdividedComplex SubdividedComplex::barycentric_subdivision() const {
 const BaryPoint& SubdividedComplex::position(VertexId v) const {
     require(v < position_.size(), "SubdividedComplex: unknown vertex");
     return position_[v];
+}
+
+const Simplex& SubdividedComplex::carrier(VertexId v) const {
+    require(v < carrier_.size(), "SubdividedComplex: unknown vertex");
+    return carrier_[v];
 }
 
 Simplex SubdividedComplex::carrier_of(const Simplex& s) const {

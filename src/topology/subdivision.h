@@ -90,8 +90,9 @@ public:
     /// Exact position of a subdivision vertex in |base|.
     const BaryPoint& position(VertexId v) const;
 
-    /// Carrier of a vertex: the minimal base simplex containing it.
-    Simplex carrier(VertexId v) const { return position(v).support(); }
+    /// Carrier of a vertex: the minimal base simplex containing it (the
+    /// support of its position, kept in a table by vertex id).
+    const Simplex& carrier(VertexId v) const;
 
     /// Carrier of a simplex: the minimal base simplex containing all its
     /// vertices (the union of vertex carriers).
@@ -163,6 +164,7 @@ private:
     ChromaticComplex complex_;
     std::vector<Simplex> facets_;               // facets of complex_, sorted
     std::vector<BaryPoint> position_;           // indexed by VertexId
+    std::vector<Simplex> carrier_;              // position_[v].support()
     std::vector<Provenance> provenance_;        // indexed by VertexId
     /// provenance (p, tau) -> vertex id; keys read from provenance_.
     VertexTable vertex_index_;

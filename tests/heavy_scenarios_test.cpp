@@ -9,8 +9,8 @@
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
 // The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — ~2 s for the solve on
-// a 4-vCPU x86-64 host (gcc, RelWithDebInfo) — so the gate catches
+// is deliberately far above the measured time — ~0.5 s for the solve
+// on a 4-vCPU x86-64 host (gcc, RelWithDebInfo) — so the gate catches
 // order-of-magnitude regressions, not host noise. The subdivision counts
 // are exact: a change of representation that alters any stage complex
 // fails them however fast it runs.

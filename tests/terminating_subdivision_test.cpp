@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/lt_pipeline.h"
 #include "stable_since_oracle.h"
 
@@ -212,6 +215,108 @@ TEST(TerminatingSubdivision, StableSinceMatchesTheMapOracleUnderTheLtRule) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(1));
     t.advance(kNothing);
     EXPECT_THROW(t.stable_since(Simplex{0}), precondition_error);
+}
+
+TEST(TerminatingSubdivision, DeferredStagesMatchStagesReadEagerly) {
+    // advance() defers the next stage to its first reader. Reading the
+    // newest stage after every advance (eager) or only at the end (lazy)
+    // must give the same stages, K(T) and stamps, at 1 and 4 threads.
+    const auto lt_rule = [](const SubdividedComplex& cx, const Simplex& s) {
+        return lt_stable_rule(2, 1, cx, s);
+    };
+    for (const unsigned threads : {1u, 4u}) {
+        TerminatingSubdivision eager(
+            topo::ChromaticComplex::standard_simplex(2));
+        TerminatingSubdivision lazy(
+            topo::ChromaticComplex::standard_simplex(2));
+        for (int i = 0; i < 4; ++i) {
+            eager.advance(lt_rule, threads);
+            eager.complex_at(eager.stages() - 1);
+            lazy.advance(lt_rule, threads);
+        }
+        ASSERT_EQ(eager.stages(), 5u) << threads;
+        ASSERT_EQ(lazy.stages(), eager.stages()) << threads;
+        EXPECT_EQ(lazy.stable_complex().complex(),
+                  eager.stable_complex().complex())
+            << threads;
+        for (const Simplex& s : eager.stable_complex().complex().simplices()) {
+            EXPECT_EQ(lazy.stable_since(s), eager.stable_since(s))
+                << threads << " " << s;
+        }
+        for (std::size_t k = 0; k < eager.stages(); ++k) {
+            const SubdividedComplex& e = eager.complex_at(k);
+            const SubdividedComplex& l = lazy.complex_at(k);
+            EXPECT_EQ(l.complex().complex(), e.complex().complex())
+                << threads << " stage " << k;
+            EXPECT_EQ(l.facets(), e.facets()) << threads << " stage " << k;
+            for (VertexId v : e.complex().vertex_ids()) {
+                EXPECT_EQ(l.position(v), e.position(v));
+                EXPECT_EQ(l.carrier(v), e.position(v).support());
+            }
+            EXPECT_EQ(lazy.stable_at(k), eager.stable_at(k))
+                << threads << " stage " << k;
+        }
+    }
+}
+
+TEST(TerminatingSubdivision, StageReferencesSurviveLaterStagesAndMoves) {
+    TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+    const SubdividedComplex& c0 = t.complex_at(0);
+    t.advance(kNothing);
+    EXPECT_THROW(t.complex_at(2), precondition_error);
+    const SubdividedComplex& c1 = t.complex_at(1);  // builds stage 1
+    const SimplicialComplex& s1 = t.stable_at(1);
+    EXPECT_EQ(c0.facets().size(), 1u);
+    EXPECT_EQ(c1.facets().size(), 13u);
+    // More stages, each built by the next advance or by its first read,
+    // then a move: the early references still read their stages.
+    for (int i = 0; i < 2; ++i) t.advance(kNothing);
+    EXPECT_EQ(t.complex_at(t.stages() - 1).facets().size(), 13u * 13 * 13);
+    TerminatingSubdivision moved(std::move(t));
+    EXPECT_EQ(&moved.complex_at(0), &c0);
+    EXPECT_EQ(&moved.complex_at(1), &c1);
+    EXPECT_EQ(c0.facets().size(), 1u);
+    EXPECT_EQ(c0.complex().facets().size(), 1u);
+    EXPECT_EQ(c1.facets().size(), 13u);
+    EXPECT_EQ(c1.carrier(c1.facets()[0].vertices()[0]),
+              c1.position(c1.facets()[0].vertices()[0]).support());
+    EXPECT_TRUE(s1.is_empty());
+}
+
+TEST(TerminatingSubdivision, ConcurrentFirstReadsOfADeferredStageSeeOneComplex) {
+    // Four threads make the first read of the deferred last stage at
+    // once: one builds it, the others wait, and all see the same complex
+    // (the one an eager read builds).
+    const auto lt_rule = [](const SubdividedComplex& cx, const Simplex& s) {
+        return lt_stable_rule(2, 1, cx, s);
+    };
+    TerminatingSubdivision eager(topo::ChromaticComplex::standard_simplex(2));
+    TerminatingSubdivision lazy(topo::ChromaticComplex::standard_simplex(2));
+    for (int i = 0; i < 3; ++i) {
+        eager.advance(lt_rule, 2);
+        lazy.advance(lt_rule, 2);
+    }
+    const SubdividedComplex& c0 = lazy.complex_at(0);
+    const std::size_t last = lazy.stages() - 1;
+    std::vector<const SubdividedComplex*> seen(4, nullptr);
+    std::vector<const SimplicialComplex*> seen_stable(4, nullptr);
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        readers.emplace_back([&, i] {
+            seen[i] = &lazy.complex_at(last);
+            seen_stable[i] = &lazy.stable_at(last);
+        });
+    }
+    for (std::thread& r : readers) r.join();
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], seen[0]);
+        EXPECT_EQ(seen_stable[i], seen_stable[0]);
+    }
+    EXPECT_EQ(seen[0]->complex().complex(),
+              eager.complex_at(last).complex().complex());
+    EXPECT_EQ(*seen_stable[0], eager.stable_at(last));
+    EXPECT_EQ(&lazy.complex_at(0), &c0);
+    EXPECT_EQ(c0.facets(), eager.complex_at(0).facets());
 }
 
 TEST(TerminatingSubdivision, ShardedPlainSubdivisionMatchesSequential) {
