@@ -1,6 +1,8 @@
 #include "core/terminating_subdivision.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "exec/for_index.h"
 #include "util/require.h"
@@ -49,70 +51,117 @@ void TerminatingSubdivision::advance(
     }
     Stage& current = *stages_.back();
     const SubdividedComplex& cx = current.complex;
+    const topo::SimplexSet& table = cx.complex().complex().simplices();
+    require(table.slot_count() <= UINT32_MAX,
+            "TerminatingSubdivision: stage complex too large");
 
-    // Collect Sigma_k: previously stable simplices persist; new ones come
-    // from the predicate. Closure under faces is enforced by construction
-    // (SimplicialComplex::add_simplex adds all faces). The predicate scan
-    // is work over immutable state, so it shards as index-slotted chunks
-    // of facets on the resident scheduler, each reusing one face buffer;
-    // the selected faces are merged in facet order, and since the stable
-    // set is a *set*, the merged result is identical to the sequential
-    // scan's.
+    // Scan: each face of each facet is stable already, selected by the
+    // rule, or neither. Faces are enumerated by vertex mask, so the
+    // codimension-1 faces of a face are smaller sub-masks whose status is
+    // known: a face is probed in Sigma_k only when they are all stable
+    // (Sigma_k is closed under faces), and a selected face with one that
+    // is neither breaks the closure contract. Chunks of facets shard on
+    // the resident scheduler, each listing the C_k slots of its selected
+    // faces in facet order.
+    enum : std::uint8_t { kNeither, kStable, kSelected };
     const std::vector<Simplex>& facets = cx.facets();
     constexpr std::size_t kChunk = 64;
     const std::size_t chunks = (facets.size() + kChunk - 1) / kChunk;
-    std::vector<std::vector<Simplex>> selected(chunks);
+    std::vector<std::vector<std::uint32_t>> selected(chunks);
     exec::for_index(
         exec::Scheduler::shared(), chunks, num_threads,
         [&](std::size_t ci) {
             std::vector<Simplex> faces;
+            std::vector<std::uint8_t> status;
             const std::size_t end =
                 std::min(facets.size(), (ci + 1) * kChunk);
             for (std::size_t fi = ci * kChunk; fi < end; ++fi) {
-                facets[fi].faces_into(faces);
-                for (const Simplex& s : faces) {
-                    if (current.stable.contains(s)) continue;
-                    if (stabilize(cx, s)) selected[ci].push_back(s);
+                facets[fi].faces_into(faces);  // faces[mask - 1]
+                status.assign(faces.size() + 1, kNeither);
+                for (std::size_t mask = 1; mask <= faces.size(); ++mask) {
+                    const Simplex& s = faces[mask - 1];
+                    bool faces_stable = true;
+                    std::size_t breach = 0;  // a sub-mask that is neither
+                    for (std::size_t bit = 1; bit < mask; bit <<= 1) {
+                        if ((mask & bit) == 0) continue;
+                        const std::uint8_t sub = status[mask & ~bit];
+                        faces_stable = faces_stable && sub == kStable;
+                        if (sub == kNeither) breach = mask & ~bit;
+                    }
+                    if (faces_stable && current.stable.contains(s)) {
+                        status[mask] = kStable;
+                    } else if (stabilize(cx, s)) {
+                        if (breach != 0) {
+                            throw precondition_error(
+                                "TerminatingSubdivision: the rule selects " +
+                                s.to_string() + " but not its face " +
+                                faces[breach - 1].to_string() +
+                                "; stable simplices must be closed under "
+                                "faces");
+                        }
+                        status[mask] = kSelected;
+                        selected[ci].push_back(
+                            static_cast<std::uint32_t>(table.find(s)));
+                    }
                 }
             }
         });
-    std::vector<Simplex> newly_stable;
-    for (const std::vector<Simplex>& faces : selected) {
-        for (const Simplex& s : faces) {
-            if (current.stable.contains(s)) continue;
-            current.stable.add_simplex(s);
-            newly_stable.push_back(s);
+
+    // Merge: the first occurrence of each slot, in chunk order. A face's
+    // first occurrence precedes its cofaces' (it is a smaller mask of
+    // every facet holding them), so each new simplex finds its faces in
+    // Sigma_k already and goes in alone.
+    std::vector<std::uint8_t> seen(table.slot_count(), 0);
+    std::vector<Simplex> fresh;
+    for (const std::vector<std::uint32_t>& slots : selected) {
+        for (const std::uint32_t slot : slots) {
+            if (seen[slot] != 0) continue;
+            seen[slot] = 1;
+            fresh.push_back(table.slot(slot));
         }
     }
+    for (const Simplex& s : fresh) {
+        ensure(current.stable.add_with_faces_present(s),
+               "TerminatingSubdivision: a selected simplex was stable");
+    }
 
-    // Record the newly stable simplices into K(T), stamping each global
-    // simplex once, when it is first inserted (faces stabilize with their
-    // cofaces). Only the simplices selected THIS stage need recording:
-    // everything else in current.stable is either a face of one of them
-    // or the persisted image of a simplex that was recorded, under the
-    // same position/color global ids, at an earlier stage with its
-    // first stabilization stage.
-    const auto stage = static_cast<std::uint32_t>(stages_.size() - 1);
+    // Record the new simplices into K(T), stamped with this stage. Their
+    // faces are recorded already: each is new this stage and earlier in
+    // `fresh`, or the persisted image, under the same position/color
+    // global ids, of a simplex recorded at an earlier stage.
     // global_id resolves through the exact-rational position index;
     // memoize per stage vertex so each pays for one probe however many
-    // stable simplices share it.
+    // stable simplices share it. Every simplex is mapped to global ids
+    // before any is probed in stable_index_: interleaving the two loops
+    // made this record ~1.5x slower on lt-3-2-res2's last stage.
     std::vector<VertexId> global_of(cx.vertex_id_bound(), kUnset);
     std::vector<VertexId> verts;
-    for (const Simplex& s : newly_stable) {
+    std::vector<Simplex> globals;
+    std::vector<std::size_t> hashes;
+    globals.reserve(fresh.size());
+    hashes.reserve(fresh.size());
+    for (const Simplex& s : fresh) {
         verts.clear();
         for (VertexId v : s.vertices()) {
             if (global_of[v] == kUnset) global_of[v] = global_id(cx, v);
             verts.push_back(global_of[v]);
         }
-        for (Simplex& face : Simplex(verts).faces()) {
-            const auto next = static_cast<VertexId>(stable_simplices_.size());
-            const VertexId id = stable_index_.find_or_insert(
-                std::hash<Simplex>{}(face), next,
-                [&](VertexId w) { return stable_simplices_[w] == face; });
-            if (id == next) {
-                stable_simplices_.push_back(std::move(face));
-                stable_since_.push_back(stage);
-            }
+        globals.emplace_back(verts);
+        hashes.push_back(std::hash<Simplex>{}(globals.back()));
+    }
+    const auto stage = static_cast<std::uint32_t>(stages_.size() - 1);
+    const std::size_t recorded = stable_simplices_.size() + globals.size();
+    stable_simplices_.reserve(recorded);
+    stable_since_.reserve(recorded);
+    stable_index_.reserve(recorded);
+    for (std::size_t i = 0; i < globals.size(); ++i) {
+        const auto next = static_cast<VertexId>(stable_simplices_.size());
+        const VertexId id = stable_index_.find_or_insert(
+            hashes[i], next,
+            [&](VertexId w) { return stable_simplices_[w] == globals[i]; });
+        if (id == next) {
+            stable_simplices_.push_back(std::move(globals[i]));
+            stable_since_.push_back(stage);
         }
     }
     stable_stale_ = true;

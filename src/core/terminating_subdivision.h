@@ -42,20 +42,30 @@ public:
     explicit TerminatingSubdivision(const ChromaticComplex& base);
 
     /// Advance one stage: mark as stable every *not yet stable* simplex of
-    /// the current complex C_k selected by `stabilize` (must be closed
-    /// under faces together with the already-stable simplices) and record
-    /// them into K(T) with their stable_since stamps. The next complex
-    /// C_{k+1}, the partial chromatic subdivision of C_k terminating
-    /// Sigma_k, is deferred: K(T) after k advances is Sigma_0 ∪ .. ∪
-    /// Sigma_{k-1}, so C_{k+1} is built (and Sigma_k carried into it)
-    /// only by the next advance() or by the first complex_at / stable_at
-    /// of stage k+1.
+    /// the current complex C_k selected by `stabilize`, and record each
+    /// into K(T) with its stable_since stamp. The selection, together with
+    /// the already-stable simplices, must be closed under faces: a
+    /// selected simplex with a codimension-1 face that is neither stable
+    /// nor selected throws precondition_error naming both. The next
+    /// complex C_{k+1}, the partial chromatic subdivision of C_k
+    /// terminating Sigma_k, is deferred: K(T) after k advances is
+    /// Sigma_0 ∪ .. ∪ Sigma_{k-1}, so C_{k+1} is built (and Sigma_k
+    /// carried into it) only by the next advance() or by the first
+    /// complex_at / stable_at of stage k+1.
+    ///
+    /// One pass touches each new simplex once. The scan asks the rule
+    /// about every face of every facet (faces in vertex-mask order, so a
+    /// face's faces come first) and lists the C_k slots of the selected
+    /// ones; the merge keeps each slot's first occurrence in facet order,
+    /// where every face precedes its cofaces, and inserts it into Sigma_k
+    /// alone; the record interns it into K(T) with one probe. That
+    /// first-occurrence order fixes the slot order of Sigma_k, the order
+    /// of the global vertex ids and of K(T)'s simplices.
     ///
     /// `num_threads > 1` shards the stage on the shared scheduler: the
-    /// stabilization scan runs in chunks of facets and the subdivision
-    /// build in per-facet work units, merged in facet order, and the
-    /// closure of the next stage's facets as contiguous slot ranges of
-    /// its table (see
+    /// scan runs in chunks of facets, merged in facet order, the
+    /// subdivision build in per-facet work units, and the closure of the
+    /// next stage's facets as contiguous slot ranges of its table (see
     /// SubdividedComplex::chromatic_subdivision_with_termination and
     /// SimplicialComplex::from_facets); the deferred build uses this
     /// call's `num_threads`. Every vertex id, facet, stable set and

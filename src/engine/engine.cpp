@@ -92,11 +92,20 @@ SolveReport solve_general(const Scenario& scenario,
         {"simplicial-approximation", witness.approximation_millis});
     report.counters = witness.counters;
     report.total_backtracks = witness.counters.backtracks;
-    report.witness_depth =
-        static_cast<int>(scenario.options.subdivision_stages);
     report.tsub = std::make_shared<const core::TerminatingSubdivision>(
         std::move(witness.tsub));
+    // A fired cancel token stops the subdivision between stages; a T cut
+    // short that carries no witness proves nothing (Engine::solve names
+    // the limit).
+    const std::size_t built = report.tsub->stages() - 1;
+    const bool cut_short = built < scenario.options.subdivision_stages;
+    report.witness_depth = static_cast<int>(built);
 
+    if (cut_short && !witness.delta.has_value()) {
+        report.verdict = Verdict::kBudgetExhausted;
+        report.detail = "subdivision cut short";
+        return report;
+    }
     if (report.tsub->stable_complex().is_empty()) {
         report.verdict = Verdict::kBudgetExhausted;
         report.detail = "no stable simplices after " +
@@ -163,6 +172,22 @@ SolveReport solve_general(const Scenario& scenario,
     return report;
 }
 
+/// How far a solve cut short got: the wait-free depths it searched, or
+/// the subdivision stages it built and whether the approximation search
+/// had begun.
+std::string progress_of(const Scenario& scenario, const SolveReport& report) {
+    if (scenario.is_wait_free()) {
+        return "after " + std::to_string(report.backtracks_per_depth.size()) +
+               " of " + std::to_string(scenario.options.max_depth + 1) +
+               " wait-free depths";
+    }
+    const std::size_t requested = scenario.options.subdivision_stages;
+    const auto built = static_cast<std::size_t>(report.witness_depth);
+    return "after " + std::to_string(built) + " of " +
+           std::to_string(requested) + " subdivision stages" +
+           (built == requested ? ", in the approximation search" : "");
+}
+
 }  // namespace
 
 const char* to_string(Verdict v) {
@@ -179,6 +204,14 @@ const char* to_string(Verdict v) {
     return "?";
 }
 
+double SolveReport::total_millis() const {
+    double total = 0.0;
+    for (const StageTiming& t : timings) {
+        if (t.stage != "cancelled") total += t.millis;
+    }
+    return total;
+}
+
 std::string SolveReport::summary() const {
     std::string out = scenario + ": " + to_string(verdict);
     if (verdict == Verdict::kSolvable && witness_depth >= 0) {
@@ -193,9 +226,8 @@ std::string SolveReport::summary() const {
                " seeded / " + std::to_string(counters.pool_published) +
                " published";
     }
-    double total_ms = 0.0;
-    for (const StageTiming& t : timings) total_ms += t.millis;
-    out += ", " + std::to_string(static_cast<long long>(total_ms)) + " ms";
+    out += ", " + std::to_string(static_cast<long long>(total_millis())) +
+           " ms";
     if (!detail.empty()) out += " — " + detail;
     for (const std::string& w : warnings) out += " [warning: " + w + "]";
     return out;
@@ -263,6 +295,19 @@ SolveReport Engine::solve(const Scenario& scenario) const {
     // fired, record how long the solve had run when it wound down.
     if (budgeted && budget_token.cancelled()) {
         report.timings.push_back({"cancelled", millis_since(solve_start)});
+    }
+    // A budget-exhausted verdict under a fired token names the limit
+    // that fired and how far the solve got.
+    if (report.verdict == Verdict::kBudgetExhausted &&
+        solver.cancel != nullptr && solver.cancel->cancelled()) {
+        const exec::CancelToken* caller = scenario.options.solver.cancel;
+        report.detail =
+            (caller != nullptr && caller->cancelled()
+                 ? std::string("cancelled by the caller")
+                 : "time budget of " +
+                       std::to_string(scenario.options.time_budget_ms) +
+                       " ms ran out") +
+            " " + progress_of(scenario, report);
     }
 
     if (!pool_file.empty()) {

@@ -125,6 +125,9 @@ struct SolveReport {
     std::optional<ExecutedCheck> executed_check;
 
     bool solvable() const { return verdict == Verdict::kSolvable; }
+    /// The solve's wall time: the sum of its stage timings, leaving out
+    /// the "cancelled" entry, which already spans the whole solve.
+    double total_millis() const;
     /// One-line report summary for CLIs and benches.
     std::string summary() const;
 };

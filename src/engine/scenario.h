@@ -103,7 +103,9 @@ struct EngineOptions {
     /// backtrack checkpoints — so an
     /// over-budget solve stops at the next boundary instead of only
     /// when a backtrack budget runs out. A solve cut short reports
-    /// Verdict::kBudgetExhausted plus a "cancelled" stage timing. The
+    /// Verdict::kBudgetExhausted, a detail naming the limit that fired
+    /// and how far the solve got, and a "cancelled" stage timing that
+    /// spans the solve (left out of SolveReport::total_millis). The
     /// solve server maps a request's queue-wait deadline here, so long
     /// solves are cut mid-flight rather than served late.
     std::size_t time_budget_ms = 0;

@@ -25,7 +25,10 @@ public:
 
     /// Should `s` (a simplex of the stage complex `cx`) be marked stable?
     /// Must select a set closed under faces together with the simplices
-    /// already stable (TerminatingSubdivision::advance's contract).
+    /// already stable (TerminatingSubdivision::advance's contract): a
+    /// selected simplex with a face that is neither stable nor selected
+    /// makes advance() throw precondition_error; it is not closed for
+    /// the rule.
     virtual bool stable(const core::SubdividedComplex& cx,
                        const topo::Simplex& s) const = 0;
 

@@ -309,6 +309,11 @@ void SimplicialComplex::add_simplex(const Simplex& s) {
     for (Simplex& face : s.faces()) simplices_.insert(std::move(face));
 }
 
+bool SimplicialComplex::add_with_faces_present(const Simplex& s) {
+    require(!s.empty(), "SimplicialComplex: cannot add the empty simplex");
+    return simplices_.insert(s);
+}
+
 std::vector<Simplex> SimplicialComplex::simplices_of_dimension(int d) const {
     std::vector<Simplex> out;
     for (const Simplex& s : simplices_) {

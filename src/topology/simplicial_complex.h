@@ -168,6 +168,11 @@ public:
     /// Insert a simplex together with all its faces.
     void add_simplex(const Simplex& s);
 
+    /// Insert a simplex whose proper faces are all present already,
+    /// probing for `s` alone — the caller vouches for the faces, as for
+    /// from_closed. False if `s` was present.
+    bool add_with_faces_present(const Simplex& s);
+
     bool contains(const Simplex& s) const { return simplices_.contains(s); }
     bool contains_vertex(VertexId v) const { return contains(Simplex{v}); }
 

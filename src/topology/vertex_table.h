@@ -66,6 +66,13 @@ public:
         return id;
     }
 
+    /// Make room for `n` ids without further rehashing.
+    void reserve(std::size_t n) {
+        std::size_t count = slots_.empty() ? 8 : slots_.size();
+        while (4 * n > 3 * count) count *= 2;
+        if (count > slots_.size()) rehash(count);
+    }
+
 private:
     static constexpr VertexId kVacant = ~VertexId{0};
     struct Slot {

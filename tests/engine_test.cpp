@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "core/lt_pipeline.h"
 #include "engine/scenario_registry.h"
+#include "exec/cancel.h"
 #include "tasks/standard_tasks.h"
 
 namespace gact::engine {
@@ -187,6 +191,70 @@ TEST(Engine, BatchMatchesSequentialInAnyShardOrder) {
     for (std::size_t i = 0; i < rev.size(); ++i) {
         expect_same_report(rev[i], sequential[sequential.size() - 1 - i]);
     }
+}
+
+// --- limits: a solve cut short says which limit fired ------------------
+
+TEST(Engine, CallerCancelBeforeTheSolveNamesTheLimitAndTheStagesBuilt) {
+    exec::CancelToken token;
+    token.cancel();
+    Scenario s = registry_scenario("lt-2-1-res1");
+    s.options.solver.cancel = &token;
+    const std::string stages =
+        std::to_string(s.options.subdivision_stages);
+    const SolveReport report = engine().solve(s);
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted);
+    EXPECT_EQ(report.detail,
+              "cancelled by the caller after 0 of " + stages +
+                  " subdivision stages");
+    EXPECT_EQ(report.witness_depth, 0);
+    for (const StageTiming& t : report.timings) {
+        EXPECT_NE(t.stage, "cancelled");
+    }
+
+    // Under a time budget too, the caller's token is the limit that
+    // fired; the "cancelled" timing spans the solve and is not added to
+    // the total.
+    s.options.time_budget_ms = 60'000;
+    const SolveReport budgeted = engine().solve(s);
+    EXPECT_EQ(budgeted.detail, report.detail);
+    ASSERT_FALSE(budgeted.timings.empty());
+    EXPECT_EQ(budgeted.timings.back().stage, "cancelled");
+    EXPECT_LE(budgeted.total_millis(), budgeted.timings.back().millis);
+
+    Scenario wf = registry_scenario("is-1-wf");
+    wf.options.solver.cancel = &token;
+    EXPECT_EQ(engine().solve(wf).detail,
+              "cancelled by the caller after 0 of " +
+                  std::to_string(wf.options.max_depth + 1) +
+                  " wait-free depths");
+}
+
+TEST(Engine, TimeBudgetCutsTheSolveAndItsTotalStaysWithinTheWallClock) {
+    // lt-3-2-res2 runs for hundreds of milliseconds, so a 20 ms budget
+    // fires between subdivision stages or in the approximation search.
+    Scenario s = registry_scenario("lt-3-2-res2");
+    s.options.time_budget_ms = 20;
+    const auto start = std::chrono::steady_clock::now();
+    const SolveReport report = engine().solve(s);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted) << report.summary();
+    EXPECT_EQ(report.detail.rfind("time budget of 20 ms ran out after ", 0),
+              0u)
+        << report.detail;
+    ASSERT_FALSE(report.timings.empty());
+    EXPECT_EQ(report.timings.back().stage, "cancelled");
+    EXPECT_LE(report.timings.back().millis, wall_ms);
+    EXPECT_LE(report.total_millis(), wall_ms);
+    EXPECT_NE(report.summary().find(
+                  ", " +
+                  std::to_string(
+                      static_cast<long long>(report.total_millis())) +
+                  " ms"),
+              std::string::npos)
+        << report.summary();
 }
 
 // --- registry hygiene ---------------------------------------------------

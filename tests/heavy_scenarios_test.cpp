@@ -1,6 +1,7 @@
 // The heavy-scenario gate: the sharded lt-3-2-res2 run, timed, with the
-// shape of its terminating subdivision pinned, and its stable_since
-// stamps held against the map-based stamping they replaced.
+// shape of its terminating subdivision pinned, and its stages held
+// against the former stabilization pass and its stable_since stamps
+// against the map-based stamping they replaced.
 //
 // This test is labeled `heavy` in CTest and self-skips unless
 // GACT_RUN_HEAVY=1, so the tier-1 suite stays fast while CI (and anyone
@@ -8,8 +9,8 @@
 //
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 //
-// The budget (default 180 s, override with GACT_HEAVY_BUDGET_SECONDS)
-// is deliberately far above the measured time — ~0.5 s for the solve
+// The budget (default 60 s, override with GACT_HEAVY_BUDGET_SECONDS)
+// is deliberately far above the measured time — ~0.4 s for the solve
 // on a 4-vCPU x86-64 host (gcc, RelWithDebInfo) — so the gate catches
 // order-of-magnitude regressions, not host noise. The subdivision counts
 // are exact: a change of representation that alters any stage complex
@@ -23,6 +24,7 @@
 #include "core/terminating_subdivision.h"
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
+#include "stabilization_oracle.h"
 #include "stable_since_oracle.h"
 
 namespace gact::engine {
@@ -33,7 +35,7 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
     if (run == nullptr || std::string(run) == "0") {
         GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the heavy gate";
     }
-    double budget_seconds = 180.0;
+    double budget_seconds = 60.0;
     if (const char* b = std::getenv("GACT_HEAVY_BUDGET_SECONDS")) {
         budget_seconds = std::strtod(b, nullptr);
     }
@@ -81,10 +83,12 @@ TEST(HeavyScenarios, ShardedLt32Res2StaysUnderTheWallClockBudget) {
         << " s; budget " << budget_seconds << " s — " << report.summary();
 }
 
-// The flat stable_since stamps against the map-based stamping they
+// The one-pass stabilization against the former pass (every Sigma_k
+// slot for slot, the global vertex order, K(T)'s order and stamps), and
+// the flat stable_since stamps against the map-based stamping they
 // replaced, on the heavy scenario's own construction (its input complex,
 // rule and stage count), built at 1 and at 4 threads.
-TEST(HeavyScenarios, StableSinceMatchesTheMapOracleOnLt32Res2) {
+TEST(HeavyScenarios, StabilizationMatchesTheOraclesOnLt32Res2) {
     const char* run = std::getenv("GACT_RUN_HEAVY");
     if (run == nullptr || std::string(run) == "0") {
         GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the heavy comparison";
@@ -93,17 +97,23 @@ TEST(HeavyScenarios, StableSinceMatchesTheMapOracleOnLt32Res2) {
     ASSERT_TRUE(scenario.has_value());
     ASSERT_TRUE(scenario->affine.has_value());
     const StableRule& rule = *scenario->options.stable_rule;
+    const core::StabilizeFn stabilize = [&rule](
+                                            const core::SubdividedComplex& cx,
+                                            const topo::Simplex& s) {
+        return rule.stable(cx, s);
+    };
     for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
         core::TerminatingSubdivision tsub(scenario->affine->task.inputs);
+        core::ReferenceStabilization ref;
         for (std::size_t i = 0; i < scenario->options.subdivision_stages;
              ++i) {
-            tsub.advance(
-                [&rule](const core::SubdividedComplex& cx,
-                        const topo::Simplex& s) { return rule.stable(cx, s); },
-                threads);
+            ref.step(tsub, stabilize);
+            tsub.advance(stabilize, threads);
         }
         ASSERT_EQ(tsub.stages(), 5u);
         EXPECT_EQ(tsub.stable_complex().complex().size(), 148407u);
+        core::expect_matches_reference(tsub, ref);
         core::expect_stamps_match_map_oracle(tsub);
     }
 }

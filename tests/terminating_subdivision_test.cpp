@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/lt_pipeline.h"
+#include "stabilization_oracle.h"
 #include "stable_since_oracle.h"
 
 namespace gact::core {
@@ -215,6 +217,90 @@ TEST(TerminatingSubdivision, StableSinceMatchesTheMapOracleUnderTheLtRule) {
     TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(1));
     t.advance(kNothing);
     EXPECT_THROW(t.stable_since(Simplex{0}), precondition_error);
+}
+
+/// `stages` advances of `base` under `rule` at `threads`, each after a
+/// step of the former stabilization pass, checked against it.
+void expect_one_pass_matches_reference(const topo::ChromaticComplex& base,
+                                       const StabilizeFn& rule,
+                                       int stages, unsigned threads) {
+    TerminatingSubdivision t(base);
+    ReferenceStabilization ref;
+    for (int i = 0; i < stages; ++i) {
+        ref.step(t, rule);
+        t.advance(rule, threads);
+    }
+    expect_matches_reference(t, ref);
+}
+
+TEST(TerminatingSubdivision, OnePassAdvanceMatchesTheReferenceUnderTheLtRule) {
+    // Four stages of the n = 2 L_1 rule, and three of the n = 3 L_2
+    // rule (R_0 of Chr^2 of the tetrahedron), at 1 and at 4 threads.
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        expect_one_pass_matches_reference(
+            topo::ChromaticComplex::standard_simplex(2),
+            [](const SubdividedComplex& cx, const Simplex& s) {
+                return lt_stable_rule(2, 1, cx, s);
+            },
+            4, threads);
+        expect_one_pass_matches_reference(
+            topo::ChromaticComplex::standard_simplex(3),
+            [](const SubdividedComplex& cx, const Simplex& s) {
+                return lt_stable_rule(3, 2, cx, s);
+            },
+            3, threads);
+    }
+}
+
+TEST(TerminatingSubdivision,
+     OnePassAdvanceMatchesTheReferenceForEverythingAndTheEdgeRule) {
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        // Nothing for two stages, then everything: all of Chr^2 of the
+        // triangle stabilizes at once.
+        expect_one_pass_matches_reference(
+            topo::ChromaticComplex::standard_simplex(2),
+            [](const SubdividedComplex& cx, const Simplex&) {
+                return cx.depth() >= 2;
+            },
+            3, threads);
+        expect_one_pass_matches_reference(
+            topo::ChromaticComplex::standard_simplex(3), kEverything, 2,
+            threads);
+        // Section 6.1: one edge of the triangle terminates at stage 0.
+        expect_one_pass_matches_reference(
+            topo::ChromaticComplex::standard_simplex(2),
+            [](const SubdividedComplex& cx, const Simplex& s) {
+                return cx.depth() == 0 && s.is_face_of(Simplex{0, 1});
+            },
+            3, threads);
+    }
+}
+
+TEST(TerminatingSubdivision, RuleThatIsNotClosedUnderFacesThrows) {
+    // The edge {0, 1} without its endpoints: advance() names the edge
+    // and leaves the subdivision as it was, so a closed rule can go on.
+    for (const unsigned threads : {1u, 4u}) {
+        TerminatingSubdivision t(topo::ChromaticComplex::standard_simplex(2));
+        try {
+            t.advance(
+                [](const SubdividedComplex&, const Simplex& s) {
+                    return s == Simplex{0, 1};
+                },
+                threads);
+            ADD_FAILURE() << "no precondition_error at " << threads;
+        } catch (const precondition_error& e) {
+            EXPECT_NE(std::string(e.what()).find(Simplex{0, 1}.to_string()),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(t.stages(), 1u);
+        EXPECT_TRUE(t.stable_at(0).is_empty());
+        EXPECT_TRUE(t.stable_complex().is_empty());
+        t.advance(kEverything, threads);
+        EXPECT_EQ(t.stable_complex().complex().size(), 7u);
+    }
 }
 
 TEST(TerminatingSubdivision, DeferredStagesMatchStagesReadEagerly) {

@@ -118,12 +118,6 @@ void print_exec_stats() {
     std::fprintf(stderr, "\n");
 }
 
-double total_millis(const engine::SolveReport& report) {
-    double millis = 0.0;
-    for (const engine::StageTiming& t : report.timings) millis += t.millis;
-    return millis;
-}
-
 void print_table(const std::vector<engine::SolveReport>& reports,
                  const std::vector<std::string>& skipped) {
     std::size_t name_width = 8;
@@ -141,7 +135,7 @@ void print_table(const std::vector<engine::SolveReport>& reports,
         std::printf("%-*s  %-20s  %5d  %10zu  %-16s  %9.1f\n",
                     static_cast<int>(name_width), r.scenario.c_str(),
                     engine::to_string(r.verdict), r.witness_depth,
-                    r.total_backtracks, digest.c_str(), total_millis(r));
+                    r.total_backtracks, digest.c_str(), r.total_millis());
     }
     for (const std::string& name : skipped) {
         std::printf("%-*s  %-20s\n", static_cast<int>(name_width),
