@@ -38,13 +38,11 @@
 // saved back after, so a fresh invocation warm-starts on everything
 // earlier invocations learned — the second process reproduces the
 // bit-identical witness (compare the printed witness digests) at 0
-// backtracks. The load/save happens ONCE here, around the whole batch,
-// rather than per solve via EngineOptions::pool_file: the scenarios
-// share one pool, and concurrent per-solve saves of one file would
-// race.
+// backtracks. The load (SharedNogoodPool::load_if_present) and the save
+// happen ONCE here, around the whole batch: the engine itself does no
+// file I/O, and the scenarios share one pool.
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <memory>
 
@@ -155,14 +153,11 @@ int main(int argc, char** argv) {
         // A missing file is the silent first-run cold start; a present
         // but unreadable/corrupt one is warned about (the warm-start
         // the user asked for is not happening).
-        std::error_code ec;
-        if (!pool_file.empty() &&
-            (std::filesystem::exists(pool_file, ec) || ec)) {
-            const std::string err = pool->load(pool_file);
-            if (!err.empty()) {
-                std::cerr << "warning: pool file rejected (" << err
-                          << ") — starting cold\n";
-            }
+        const std::string err =
+            pool_file.empty() ? "" : pool->load_if_present(pool_file);
+        if (!err.empty()) {
+            std::cerr << "warning: pool file rejected (" << err
+                      << ") — starting cold\n";
         }
         for (engine::Scenario& s : scenarios) s.options.nogood_pool = pool;
     }

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "core/stable_index.h"
-#include "engine/general_route.h"
 #include "util/require.h"
 
 namespace gact::core {
@@ -446,40 +445,6 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
     }
     return problem;
 }
-
-// Deprecated shim; defining it should not warn about itself.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-LtPipeline build_lt_pipeline(int n, int t, std::size_t extra_stages,
-                             const SolverConfig& config) {
-    // Thin compatibility shim: the construction itself lives in the
-    // engine's general route (engine/general_route.h), where
-    // lt_stable_rule is one StableRule instance among others. The L_t
-    // convention "C_0 = s, C_1 = Chr s, C_2 = Chr^2 s, then the rule"
-    // maps to 2 + extra_stages uniform advances because the rule is inert
-    // below depth 2.
-    LtPipeline out;
-    out.task = tasks::t_resilience_task(n, t);
-
-    const bool have_radial = (n == 2 && t == 1);
-    engine::GeneralWitness witness = engine::build_general_witness(
-        out.task, engine::LtStableRule(n, t), 2 + extra_stages,
-        /*fix_identity=*/true,
-        have_radial ? LtGuidance::kRadial : LtGuidance::kNearest, config);
-
-    require(!witness.tsub.stable_complex().is_empty(),
-            "build_lt_pipeline: no stable simplices; raise extra_stages");
-    require(witness.delta.has_value(),
-            "build_lt_pipeline: no chromatic approximation found; "
-            "a finer stable refinement is needed");
-    out.tsub = std::move(witness.tsub);
-    out.delta = *witness.delta;
-    out.csp_backtracks = witness.counters.backtracks;
-    return out;
-}
-
-#pragma GCC diagnostic pop
 
 namespace {
 

@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -439,9 +441,20 @@ std::string SharedNogoodPool::save(const std::string& path) {
 }
 
 std::string SharedNogoodPool::load(const std::string& path) {
+    return load_file(path, /*absent_is_cold=*/false);
+}
+
+std::string SharedNogoodPool::load_if_present(const std::string& path) {
+    return load_file(path, /*absent_is_cold=*/true);
+}
+
+std::string SharedNogoodPool::load_file(const std::string& path,
+                                        bool absent_is_cold) {
     // Same split as save(): parse off the lock, commit under it.
     ParsedFile parsed;
-    const std::string err = parse_file(path, parsed);
+    bool absent = false;
+    const std::string err = parse_file(path, parsed, &absent);
+    if (absent && absent_is_cold) return "";
     if (!err.empty()) return err;
     const std::lock_guard<std::mutex> lock(mutex_);
     merge_parsed_locked(parsed);
@@ -449,9 +462,16 @@ std::string SharedNogoodPool::load(const std::string& path) {
 }
 
 std::string SharedNogoodPool::parse_file(const std::string& path,
-                                         ParsedFile& out) {
+                                         ParsedFile& out, bool* absent) {
+    errno = 0;
     std::ifstream file(path);
-    if (!file) return "cannot open '" + path + "'";
+    if (!file) {
+        const int open_errno = errno;
+        if (absent != nullptr) *absent = open_errno == ENOENT;
+        return "cannot open '" + path + "'" +
+               (open_errno != 0 ? std::string(": ") + std::strerror(open_errno)
+                                : std::string());
+    }
 
     // Parse and validate the whole file WITHOUT touching the pool, so
     // any failure below leaves it exactly as it was.
@@ -468,6 +488,8 @@ std::string SharedNogoodPool::parse_file(const std::string& path,
     const auto next_line = [&](const char* expect) -> std::string {
         if (!std::getline(file, line)) {
             line.clear();
+            // bad(): the read itself failed, e.g. the path is a directory.
+            if (file.bad()) return std::string("read error");
             return std::string("truncated file (expected ") + expect + ")";
         }
         ++line_no;

@@ -368,9 +368,20 @@ public:
     /// file is fully parsed and validated BEFORE the pool is touched,
     /// so a truncated, corrupted, or version-mismatched file returns a
     /// diagnostic and leaves the pool exactly as it was — callers
-    /// downgrade to a cold start (SolveReport::warnings), never abort.
-    /// Returns "" on success.
+    /// downgrade to a cold start, never abort. Returns "" on success;
+    /// a missing file is an error here (see load_if_present).
     std::string load(const std::string& path);
+
+    /// load(), except that a file that does not exist is the ordinary
+    /// first-run cold start: returns "" when the file was loaded or is
+    /// absent, and load()'s diagnostic otherwise — a path that exists but
+    /// cannot be opened or read (permissions, a directory) or a file
+    /// that does not parse. On failure the pool is untouched. Absence is
+    /// decided by the open itself failing with ENOENT, never by a
+    /// separate existence probe. The one implementation of the pool-file
+    /// warm start: example_engine_cli --pool-file and SolveServer both
+    /// call it.
+    std::string load_if_present(const std::string& path);
 
 private:
     struct Scope {
@@ -388,8 +399,13 @@ private:
     struct ParsedFile;
     /// Parse + validate the pool file at `path` into `out` WITHOUT
     /// touching the pool (no lock needed). Returns "" or a diagnostic;
-    /// on error `out` is unspecified and must not be merged.
-    static std::string parse_file(const std::string& path, ParsedFile& out);
+    /// on error `out` is unspecified and must not be merged. `absent`,
+    /// when non-null, is set to whether the open failed because the file
+    /// does not exist.
+    static std::string parse_file(const std::string& path, ParsedFile& out,
+                                  bool* absent = nullptr);
+    /// load() and load_if_present(): parse, then merge under mutex_.
+    std::string load_file(const std::string& path, bool absent_is_cold);
     /// Commit a parsed file: re-intern its file-local keys, remap and
     /// publish its nogoods through the ordinary dedup + capacity path.
     /// The caller holds mutex_.

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <filesystem>
-
 #include "engine/general_route.h"
 #include "engine/stage_clock.h"
 #include "exec/cancel.h"
@@ -14,14 +12,14 @@ namespace gact::engine {
 namespace {
 
 SolveReport solve_wait_free(const Scenario& scenario,
-                            const core::SolverConfig& solver,
-                            core::SharedNogoodPool* pool) {
+                            const core::SolverConfig& solver) {
     SolveReport report;
     report.scenario = scenario.name;
 
     const auto start = stage_clock_now();
     const core::ActResult act = core::run_act_search(
-        scenario.task, scenario.options.max_depth, solver, pool);
+        scenario.task, scenario.options.max_depth, solver,
+        scenario.options.nogood_pool.get());
     report.timings.push_back({"act-search", millis_since(start)});
 
     report.backtracks_per_depth = act.backtracks_per_depth;
@@ -49,8 +47,7 @@ SolveReport solve_wait_free(const Scenario& scenario,
 }
 
 SolveReport solve_general(const Scenario& scenario,
-                          const core::SolverConfig& solver,
-                          core::SharedNogoodPool* pool) {
+                          const core::SolverConfig& solver) {
     SolveReport report;
     report.scenario = scenario.name;
     if (!scenario.affine.has_value() ||
@@ -85,7 +82,8 @@ SolveReport solve_general(const Scenario& scenario,
     GeneralWitness witness = build_general_witness(
         *scenario.affine, *scenario.options.stable_rule,
         scenario.options.subdivision_stages, scenario.options.fix_identity,
-        guidance, solver, scenario.options.shard_threads, pool);
+        guidance, solver, scenario.options.shard_threads,
+        scenario.options.nogood_pool.get());
     report.timings.push_back(
         {"terminating-subdivision", witness.subdivision_millis});
     report.timings.push_back(
@@ -236,35 +234,6 @@ std::string SolveReport::summary() const {
 SolveReport Engine::solve(const Scenario& scenario) const {
     require(!scenario.name.empty(), "Engine::solve: unnamed scenario");
 
-    // Pool persistence (EngineOptions::pool_file): resolve the pool and
-    // warm-start it from disk before the solve, save it back after. Any
-    // file problem downgrades to a cold start with a warning — a stale
-    // or mangled pool file must never take the solve down, because the
-    // pool only ever accelerates; it never decides.
-    std::shared_ptr<core::SharedNogoodPool> pool =
-        scenario.options.nogood_pool;
-    std::vector<std::string> pool_warnings;
-    const std::string& pool_file = scenario.options.pool_file;
-    if (!pool_file.empty()) {
-        if (pool == nullptr) {
-            pool = std::make_shared<core::SharedNogoodPool>();
-        }
-        // Only a genuinely ABSENT file is the clean, silent cold start
-        // (the run that seeds it below). A file that exists but cannot
-        // be opened or parsed — permissions, corruption, version skew —
-        // must surface as a warning: the operator configured a
-        // warm-start that is not happening.
-        std::error_code ec;
-        if (std::filesystem::exists(pool_file, ec) || ec) {
-            const std::string err = pool->load(pool_file);
-            if (!err.empty()) {
-                pool_warnings.push_back(
-                    "nogood-pool file rejected (" + err +
-                    ") — continuing with a cold pool");
-            }
-        }
-    }
-
     // Time budget (EngineOptions::time_budget_ms): materialized as a
     // CancelToken deadline the whole route observes — between wait-free
     // depths, between subdivision stages, and at the CSP's backtrack
@@ -286,10 +255,8 @@ SolveReport Engine::solve(const Scenario& scenario) const {
 
     SolveReport report =
         scenario.is_wait_free()
-            ? solve_wait_free(scenario, solver, pool.get())
-            : solve_general(scenario, solver, pool.get());
-    report.warnings.insert(report.warnings.begin(), pool_warnings.begin(),
-                           pool_warnings.end());
+            ? solve_wait_free(scenario, solver)
+            : solve_general(scenario, solver);
 
     // The promised "cancelled" stage timing: when the budget's token
     // fired, record how long the solve had run when it wound down.
@@ -310,13 +277,6 @@ SolveReport Engine::solve(const Scenario& scenario) const {
             " " + progress_of(scenario, report);
     }
 
-    if (!pool_file.empty()) {
-        const std::string err = pool->save(pool_file);
-        if (!err.empty()) {
-            report.warnings.push_back("nogood-pool save failed (" + err +
-                                      ") — learning not persisted");
-        }
-    }
     return report;
 }
 

@@ -6,8 +6,9 @@
 // carrier-preserving approximation delta : K(T) -> L (Proposition 9.1 /
 // Theorem 8.4). Admissibility against a model's run families — stage 5 —
 // lives with the engine, which owns the model; this module is purely the
-// topological construction. core::build_lt_pipeline is a thin shim over
-// this function with LtStableRule, kept for compatibility.
+// topological construction. The Section 9.2 L_t pipeline is this function
+// with LtStableRule (2 + extra stages, identity fixing on, kRadial
+// guidance for n = 2, t = 1 and kNearest otherwise).
 #pragma once
 
 #include "core/lt_pipeline.h"
@@ -35,7 +36,7 @@ struct GeneralWitness {
 /// the task's input complex under `rule`, then search for delta. Rules are
 /// consulted from stage 0 on — the L_t convention of two unconditional
 /// Chr stages is the rule's own business (lt_stable_rule rejects depths
-/// < 2), so build_lt_pipeline's 2 + extra_stages maps to stages here.
+/// < 2), so the L_t pipeline's 2 + extra_stages maps to stages here.
 /// If no simplex ever stabilizes, the returned witness has an empty
 /// stable complex and no delta (the CSP is not attempted).
 ///

@@ -49,7 +49,7 @@ util::Json report_to_json(const SolveReport& report);
 /// Apply inline overrides from a JSON object onto `options`. Accepted
 /// keys (the request-facing subset of EngineOptions — knobs that shape
 /// budgets and the problem, not ones that alias server-owned resources
-/// like nogood_pool/pool_file): "max_depth", "subdivision_stages",
+/// like nogood_pool): "max_depth", "subdivision_stages",
 /// "max_backtracks", "shard_threads", "fix_identity",
 /// "run_prefix_depth", "max_landing_round", "time_budget_ms".
 /// The CSP engine is not a wire option: there are two engines, fast

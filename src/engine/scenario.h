@@ -37,9 +37,9 @@ struct EngineOptions {
     /// subdivision. Required for non-wait-free models on affine tasks.
     std::shared_ptr<const StableRule> stable_rule;
 
-    /// General route: total TerminatingSubdivision::advance() steps. The
-    /// L_t pipeline's 2 + extra_stages convention maps here directly
-    /// (lt_stable_rule is inert below depth 2).
+    /// General route: total TerminatingSubdivision::advance() steps.
+    /// Section 9.2's "C_2 = Chr^2 s, then extra_stages rings" is
+    /// 2 + extra_stages here (lt_stable_rule is inert below depth 2).
     std::size_t subdivision_stages = 4;
 
     /// General route: pre-assign delta as the identity on the stable
@@ -63,22 +63,11 @@ struct EngineOptions {
     /// scenarios differing only in their model — skip conflicts already
     /// proven. Share one pool across scenarios freely: scoping keeps
     /// distinct problems apart. Null disables reuse. Verdict- and
-    /// witness-preserving (pruning only).
+    /// witness-preserving (pruning only). The engine does no file I/O:
+    /// to carry a pool across processes, load it before the solves
+    /// (SharedNogoodPool::load_if_present) and save it after, as
+    /// example_engine_cli --pool-file and gact_serve do.
     std::shared_ptr<core::SharedNogoodPool> nogood_pool;
-
-    /// @brief Pool persistence (core/nogood_store.h, save/load): when
-    /// non-empty, the solve warm-starts by loading this pool file into
-    /// its SharedNogoodPool (a per-solve pool is created when
-    /// `nogood_pool` is null) and saves the pool back afterwards, so a
-    /// fresh process replays every conflict an earlier one proved — the
-    /// second process finds the bit-identical witness with 0
-    /// backtracks. A missing file is a clean cold start; an unreadable,
-    /// corrupted, or version-mismatched file downgrades to a cold start
-    /// with a SolveReport::warnings entry, never an abort. Batch
-    /// drivers sharing one pool across scenarios (example_engine_cli
-    /// --pool-file) should load/save once themselves instead of setting
-    /// this per scenario: per-solve saves of a shared file would race.
-    std::string pool_file;
 
     /// @brief Intra-scenario sharding (general route): split each
     /// terminating-subdivision stage into per-facet work units, and the

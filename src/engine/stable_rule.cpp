@@ -16,7 +16,7 @@ std::string LtStableRule::name() const {
 
 bool UniformDepthRule::stable(const core::SubdividedComplex& cx,
                               const topo::Simplex&) const {
-    return cx.depth() >= depth_;
+    return static_cast<std::size_t>(cx.depth()) >= depth_;
 }
 
 std::string UniformDepthRule::name() const {

@@ -10,7 +10,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "engine/report_json.h"
@@ -85,27 +84,16 @@ std::string SolveServer::start() {
         bound_port_ = ntohs(bound.sin_port);
     }
 
-    // Warm the resident pool from disk. A missing file (stat → ENOENT)
-    // is the ordinary first-boot cold start; a file that exists but
-    // cannot be read or parsed — or one whose existence cannot even be
-    // checked (e.g. permission denied) — is surfaced as a startup
-    // warning: the warm cache the operator configured is not happening,
-    // but the server must come up regardless (the pool only
-    // accelerates, it never decides).
+    // Warm the resident pool from disk. A missing file is the ordinary
+    // first-boot cold start; a file that exists but cannot be read or
+    // parsed is surfaced as a startup warning: the warm cache the
+    // operator configured is not happening, but the server must come up
+    // regardless (the pool only accelerates, it never decides).
     if (!config_.pool_file.empty()) {
-        struct stat st{};
-        if (::stat(config_.pool_file.c_str(), &st) != 0) {
-            if (errno != ENOENT) {
-                startup_warning_ = "pool file inaccessible (" +
-                                   std::string(std::strerror(errno)) +
-                                   ") — starting cold";
-            }
-        } else {
-            const std::string err = pool_->load(config_.pool_file);
-            if (!err.empty()) {
-                startup_warning_ =
-                    "pool file rejected (" + err + ") — starting cold";
-            }
+        const std::string err = pool_->load_if_present(config_.pool_file);
+        if (!err.empty()) {
+            startup_warning_ =
+                "pool file rejected (" + err + ") — starting cold";
         }
     }
 
@@ -338,11 +326,8 @@ void SolveServer::handle_payload(const std::shared_ptr<Connection>& conn,
     }
 
     // The resident pool is the whole point of the server: every solve
-    // seeds from and publishes to it. Per-request pool_file would
-    // reintroduce exactly the file race this process exists to remove,
-    // so it is force-cleared no matter what the registry entry said.
+    // seeds from and publishes to it.
     scenario->options.nogood_pool = pool_;
-    scenario->options.pool_file.clear();
 
     SolveJob job;
     job.scenario = std::move(*scenario);

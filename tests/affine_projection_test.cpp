@@ -3,13 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/lt_pipeline.h"
+#include "engine/general_route.h"
 #include "iis/projection.h"
 #include "iis/run_enumeration.h"
-
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 namespace gact::iis {
 namespace {
@@ -96,14 +92,17 @@ TEST(AffineProjection, AlternatingPairConvergesInsideTheEdge) {
 TEST(AffineProjection, LandingSimplicesContainTheProjection) {
     // Cross-module: the L_1 pipeline's landing simplex of a run contains
     // pi(r) — landing localizes the limit point.
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 2);
+    const engine::GeneralWitness w = engine::build_general_witness(
+        tasks::t_resilience_task(2, 1), engine::LtStableRule(2, 1), 2 + 2,
+        /*fix_identity=*/true, core::LtGuidance::kRadial,
+        core::SolverConfig::fast());
     const iis::TResilientModel res1(3, 1);
     std::size_t checked = 0;
     for (const iis::Run& r :
          filter_by_model(enumerate_stabilized_runs(3, 0), res1)) {
-        const auto landing = core::find_landing(p.tsub, r, 8);
+        const auto landing = core::find_landing(w.tsub, r, 8);
         ASSERT_TRUE(landing.has_value()) << r.to_string();
-        EXPECT_TRUE(p.tsub.stable_simplex_contains(landing->stable_facet,
+        EXPECT_TRUE(w.tsub.stable_simplex_contains(landing->stable_facet,
                                                    {affine_projection(r)}))
             << r.to_string();
         ++checked;
@@ -114,10 +113,10 @@ TEST(AffineProjection, LandingSimplicesContainTheProjection) {
 TEST(AffineProjection, GeometricModelMembership) {
     // The geometric model pi^{-1}(|L_1|): runs converging into the
     // figure's central region.
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 1);
+    const tasks::AffineTask l1 = tasks::t_resilience_task(2, 1);
     const GeometricModel into_l1(
-        "pi^-1(L_1)", [&p](const topo::BaryPoint& x) {
-            return core::point_in_l(p.task, x);
+        "pi^-1(L_1)", [&l1](const topo::BaryPoint& x) {
+            return core::point_in_l(l1, x);
         });
     EXPECT_TRUE(into_l1.contains(iis::Run::forever(3, conc({0, 1, 2}))));
     EXPECT_FALSE(into_l1.contains(iis::Run::forever(3, conc({0}))));

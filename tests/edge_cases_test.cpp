@@ -5,10 +5,7 @@
 
 #include "core/act_solver.h"
 #include "core/lt_pipeline.h"
-
-// Some edge cases intentionally exercise the deprecated
-// build_lt_pipeline shim.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "engine/general_route.h"
 #include "iis/projection.h"
 #include "iis/run_enumeration.h"
 #include "tasks/standard_tasks.h"
@@ -174,15 +171,14 @@ TEST(EdgeCases, ActDepthZeroOnly) {
     EXPECT_EQ(act.backtracks_per_depth.size(), 1u);
 }
 
-TEST(EdgeCases, PipelineNeedsAStabilizationStage) {
-    EXPECT_THROW(core::build_lt_pipeline(2, 1, 0), precondition_error);
-}
-
 TEST(EdgeCases, FindLandingHorizonZeroFindsNothing) {
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 1);
+    const engine::GeneralWitness w = engine::build_general_witness(
+        tasks::t_resilience_task(2, 1), engine::LtStableRule(2, 1), 2 + 1,
+        /*fix_identity=*/true, core::LtGuidance::kRadial,
+        core::SolverConfig::fast());
     const iis::Run lockstep = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::full(3)));
-    EXPECT_FALSE(core::find_landing(p.tsub, lockstep, 0).has_value());
+    EXPECT_FALSE(core::find_landing(w.tsub, lockstep, 0).has_value());
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <string>
 
 #include "core/lt_pipeline.h"
+#include "engine/general_route.h"
+#include "engine/report_json.h"
 #include "engine/scenario_registry.h"
 #include "exec/cancel.h"
 #include "tasks/standard_tasks.h"
@@ -84,28 +86,43 @@ TEST(Engine, WaitFreeVerdictsAcrossTheRegistry) {
 
 // --- (ii) the Res_t route reproduces the L_t witness --------------------
 
-TEST(Engine, ResTRouteReproducesLtPipelineWitness) {
+TEST(Engine, ResTRouteReproducesTheGeneralWitness) {
     const SolveReport report =
         engine().solve(registry_scenario("lt-2-1-res1"));
     EXPECT_EQ(report.verdict, Verdict::kSolvable);
     ASSERT_TRUE(report.witness.has_value());
     ASSERT_NE(report.tsub, nullptr);
+    EXPECT_EQ(witness_digest_hex(*report.witness), "2804cd4511698afd");
 
-// The comparison target is the deprecated shim, on purpose: the engine
-// route must reproduce what the historical pipeline produced.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 2);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(report.total_backtracks, pipeline.csp_backtracks);
-    EXPECT_EQ(report.witness->vertex_map(), pipeline.delta.vertex_map());
+    // The registry scenario is the Section 9.2 construction: the same
+    // arguments to build_general_witness give the same T and delta.
+    const GeneralWitness direct = build_general_witness(
+        tasks::t_resilience_task(2, 1), LtStableRule(2, 1), 2 + 2,
+        /*fix_identity=*/true, core::LtGuidance::kRadial,
+        core::SolverConfig::fast());
+    ASSERT_TRUE(direct.delta.has_value());
+    EXPECT_EQ(report.total_backtracks, direct.counters.backtracks);
+    EXPECT_EQ(report.witness->vertex_map(), direct.delta->vertex_map());
     EXPECT_EQ(report.tsub->stable_complex().vertex_ids().size(),
-              pipeline.tsub.stable_complex().vertex_ids().size());
+              direct.tsub.stable_complex().vertex_ids().size());
 
     ASSERT_TRUE(report.admissibility.has_value());
     EXPECT_TRUE(report.admissibility->admissible);
     EXPECT_EQ(report.admissibility->runs_checked, report.model_runs.size());
     EXPECT_FALSE(report.model_runs.empty());
+}
+
+TEST(Engine, NoStableSimplicesIsBudgetExhausted) {
+    // lt_stable_rule is inert below depth 2, so two stages stabilize
+    // nothing: the verdict says which knob to raise.
+    Scenario scenario = registry_scenario("lt-2-1-res1");
+    scenario.options.subdivision_stages = 2;
+    const SolveReport report = engine().solve(scenario);
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted);
+    EXPECT_FALSE(report.witness.has_value());
+    EXPECT_NE(report.detail.find("raise subdivision_stages"),
+              std::string::npos)
+        << report.detail;
 }
 
 TEST(Engine, AdversaryPresentationOfRes1Agrees) {

@@ -5,13 +5,9 @@
 #include <set>
 
 #include "core/lt_pipeline.h"
+#include "engine/general_route.h"
 #include "tasks/standard_tasks.h"
 #include "topology/subdivision.h"
-
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 namespace gact::topo {
 namespace {
@@ -69,10 +65,13 @@ TEST(FacetGraph, RingOneSplitsIntoThreeCornerStrips) {
     // The collar ring R_1 of the L_1 construction is one strip per
     // forbidden corner — the structure the Section 9.2 figure shows and
     // that the CSP solver exploits via component decomposition.
-    const core::LtPipeline p = core::build_lt_pipeline(2, 1, 2);
+    const engine::GeneralWitness w = engine::build_general_witness(
+        tasks::t_resilience_task(2, 1), engine::LtStableRule(2, 1), 2 + 2,
+        /*fix_identity=*/true, core::LtGuidance::kRadial,
+        core::SolverConfig::fast());
     SimplicialComplex ring1;
-    for (const Simplex& f : p.tsub.stable_facets()) {
-        if (core::ring_of_stable_facet(p.tsub, f) == 1) ring1.add_simplex(f);
+    for (const Simplex& f : w.tsub.stable_facets()) {
+        if (core::ring_of_stable_facet(w.tsub, f) == 1) ring1.add_simplex(f);
     }
     const FacetGraph g(ring1);
     EXPECT_EQ(g.num_components(), 3u);

@@ -10,19 +10,19 @@
 // decides on the snapshot hull instead and passes this family.
 #include <gtest/gtest.h>
 
+#include "engine/general_route.h"
 #include "protocol/gact_protocol.h"
 #include "protocol/verifier.h"
-
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 namespace gact::protocol {
 namespace {
 
 TEST(GactDepth2Stress, SampledDepthTwoFamilyIsSolved) {
-    const core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 3);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 1);
+    const engine::GeneralWitness pipeline = engine::build_general_witness(
+        task, engine::LtStableRule(2, 1), 2 + 3, /*fix_identity=*/true,
+        core::LtGuidance::kRadial, core::SolverConfig::fast());
+    ASSERT_TRUE(pipeline.delta.has_value());
     const iis::TResilientModel res1(3, 1);
     std::vector<iis::Run> runs;
     std::size_t i = 0;
@@ -33,12 +33,12 @@ TEST(GactDepth2Stress, SampledDepthTwoFamilyIsSolved) {
 
     ViewArena arena;
     const GactProtocolBuild build = build_gact_protocol(
-        pipeline.tsub, pipeline.delta, runs, 10, arena);
+        pipeline.tsub, *pipeline.delta, runs, 10, arena);
     EXPECT_EQ(build.conflicts, 0u);
     EXPECT_EQ(build.landed_runs, build.total_runs);
 
-    const auto report = verify_inputless(pipeline.task.task, build.protocol,
-                                         runs, 10, arena);
+    const auto report =
+        verify_inputless(task.task, build.protocol, runs, 10, arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 
@@ -46,7 +46,11 @@ TEST(GactDepth2Stress, TheHistoricalCounterexampleRun) {
     // The exact run that exposed the per-run-landing incoherence: it
     // shares p1's round-2 view with a concurrent-round-2 sibling but
     // drifts toward corner 0 (the laggard p0 pulls the averages).
-    const core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 3);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 1);
+    const engine::GeneralWitness pipeline = engine::build_general_witness(
+        task, engine::LtStableRule(2, 1), 2 + 3, /*fix_identity=*/true,
+        core::LtGuidance::kRadial, core::SolverConfig::fast());
+    ASSERT_TRUE(pipeline.delta.has_value());
     const iis::Run drifting(
         3,
         {iis::OrderedPartition::sequential({0, 2, 1}),
@@ -64,10 +68,10 @@ TEST(GactDepth2Stress, TheHistoricalCounterexampleRun) {
 
     const std::vector<iis::Run> pair = {drifting, sibling};
     const GactProtocolBuild build = build_gact_protocol(
-        pipeline.tsub, pipeline.delta, pair, 10, arena);
+        pipeline.tsub, *pipeline.delta, pair, 10, arena);
     EXPECT_EQ(build.conflicts, 0u);
-    const auto report = verify_inputless(pipeline.task.task, build.protocol,
-                                         pair, 10, arena);
+    const auto report =
+        verify_inputless(task.task, build.protocol, pair, 10, arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 

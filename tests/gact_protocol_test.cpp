@@ -7,18 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/general_route.h"
 #include "protocol/verifier.h"
-
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 namespace gact::protocol {
 namespace {
 
 struct Fixture {
-    core::LtPipeline pipeline = core::build_lt_pipeline(2, 1, 2);
+    tasks::AffineTask task = tasks::t_resilience_task(2, 1);
+    engine::GeneralWitness pipeline = engine::build_general_witness(
+        task, engine::LtStableRule(2, 1), 2 + 2, /*fix_identity=*/true,
+        core::LtGuidance::kRadial, core::SolverConfig::fast());
     std::vector<iis::Run> runs;
     ViewArena arena;
     GactProtocolBuild build;
@@ -27,8 +26,8 @@ struct Fixture {
         const iis::TResilientModel res1(3, 1);
         runs = iis::filter_by_model(iis::enumerate_stabilized_runs(3, 1),
                                     res1);
-        build = build_gact_protocol(pipeline.tsub, pipeline.delta, runs, 8,
-                                    arena);
+        build = build_gact_protocol(pipeline.tsub, pipeline.delta.value(),
+                                    runs, 8, arena);
     }
 };
 
@@ -53,8 +52,8 @@ TEST(GactProtocol, NoConflictsInTheTable) {
 
 TEST(GactProtocol, SolvesLtInResOne) {
     Fixture& f = fixture();
-    const auto report = verify_inputless(f.pipeline.task.task,
-                                         f.build.protocol, f.runs, 8, f.arena);
+    const auto report =
+        verify_inputless(f.task.task, f.build.protocol, f.runs, 8, f.arena);
     EXPECT_TRUE(report.solved) << report.summary();
     EXPECT_EQ(report.runs_checked, f.runs.size());
 }
@@ -68,9 +67,8 @@ TEST(GactProtocol, SlowObserverAlsoDecides) {
         3, iis::OrderedPartition(
                {ProcessSet::of({0, 1}), ProcessSet::of({2})}));
     ASSERT_TRUE(iis::TResilientModel(3, 1).contains(behind));
-    const auto report = verify_inputless(f.pipeline.task.task,
-                                         f.build.protocol, {behind}, 8,
-                                         f.arena);
+    const auto report =
+        verify_inputless(f.task.task, f.build.protocol, {behind}, 8, f.arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 
@@ -80,8 +78,8 @@ TEST(GactProtocol, OutputsRespectParticipationFaces) {
     const iis::Run duo = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::of({0, 2})));
     ASSERT_TRUE(iis::TResilientModel(3, 1).contains(duo));
-    const auto report = verify_inputless(f.pipeline.task.task,
-                                         f.build.protocol, {duo}, 8, f.arena);
+    const auto report =
+        verify_inputless(f.task.task, f.build.protocol, {duo}, 8, f.arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 
@@ -100,16 +98,15 @@ TEST(GactProtocol, CorruptedDeltaIsCaught) {
     const topo::VertexId victim =
         k.vertex_with_color(landing->stable_facet, 0);
 
-    core::SimplicialMap corrupted = f.pipeline.delta;
+    core::SimplicialMap corrupted = *f.pipeline.delta;
     const topo::VertexId old_image = corrupted.apply(victim);
     // Farthest same-colored output vertex.
     topo::VertexId far = old_image;
     Rational best(0);
-    for (topo::VertexId w : f.pipeline.task.task.outputs.vertex_ids()) {
-        if (f.pipeline.task.task.outputs.color(w) != 0) continue;
-        const Rational d =
-            f.pipeline.task.subdivision.position(w).l1_distance(
-                f.pipeline.task.subdivision.position(old_image));
+    for (topo::VertexId w : f.task.task.outputs.vertex_ids()) {
+        if (f.task.task.outputs.color(w) != 0) continue;
+        const Rational d = f.task.subdivision.position(w).l1_distance(
+            f.task.subdivision.position(old_image));
         if (d > best) {
             best = d;
             far = w;
@@ -121,7 +118,7 @@ TEST(GactProtocol, CorruptedDeltaIsCaught) {
     ViewArena arena;
     const GactProtocolBuild bad = build_gact_protocol(
         f.pipeline.tsub, corrupted, f.runs, 8, arena);
-    const auto report = verify_inputless(f.pipeline.task.task, bad.protocol,
+    const auto report = verify_inputless(f.task.task, bad.protocol,
                                          f.runs, 8, arena);
     // Either the table already conflicts, or verification fails.
     EXPECT_TRUE(bad.conflicts > 0 || !report.solved);
@@ -131,11 +128,11 @@ TEST(GactProtocol, HigherHorizonOnlyAddsDecisions) {
     Fixture& f = fixture();
     ViewArena arena;
     const GactProtocolBuild deeper = build_gact_protocol(
-        f.pipeline.tsub, f.pipeline.delta, f.runs, 10, arena);
+        f.pipeline.tsub, *f.pipeline.delta, f.runs, 10, arena);
     EXPECT_EQ(deeper.conflicts, 0u);
     EXPECT_GE(deeper.protocol.size(), f.build.protocol.size());
-    const auto report = verify_inputless(f.pipeline.task.task,
-                                         deeper.protocol, f.runs, 10, arena);
+    const auto report =
+        verify_inputless(f.task.task, deeper.protocol, f.runs, 10, arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 

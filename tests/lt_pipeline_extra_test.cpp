@@ -5,28 +5,35 @@
 //  * t = 0: the 0-resilient task — only runs where everybody is fast land.
 #include <gtest/gtest.h>
 
+#include "engine/general_route.h"
 #include "protocol/gact_protocol.h"
 #include "protocol/verifier.h"
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+// Every construction below is the Section 9.2 one: LtStableRule through
+// 2 + extra stages with identity fixing on. The exact radial projection
+// covers n = 2, t = 1 only, so the other t use kNearest guidance.
 
 namespace gact::core {
 namespace {
 
 TEST(LtWaitFreeDegeneracy, EverythingStabilizesAtDepthTwo) {
-    const LtPipeline p = build_lt_pipeline(2, 2, 1);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 2);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 2), 2 + 1, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
     // K(T) is all of Chr^2 s: GACT collapses to ACT (Section 7).
     EXPECT_EQ(p.tsub.stable_facets().size(), 169u);
-    EXPECT_EQ(p.task.l_complex.facets().size(), 169u);
+    EXPECT_EQ(task.l_complex.facets().size(), 169u);
     // delta is the identity (every stable vertex is an L vertex).
-    EXPECT_EQ(p.csp_backtracks, 0u);
+    EXPECT_TRUE(p.delta.has_value());
+    EXPECT_EQ(p.counters.backtracks, 0u);
 }
 
 TEST(LtWaitFreeDegeneracy, AdmissibleForAllWaitFreeRuns) {
-    const LtPipeline p = build_lt_pipeline(2, 2, 1);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 2);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 2), 2 + 1, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
     const auto runs = iis::enumerate_stabilized_runs(3, 1);
     const AdmissibilityReport report = check_admissibility(p.tsub, runs, 4);
     EXPECT_TRUE(report.admissible);
@@ -35,20 +42,27 @@ TEST(LtWaitFreeDegeneracy, AdmissibleForAllWaitFreeRuns) {
 }
 
 TEST(LtWaitFreeDegeneracy, ProtocolSolvesLnWaitFree) {
-    const LtPipeline p = build_lt_pipeline(2, 2, 1);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 2);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 2), 2 + 1, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
     const auto runs = iis::enumerate_stabilized_runs(3, 1);
     iis::ViewArena arena;
+    ASSERT_TRUE(p.delta.has_value());
     const auto build = protocol::build_gact_protocol(
-        p.tsub, p.delta, runs, 6, arena);
+        p.tsub, *p.delta, runs, 6, arena);
     EXPECT_EQ(build.conflicts, 0u);
     EXPECT_EQ(build.landed_runs, build.total_runs);
     const auto report = protocol::verify_inputless(
-        p.task.task, build.protocol, runs, 6, arena);
+        task.task, build.protocol, runs, 6, arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 
 TEST(LtZeroResilient, BuildsAndAvoidsTheOneSkeleton) {
-    const LtPipeline p = build_lt_pipeline(2, 0, 2);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 0);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 0), 2 + 2, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
     // The forbidden region is the whole boundary (n-t-1 = 1 skeleton):
     // every stable vertex is interior.
     for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
@@ -58,7 +72,10 @@ TEST(LtZeroResilient, BuildsAndAvoidsTheOneSkeleton) {
 }
 
 TEST(LtZeroResilient, SolvesInResZero) {
-    const LtPipeline p = build_lt_pipeline(2, 0, 2);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 0);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 0), 2 + 2, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
     const iis::TResilientModel res0(3, 0);
     const auto runs = iis::filter_by_model(
         iis::enumerate_stabilized_runs(3, 1), res0);
@@ -69,18 +86,22 @@ TEST(LtZeroResilient, SolvesInResZero) {
         << (adm.failures.empty() ? "" : adm.failures[0].to_string());
 
     iis::ViewArena arena;
+    ASSERT_TRUE(p.delta.has_value());
     const auto build = protocol::build_gact_protocol(
-        p.tsub, p.delta, runs, 8, arena);
+        p.tsub, *p.delta, runs, 8, arena);
     EXPECT_EQ(build.conflicts, 0u);
     const auto report = protocol::verify_inputless(
-        p.task.task, build.protocol, runs, 8, arena);
+        task.task, build.protocol, runs, 8, arena);
     EXPECT_TRUE(report.solved) << report.summary();
 }
 
 TEST(LtZeroResilient, TwoFastRunsDoNotLand) {
     // With t = 0, a run whose fast set misses a process converges to the
     // boundary, which K(T) avoids entirely.
-    const LtPipeline p = build_lt_pipeline(2, 0, 2);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 0);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 0), 2 + 2, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
     const iis::Run duo = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::of({0, 1})));
     EXPECT_FALSE(iis::TResilientModel(3, 0).contains(duo));
@@ -89,8 +110,13 @@ TEST(LtZeroResilient, TwoFastRunsDoNotLand) {
 
 TEST(LtSpectrum, StableFacetCountsGrowWithStages) {
     // More stages extend K(T) monotonically (Sigma_k increasing).
-    const LtPipeline two = build_lt_pipeline(2, 1, 2);
-    const LtPipeline three = build_lt_pipeline(2, 1, 3);
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 1);
+    const engine::GeneralWitness two = engine::build_general_witness(
+        task, engine::LtStableRule(2, 1), 2 + 2, /*fix_identity=*/true,
+        LtGuidance::kRadial, SolverConfig::fast());
+    const engine::GeneralWitness three = engine::build_general_witness(
+        task, engine::LtStableRule(2, 1), 2 + 3, /*fix_identity=*/true,
+        LtGuidance::kRadial, SolverConfig::fast());
     EXPECT_GT(three.tsub.stable_facets().size(),
               two.tsub.stable_facets().size());
     // The earlier rings agree.

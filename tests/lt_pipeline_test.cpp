@@ -4,41 +4,49 @@
 
 #include <map>
 
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+#include "engine/general_route.h"
 
 namespace gact::core {
 namespace {
 
-// Build once; the pipeline is deterministic and somewhat expensive.
-const LtPipeline& pipeline21() {
-    static const LtPipeline p = build_lt_pipeline(2, 1, 2);
+// The Section 9.2 construction for n = 2, t = 1 with two rings (2 + 2
+// stages); built once, it is deterministic and somewhat expensive.
+struct Lt21 {
+    tasks::AffineTask task = tasks::t_resilience_task(2, 1);
+    engine::GeneralWitness witness = engine::build_general_witness(
+        task, engine::LtStableRule(2, 1), 2 + 2, /*fix_identity=*/true,
+        LtGuidance::kRadial, SolverConfig::fast());
+};
+
+const Lt21& lt21() {
+    static const Lt21 p;
     return p;
 }
 
-TEST(LtPipeline, BuildsForN2T1) {
-    const LtPipeline& p = pipeline21();
-    EXPECT_FALSE(p.tsub.stable_complex().is_empty());
+TEST(LtConstruction, BuildsForN2T1) {
+    const Lt21& p = lt21();
+    EXPECT_FALSE(p.witness.tsub.stable_complex().is_empty());
+    EXPECT_TRUE(p.witness.delta.has_value());
     EXPECT_EQ(p.task.task.validate(), "");
 }
 
-TEST(LtPipeline, RingZeroIsL1) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, RingZeroIsL1) {
+    const Lt21& p = lt21();
+    const TerminatingSubdivision& tsub = p.witness.tsub;
     // Ring-0 stable facets are exactly the facets of L_1.
     std::size_t ring0 = 0;
-    for (const Simplex& f : p.tsub.stable_facets()) {
-        if (ring_of_stable_facet(p.tsub, f) == 0) ++ring0;
+    for (const Simplex& f : tsub.stable_facets()) {
+        if (ring_of_stable_facet(tsub, f) == 0) ++ring0;
     }
     EXPECT_EQ(ring0, p.task.l_complex.facets().size());
 }
 
-TEST(LtPipeline, RingsPartitionStableFacets) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, RingsPartitionStableFacets) {
+    const Lt21& p = lt21();
+    const TerminatingSubdivision& tsub = p.witness.tsub;
     std::map<std::size_t, std::size_t> by_ring;
-    for (const Simplex& f : p.tsub.stable_facets()) {
-        ++by_ring[ring_of_stable_facet(p.tsub, f)];
+    for (const Simplex& f : tsub.stable_facets()) {
+        ++by_ring[ring_of_stable_facet(tsub, f)];
     }
     // Two stabilization stages: rings 0 and 1 exist.
     ASSERT_EQ(by_ring.size(), 2u);
@@ -46,49 +54,54 @@ TEST(LtPipeline, RingsPartitionStableFacets) {
     EXPECT_GT(by_ring[1], 0u);
 }
 
-TEST(LtPipeline, StableVerticesAvoidForbiddenSkeleton) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, StableVerticesAvoidForbiddenSkeleton) {
+    const Lt21& p = lt21();
     // No stable vertex of K(T) lies on the 0-skeleton (corners), by the
     // stabilization rule (n - t = 1).
-    for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
-        EXPECT_GE(p.tsub.stable_position(v).support().dimension(), 1);
+    const TerminatingSubdivision& tsub = p.witness.tsub;
+    for (topo::VertexId v : tsub.stable_complex().vertex_ids()) {
+        EXPECT_GE(tsub.stable_position(v).support().dimension(), 1);
     }
 }
 
-TEST(LtPipeline, DeltaIsAValidApproximation) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, DeltaIsAValidApproximation) {
+    const Lt21& p = lt21();
+    ASSERT_TRUE(p.witness.delta.has_value());
+    const SimplicialMap& delta = *p.witness.delta;
     // delta is chromatic, simplicial, and carrier-preserving into Delta.
-    const ChromaticComplex& k = p.tsub.stable_complex();
-    EXPECT_TRUE(p.delta.is_simplicial(k.complex(),
-                                      p.task.task.outputs.complex()));
-    EXPECT_TRUE(p.delta.is_chromatic(k, p.task.task.outputs));
+    const ChromaticComplex& k = p.witness.tsub.stable_complex();
+    EXPECT_TRUE(delta.is_simplicial(k.complex(),
+                                    p.task.task.outputs.complex()));
+    EXPECT_TRUE(delta.is_chromatic(k, p.task.task.outputs));
     for (const Simplex& sigma : k.complex().simplices()) {
-        const Simplex carrier = p.tsub.stable_carrier(sigma);
-        EXPECT_TRUE(p.task.task.delta.allows(carrier, p.delta.apply(sigma)))
+        const Simplex carrier = p.witness.tsub.stable_carrier(sigma);
+        EXPECT_TRUE(p.task.task.delta.allows(carrier, delta.apply(sigma)))
             << sigma.to_string();
     }
 }
 
-TEST(LtPipeline, DeltaIsIdentityOnRingZero) {
-    const LtPipeline& p = pipeline21();
-    for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
+TEST(LtConstruction, DeltaIsIdentityOnRingZero) {
+    const Lt21& p = lt21();
+    ASSERT_TRUE(p.witness.delta.has_value());
+    const TerminatingSubdivision& tsub = p.witness.tsub;
+    for (topo::VertexId v : tsub.stable_complex().vertex_ids()) {
         const auto lv = p.task.subdivision.find_vertex(
-            p.tsub.stable_position(v), p.tsub.stable_complex().color(v));
+            tsub.stable_position(v), tsub.stable_complex().color(v));
         if (lv.has_value() && p.task.l_complex.contains_vertex(*lv)) {
-            EXPECT_EQ(p.delta.apply(v), *lv);
+            EXPECT_EQ(p.witness.delta->apply(v), *lv);
         }
     }
 }
 
-TEST(LtPipeline, RadialProjectionFixesL) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, RadialProjectionFixesL) {
+    const Lt21& p = lt21();
     const topo::BaryPoint center = topo::BaryPoint::barycenter(
         Simplex{0, 1, 2});
     EXPECT_EQ(RadialProjection(p.task).project(center), center);
 }
 
-TEST(LtPipeline, RadialProjectionSendsOutsideToBoundary) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, RadialProjectionSendsOutsideToBoundary) {
+    const Lt21& p = lt21();
     // A point near corner 0 (outside L_1) projects onto the boundary.
     const topo::BaryPoint x{{{0, Rational(9, 10)},
                              {1, Rational(1, 20)},
@@ -106,22 +119,23 @@ TEST(LtPipeline, RadialProjectionSendsOutsideToBoundary) {
     EXPECT_TRUE(on_boundary);
 }
 
-TEST(LtPipeline, RadialProjectionPreservesBoundaryFaces) {
+TEST(LtConstruction, RadialProjectionPreservesBoundaryFaces) {
     // The paper: "radial projection preserves boundaries". A point on an
     // edge of s projects to a point of the same edge.
-    const LtPipeline& p = pipeline21();
+    const Lt21& p = lt21();
     const topo::BaryPoint x{{{0, Rational(19, 20)}, {1, Rational(1, 20)}}};
     ASSERT_FALSE(point_in_l(p.task, x));
     const topo::BaryPoint fx = RadialProjection(p.task).project(x);
     EXPECT_TRUE(fx.support().is_face_of(Simplex{0, 1}));
 }
 
-TEST(LtPipeline, RadialProjectionOnStableVertices) {
+TEST(LtConstruction, RadialProjectionOnStableVertices) {
     // f is defined on all of |K(T)| and is the identity exactly on R_0.
-    const LtPipeline& p = pipeline21();
+    const Lt21& p = lt21();
     const RadialProjection f(p.task);
-    for (topo::VertexId v : p.tsub.stable_complex().vertex_ids()) {
-        const topo::BaryPoint& x = p.tsub.stable_position(v);
+    const TerminatingSubdivision& tsub = p.witness.tsub;
+    for (topo::VertexId v : tsub.stable_complex().vertex_ids()) {
+        const topo::BaryPoint& x = tsub.stable_position(v);
         const topo::BaryPoint fx = f.project(x);
         EXPECT_TRUE(point_in_l(p.task, fx));
         if (point_in_l(p.task, x)) {
@@ -130,13 +144,14 @@ TEST(LtPipeline, RadialProjectionOnStableVertices) {
     }
 }
 
-TEST(LtPipeline, AdmissibleForResilientRuns) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, AdmissibleForResilientRuns) {
+    const Lt21& p = lt21();
     const iis::TResilientModel res1(3, 1);
     const auto runs = iis::filter_by_model(
         iis::enumerate_stabilized_runs(3, 1), res1);
     ASSERT_FALSE(runs.empty());
-    const AdmissibilityReport report = check_admissibility(p.tsub, runs, 8);
+    const AdmissibilityReport report =
+        check_admissibility(p.witness.tsub, runs, 8);
     EXPECT_TRUE(report.admissible)
         << report.failures.size() << " failures; first: "
         << (report.failures.empty() ? "" : report.failures[0].to_string());
@@ -144,28 +159,28 @@ TEST(LtPipeline, AdmissibleForResilientRuns) {
     EXPECT_GE(report.max_landing_round, 1u);
 }
 
-TEST(LtPipeline, SoloRunNeverLands) {
+TEST(LtConstruction, SoloRunNeverLands) {
     // A solo run converges to a corner, which K(T) never covers: not
     // admissible — and indeed not a Res_1 run.
-    const LtPipeline& p = pipeline21();
+    const Lt21& p = lt21();
     const iis::Run solo = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::of({0})));
-    EXPECT_FALSE(find_landing(p.tsub, solo, 10).has_value());
+    EXPECT_FALSE(find_landing(p.witness.tsub, solo, 10).has_value());
     EXPECT_FALSE(iis::TResilientModel(3, 1).contains(solo));
 }
 
-TEST(LtPipeline, FullyConcurrentRunLandsImmediately) {
-    const LtPipeline& p = pipeline21();
+TEST(LtConstruction, FullyConcurrentRunLandsImmediately) {
+    const TerminatingSubdivision& tsub = lt21().witness.tsub;
     const iis::Run lockstep = iis::Run::forever(
         3, iis::OrderedPartition::concurrent(ProcessSet::full(3)));
-    const auto landing = find_landing(p.tsub, lockstep, 8);
+    const auto landing = find_landing(tsub, lockstep, 8);
     ASSERT_TRUE(landing.has_value());
     // The lockstep run stays at the barycentric center, inside R_0.
     EXPECT_LE(landing->round, 3u);
-    EXPECT_EQ(ring_of_stable_facet(p.tsub, landing->stable_facet), 0u);
+    EXPECT_EQ(ring_of_stable_facet(tsub, landing->stable_facet), 0u);
 }
 
-TEST(LtPipeline, StableRuleRejectsEarlyStages) {
+TEST(LtConstruction, StableRuleRejectsEarlyStages) {
     const topo::ChromaticComplex s = topo::ChromaticComplex::standard_simplex(2);
     const SubdividedComplex id = SubdividedComplex::identity(s);
     EXPECT_FALSE(lt_stable_rule(2, 1, id, Simplex{0, 1, 2}));

@@ -3,17 +3,18 @@
 // loads them back bit-exactly, file-local key ids re-intern against
 // whatever the receiving pool already holds, and every corruption mode
 // is rejected with a diagnostic while leaving the pool untouched. On
-// top of the unit layer, the engine round trip: a scenario solved with
-// EngineOptions::pool_file warm-starts a second, pool-naive solve to
-// the identical witness at 0 backtracks, and a corrupted pool file
-// downgrades to a cold start via SolveReport::warnings — never an
-// abort.
+// top of the unit layer, the round trip through the engine: a pool
+// warm-started with load_if_present and saved after a solve lets a
+// second, fresh pool re-solve to the identical witness at 0 backtracks;
+// a missing file is a clean cold start, and a corrupt file or a
+// directory returns a diagnostic and leaves the pool untouched.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -221,8 +222,8 @@ TEST(SharedNogoodPoolPersistence, RejectsCorruptionWithoutTouchingThePool) {
         expect_rejected(contents.substr(0, end_pos), "missing trailer");
     }
 
-    // Nonexistent path: an error (the ENGINE treats absence as a cold
-    // start by checking existence first; the pool itself reports it).
+    // Nonexistent path: an error for load() (load_if_present treats it
+    // as the cold start; see PoolFileEngineRoundTrip below).
     SharedNogoodPool pool;
     EXPECT_NE(pool.load(file.path + ".does-not-exist"), "");
     // Unwritable path: save reports instead of throwing.
@@ -244,19 +245,22 @@ TEST(PoolFileEngineRoundTrip, SecondProcessWarmStartsToZeroBacktracks) {
     TempFile file("engine");
     const engine::Engine eng;
 
+    // "Process 1": a fresh pool, the file absent, solve, save.
     engine::Scenario cold = chr2_scenario();
-    cold.options.pool_file = file.path;
+    cold.options.nogood_pool = std::make_shared<SharedNogoodPool>();
+    ASSERT_EQ(cold.options.nogood_pool->load_if_present(file.path), "");
     const engine::SolveReport cold_report = eng.solve(cold);
     ASSERT_EQ(cold_report.verdict, engine::Verdict::kSolvable);
     ASSERT_TRUE(cold_report.witness.has_value());
     EXPECT_GT(cold_report.total_backtracks, 0u);
-    EXPECT_TRUE(cold_report.warnings.empty()) << cold_report.summary();
     EXPECT_GT(cold_report.counters.pool_published, 0u);
+    ASSERT_EQ(cold.options.nogood_pool->save(file.path), "");
 
-    // "Fresh process": a new scenario object with no pool and no shared
-    // state beyond the file on disk.
+    // "Process 2": another fresh pool with no shared state beyond the
+    // file on disk.
     engine::Scenario warm = chr2_scenario();
-    warm.options.pool_file = file.path;
+    warm.options.nogood_pool = std::make_shared<SharedNogoodPool>();
+    ASSERT_EQ(warm.options.nogood_pool->load_if_present(file.path), "");
     const engine::SolveReport warm_report = eng.solve(warm);
     ASSERT_EQ(warm_report.verdict, engine::Verdict::kSolvable);
     ASSERT_TRUE(warm_report.witness.has_value());
@@ -267,47 +271,41 @@ TEST(PoolFileEngineRoundTrip, SecondProcessWarmStartsToZeroBacktracks) {
         << "pool-warm re-solve must replay the learned conflicts: "
         << warm_report.summary();
     EXPECT_GT(warm_report.counters.pool_seeded, 0u);
-    EXPECT_TRUE(warm_report.warnings.empty()) << warm_report.summary();
 }
 
-TEST(PoolFileEngineRoundTrip, CorruptPoolFileDowngradesWithAWarning) {
+TEST(PoolFileEngineRoundTrip, CorruptPoolFileIsReportedAndLeavesThePool) {
     TempFile file("engine-corrupt");
     {
         std::ofstream out(file.path);
         out << "gact-nogood-pool v999\ntotal garbage\n";
     }
-    engine::Scenario scenario = chr2_scenario();
-    scenario.options.pool_file = file.path;
-    const engine::Engine eng;
-    const engine::SolveReport report = eng.solve(scenario);
-    // The solve itself is untouched: same verdict as ever, plus a
-    // warning — and the save at the end replaced the garbage with a
-    // valid pool file, so the next run warm-starts cleanly.
-    EXPECT_EQ(report.verdict, engine::Verdict::kSolvable);
-    ASSERT_FALSE(report.warnings.empty());
-    EXPECT_NE(report.warnings.front().find("nogood-pool file rejected"),
-              std::string::npos)
-        << report.warnings.front();
+    auto pool = std::make_shared<SharedNogoodPool>();
+    const auto k = pool->intern(midpoint01(), 1);
+    ASSERT_TRUE(pool->publish("pre", {{k, 9}}));
+    EXPECT_NE(pool->load_if_present(file.path), "");
+    EXPECT_EQ(pool->published(), 1u);
+    EXPECT_EQ(pool->size("pre"), 1u);
 
+    // The cold pool still serves the solve, and saving it replaces the
+    // garbage with a valid pool file.
+    engine::Scenario scenario = chr2_scenario();
+    scenario.options.nogood_pool = pool;
+    EXPECT_EQ(engine::Engine().solve(scenario).verdict,
+              engine::Verdict::kSolvable);
+    ASSERT_EQ(pool->save(file.path), "");
     SharedNogoodPool reloaded;
-    EXPECT_EQ(reloaded.load(file.path), "");
+    EXPECT_EQ(reloaded.load_if_present(file.path), "");
+    EXPECT_GT(reloaded.published(), 0u);
 }
 
-TEST(PoolFileEngineRoundTrip, UnreadablePathWarnsInsteadOfSilentColdStart) {
-    // A pool_file that EXISTS but cannot be read as a pool (here: a
+TEST(PoolFileEngineRoundTrip, DirectoryPathIsADiagnosticNotAColdStart) {
+    // A path that EXISTS but cannot be read as a pool (here: a
     // directory; the permissions case behaves the same) must not be
-    // mistaken for the silent first-run cold start — the operator
-    // configured a warm-start that is not happening, and the report
-    // must say so.
-    engine::Scenario scenario = chr2_scenario();
-    scenario.options.pool_file = ::testing::TempDir();
-    const engine::Engine eng;
-    const engine::SolveReport report = eng.solve(scenario);
-    EXPECT_EQ(report.verdict, engine::Verdict::kSolvable);
-    ASSERT_FALSE(report.warnings.empty());
-    EXPECT_NE(report.warnings.front().find("nogood-pool"),
-              std::string::npos)
-        << report.warnings.front();
+    // mistaken for the silent first-run cold start: the warm start the
+    // operator configured is not happening.
+    SharedNogoodPool pool;
+    EXPECT_NE(pool.load_if_present(::testing::TempDir()), "");
+    EXPECT_EQ(pool.published(), 0u);
 }
 
 TEST(SharedNogoodPoolPersistence, SnapshotUnderConcurrentPublishes) {
@@ -352,13 +350,17 @@ TEST(SharedNogoodPoolPersistence, SnapshotUnderConcurrentPublishes) {
 
 TEST(PoolFileEngineRoundTrip, MissingFileIsACleanColdStart) {
     TempFile file("engine-missing");
+    auto pool = std::make_shared<SharedNogoodPool>();
+    EXPECT_EQ(pool->load_if_present(file.path), "");
+    EXPECT_EQ(pool->published(), 0u);
+
     engine::Scenario scenario = chr2_scenario();
-    scenario.options.pool_file = file.path;
-    const engine::Engine eng;
-    const engine::SolveReport report = eng.solve(scenario);
+    scenario.options.nogood_pool = pool;
+    const engine::SolveReport report = engine::Engine().solve(scenario);
     EXPECT_EQ(report.verdict, engine::Verdict::kSolvable);
     EXPECT_TRUE(report.warnings.empty()) << report.summary();
-    // And the solve seeded the file for the next process.
+    // And the save seeds the file for the next process.
+    ASSERT_EQ(pool->save(file.path), "");
     EXPECT_TRUE(std::ifstream(file.path).good());
 }
 

@@ -4,14 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/lt_pipeline.h"
+#include "engine/general_route.h"
 #include "protocol/gact_protocol.h"
 #include "protocol/simple_protocols.h"
 #include "tasks/standard_tasks.h"
-
-// This suite intentionally exercises the deprecated build_lt_pipeline
-// shim (its contract is still covered while it exists).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 namespace gact::core {
 namespace {
@@ -99,13 +95,16 @@ TEST(ExtractEta, GactLtProtocolIsPartialAtEveryDepth) {
     // depth k, some Chr^k vertex has a view outside the protocol's domain
     // (the solo corner views never land in K(T)). This is the
     // introduction's point about non-compact models: no uniform k_T.
-    const LtPipeline pipeline = build_lt_pipeline(2, 1, 2);
+    const engine::GeneralWitness pipeline = engine::build_general_witness(
+        tasks::t_resilience_task(2, 1), engine::LtStableRule(2, 1), 2 + 2,
+        /*fix_identity=*/true, LtGuidance::kRadial, SolverConfig::fast());
+    ASSERT_TRUE(pipeline.delta.has_value());
     const iis::TResilientModel res1(3, 1);
     const auto runs = iis::filter_by_model(
         iis::enumerate_stabilized_runs(3, 1), res1);
     iis::ViewArena arena;
     const auto build = protocol::build_gact_protocol(
-        pipeline.tsub, pipeline.delta, runs, 8, arena);
+        pipeline.tsub, *pipeline.delta, runs, 8, arena);
     ASSERT_EQ(build.conflicts, 0u);
 
     iis::SubdivisionChain chain(topo::ChromaticComplex::standard_simplex(2));

@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -570,6 +571,26 @@ TEST(ServiceE2E, SigtermDrainSnapshotsThePoolToDisk) {
     core::SharedNogoodPool reloaded;
     ASSERT_EQ(reloaded.load(pool_file.path), "");
     EXPECT_GT(reloaded.published(), 0u);
+}
+
+TEST(ServiceE2E, CorruptPoolFileWarnsAtStartupAndStillServes) {
+    TempFile pool_file("corrupt");
+    {
+        std::ofstream out(pool_file.path);
+        out << "gact-nogood-pool v999\ngarbage\n";
+    }
+    ServiceConfig config;
+    config.pool_file = pool_file.path;
+    SolveServer server(std::move(config));
+    ASSERT_EQ(server.start(), "");
+    EXPECT_NE(server.startup_warning(), "");
+
+    ServiceClient client;
+    ASSERT_EQ(client.connect("127.0.0.1", server.port()), "");
+    const auto solved = client.request(solve_request("chr2-2p-wf"));
+    ASSERT_TRUE(solved.has_value());
+    EXPECT_TRUE(reply_ok(*solved)) << solved->dump();
+    server.stop();
 }
 
 TEST(ServiceE2E, RequestsAfterStopAreRefusedAsShuttingDown) {
