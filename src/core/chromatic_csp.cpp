@@ -38,7 +38,7 @@ void SearchCounters::add(const SearchCounters& other) noexcept {
 namespace {
 
 using csp_setup::Decomposition;
-using csp_setup::DomainTable;
+using csp_setup::DomainLists;
 
 // ---------------------------------------------------------------------------
 // Naive engine: the seed's plain chronological backtracker, kept verbatim
@@ -103,12 +103,14 @@ struct NaiveSearcher {
 };
 
 /// Solve the subproblem induced by the fixed vertices plus one connected
-/// component of free vertices with the naive engine. On success, the
-/// component's assignments are merged into `solution`.
+/// component of free vertices with the naive engine; each order comes
+/// with its domains, parallel to it. On success, the component's
+/// assignments are merged into `solution`.
 bool naive_solve_component(const ChromaticMapProblem& problem,
-                           const DomainTable& domains,
                            const std::vector<VertexId>& fixed_order,
+                           const DomainLists& fixed_domains,
                            const std::vector<VertexId>& component_order,
+                           DomainLists component_domains,
                            std::size_t max_backtracks,
                            const exec::CancelToken* cancel,
                            ChromaticMapResult& result,
@@ -143,9 +145,9 @@ bool naive_solve_component(const ChromaticMapProblem& problem,
         if (inside) s.constraints_by_last[last].push_back(sigma);
     }
 
-    s.domains.resize(s.order.size());
-    for (std::size_t i = 0; i < s.order.size(); ++i) {
-        s.domains[i] = domains[s.order[i]];
+    s.domains = fixed_domains;
+    for (std::vector<VertexId>& domain : component_domains) {
+        s.domains.push_back(std::move(domain));
     }
 
     const bool found = s.assign(0);
@@ -696,10 +698,11 @@ struct FcSearcher {
 
 bool fc_solve_component(const ChromaticMapProblem& problem,
                         const topo::AdjacencyIndex& index,
-                        const DomainTable& domains,
                         const SolverConfig& config,
                         const std::vector<VertexId>& fixed_order,
+                        const DomainLists& fixed_domains,
                         const std::vector<VertexId>& component_order,
+                        DomainLists component_domains,
                         EvalCache& cache, NogoodStore* nogoods,
                         ChromaticMapResult& result,
                         std::unordered_map<VertexId, VertexId>& solution) {
@@ -707,18 +710,21 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
     s.cancel = config.cancel;
     s.max_backtracks = config.max_backtracks;
     s.nogoods = nogoods;
-    // The fixed assignments were validated and propagated into `domains`
-    // once, up front (csp_setup::propagate_fixed), so they are just
-    // installed (before finalize_vars, which snapshots the unassigned
-    // list from the assigned flags).
-    for (VertexId v : fixed_order) {
-        s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, true, {}});
+    // The fixed assignments were checked once, up front, and propagated
+    // into this component's domains (csp_setup::FixedRoot), so they are
+    // just installed (before finalize_vars, which snapshots the
+    // unassigned list from the assigned flags).
+    for (std::size_t i = 0; i < fixed_order.size(); ++i) {
+        s.vars.push_back(
+            {fixed_order[i], 0, 0, fixed_domains[i], {}, {}, 0, false, true,
+             {}});
     }
-    for (VertexId v : component_order) {
-        s.vars.push_back({v, 0, 0, {}, {}, {}, 0, false, false, {}});
+    for (std::size_t i = 0; i < component_order.size(); ++i) {
+        s.vars.push_back({component_order[i], 0, 0,
+                          std::move(component_domains[i]), {}, {}, 0, false,
+                          false, {}});
     }
     for (FcSearcher::Var& var : s.vars) {
-        var.values = domains[var.v];
         FcSearcher::activate_all(var);
         if (var.is_fixed) {
             var.assigned = true;
@@ -748,7 +754,8 @@ bool fc_solve_component(const ChromaticMapProblem& problem,
 ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
                                     const topo::AdjacencyIndex& index,
                                     const Decomposition& dec,
-                                    const DomainTable& domains,
+                                    const DomainLists& fixed_domains,
+                                    csp_setup::FixedRoot* root,
                                     ConstraintTable& constraints,
                                     const SolverConfig& config) {
     ChromaticMapResult result;
@@ -832,25 +839,47 @@ ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
         }
     }
 
-    const auto solve_component =
-        [&](const std::vector<VertexId>& component_order) {
-            if (naive_engine) {
-                // The seed reference, preserved verbatim: unpropagated
-                // domains, fixed vertices re-validated through the
-                // ordinary constraint checks.
-                return naive_solve_component(problem, domains,
-                                             dec.fixed_order, component_order,
-                                             config.max_backtracks,
-                                             config.cancel, result, solution);
-            }
-            return fc_solve_component(
-                problem, index, domains, config, dec.fixed_order,
-                component_order, *cache,
-                nogoods.has_value() ? &*nogoods : nullptr, result, solution);
-        };
+    // Each component is set up just before its search: its initial
+    // domains, the root propagation of the fixed vertices into it (fast
+    // engine only; the naive reference keeps the full domains), and its
+    // ranking, after propagation so the fast engine orders only the
+    // candidates that survived it. A component the search never reaches
+    // is never set up.
+    const auto solve_component = [&](const std::vector<VertexId>& order) {
+        DomainLists domains = csp_setup::initial_domains(problem, order);
+        // A root wipeout proves the component, and so the problem,
+        // unsatisfiable: no search decision is involved.
+        if (root != nullptr && !root->propagate(order, domains)) return false;
+        csp_setup::rank_domains(problem, order, domains);
+        if (naive_engine) {
+            return naive_solve_component(
+                problem, dec.fixed_order, fixed_domains, order,
+                std::move(domains), config.max_backtracks, config.cancel,
+                result, solution);
+        }
+        return fc_solve_component(
+            problem, index, config, dec.fixed_order, fixed_domains, order,
+            std::move(domains), *cache,
+            nogoods.has_value() ? &*nogoods : nullptr, result, solution);
+    };
 
-    // The fixed-only subproblem validates the pre-assignment itself.
-    bool found = solve_component({});
+    // The naive reference validates the pre-assignment itself, by its
+    // ordinary constraint checks on the fixed-only subproblem, whose
+    // search starts at a cancellation checkpoint. The fast engine's
+    // set-up checked it already (FixedRoot::check); it keeps the
+    // checkpoint, so a fired token stops even a problem without free
+    // vertices.
+    bool found = false;
+    if (naive_engine) {
+        found = naive_solve_component(problem, dec.fixed_order,
+                                      fixed_domains, {}, {},
+                                      config.max_backtracks, config.cancel,
+                                      result, solution);
+    } else if (config.cancel != nullptr && config.cancel->cancelled()) {
+        result.exhausted = false;
+    } else {
+        found = true;
+    }
     if (found) {
         for (const std::vector<VertexId>& order : dec.component_orders) {
             if (!solve_component(order)) {
@@ -892,7 +921,13 @@ ChromaticMapResult solve_components(const ChromaticMapProblem& problem,
         }
     }
 
-    if (found) result.map = SimplicialMap(std::move(solution));
+    if (found) {
+        // Also when there is no component to carry them.
+        for (std::size_t i = 0; i < dec.fixed_order.size(); ++i) {
+            solution[dec.fixed_order[i]] = fixed_domains[i].front();
+        }
+        result.map = SimplicialMap(std::move(solution));
+    }
     return result;
 }
 
@@ -911,27 +946,29 @@ ChromaticMapResult solve_chromatic_map(const ChromaticMapProblem& problem,
     const topo::AdjacencyIndex index(problem.domain->complex(),
                                      !naive_engine);
     const Decomposition dec = csp_setup::decompose(problem, index);
-    DomainTable domains = csp_setup::initial_domains(problem);
     // Each constraint complex is resolved once per solve, by the root
     // propagation or the search, whichever asks first.
     ConstraintTable constraints(problem, index.id_bound());
-    // Fixed-vertex root propagation, once per solve (fast engine only;
-    // the naive reference keeps the full domains). A conflict among the
-    // fixed assignments alone proves unsatisfiability outright (they are
-    // not search decisions).
-    if (!naive_engine &&
-        !csp_setup::propagate_fixed(problem, index, constraints,
-                                    dec.fixed_order, domains)) {
-        ChromaticMapResult result;
-        result.exhausted = true;
-        return result;
+    const DomainLists fixed_domains =
+        csp_setup::initial_domains(problem, dec.fixed_order);
+    // The fast engine checks the fixed assignments among themselves once,
+    // before any component: a conflict there proves unsatisfiability
+    // outright (they are not search decisions). The components' set-up
+    // follows, one at a time, in solve_components.
+    std::optional<csp_setup::FixedRoot> root;
+    if (!naive_engine) {
+        root.emplace(problem, index, constraints, dec.fixed_order,
+                     fixed_domains);
+        if (!root->check()) {
+            ChromaticMapResult result;
+            result.exhausted = true;
+            return result;
+        }
     }
-    // Ranked after propagation, so the fast engine orders only the
-    // candidates that survived it.
-    csp_setup::rank_domains(problem, domains);
 
-    ChromaticMapResult result =
-        solve_components(problem, index, dec, domains, constraints, config);
+    ChromaticMapResult result = solve_components(
+        problem, index, dec, fixed_domains, root ? &*root : nullptr,
+        constraints, config);
     if (result.map.has_value()) {
         const std::string err = check_chromatic_map(problem, *result.map);
         ensure(err.empty(), "solve_chromatic_map: solver bug: " + err);

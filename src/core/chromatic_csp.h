@@ -15,12 +15,23 @@
 // all assigned must map to a simplex of its constraint complex.
 //
 // Setting the search up (core/csp_setup.h) costs near-linear time in the
-// constraint structure: the components and their static orders, the
-// initial domains, one static root propagation of the fixed vertices
-// through the codomain's cofaces, and the ranking of each domain by the
-// problem's optional order_candidates, a strict total order per vertex
-// that the fast engine applies only to the candidates root propagation
-// left.
+// part of the constraint structure it reads, and goes one component at a
+// time. First, for the whole problem: the components and their static
+// orders, the fixed vertices' domains, and (fast engine) the constraints
+// among the fixed vertices alone; a conflict there is reported as
+// exhausted with 0 backtracks. Then, just before each component is
+// searched: its initial domains, (fast engine) one static root
+// propagation of the fixed vertices into it through the codomain's
+// cofaces, and the ranking of each of its domains by the problem's
+// optional order_candidates, a strict total order per vertex that the
+// fast engine applies only to the candidates root propagation left. A
+// component the search never reaches is never set up.
+//
+// So a root wipeout (root propagation empties a domain) is found only
+// when its component's turn comes: after the earlier components have
+// been searched, and their backtracks and learned nogoods count in the
+// result. The verdict is the same as if every component had been
+// propagated up front (exhausted, no map); only those counters differ.
 //
 // Two engines, selected by SolverConfig: fast, and naive as the
 // reference.

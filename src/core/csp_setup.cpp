@@ -5,7 +5,6 @@
 #include <map>
 #include <queue>
 #include <span>
-#include <unordered_map>
 
 #include "util/require.h"
 
@@ -105,119 +104,164 @@ Decomposition decompose(const ChromaticMapProblem& problem,
     return out;
 }
 
-DomainTable initial_domains(const ChromaticMapProblem& problem) {
+DomainLists initial_domains(const ChromaticMapProblem& problem,
+                            std::span<const VertexId> vertices) {
     const ChromaticComplex& codomain = *problem.codomain;
-    const std::vector<VertexId> targets = codomain.vertex_ids();
-    const std::size_t target_slots = id_slots(targets);
-    // The color-matching codomain vertices, once per color.
+    // The color-matching codomain vertices, once per call.
     std::map<topo::Color, std::vector<VertexId>> by_color;
-    for (VertexId w : targets) by_color[codomain.color(w)].push_back(w);
-
-    // The per-vertex constraint filter as one byte per codomain id,
-    // memoized per constraint complex: `allowed` returns stable
-    // references within a solve, and many vertices share a complex.
-    std::unordered_map<const SimplicialComplex*, std::vector<char>> admits;
-    const auto admitted_by =
-        [&](const SimplicialComplex& allowed) -> const std::vector<char>& {
-        auto [it, inserted] = admits.try_emplace(&allowed);
+    for (VertexId w : codomain.vertex_ids()) {
+        by_color[codomain.color(w)].push_back(w);
+    }
+    // The candidate list of each (constraint complex, color) pair a free
+    // vertex asks for, filtered once: `allowed` returns stable references
+    // within a solve, and many vertices share a complex and a color.
+    std::map<std::pair<const SimplicialComplex*, topo::Color>,
+             std::vector<VertexId>>
+        admitted;
+    const auto candidates = [&](const SimplicialComplex& allowed,
+                                topo::Color color)
+        -> const std::vector<VertexId>& {
+        auto [it, inserted] = admitted.try_emplace({&allowed, color});
         if (inserted) {
-            it->second.assign(target_slots, 0);
-            for (VertexId w : targets) {
-                it->second[w] = allowed.contains(Simplex{w}) ? 1 : 0;
+            const auto cit = by_color.find(color);
+            if (cit == by_color.end()) return it->second;
+            for (VertexId w : cit->second) {
+                if (allowed.contains(Simplex{w})) it->second.push_back(w);
             }
         }
         return it->second;
     };
 
-    const std::vector<VertexId> vertices = problem.domain->vertex_ids();
-    DomainTable domains(id_slots(vertices));
-    for (VertexId v : vertices) {
-        const std::vector<char>& admitted =
-            admitted_by(problem.allowed(Simplex{v}));
-        std::vector<VertexId>& domain = domains[v];
+    DomainLists domains(vertices.size());
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        const VertexId v = vertices[i];
+        const SimplicialComplex& allowed = problem.allowed(Simplex{v});
         const auto fit = problem.fixed.find(v);
         if (fit != problem.fixed.end()) {
-            // Non-codomain ids within range are never admitted.
             const VertexId w = fit->second;
-            if (w < target_slots && admitted[w] != 0) domain.push_back(w);
+            if (codomain.contains_vertex(w) && allowed.contains(Simplex{w})) {
+                domains[i].push_back(w);
+            }
             continue;
         }
-        const auto cit = by_color.find(problem.domain->color(v));
-        if (cit == by_color.end()) continue;
-        for (VertexId w : cit->second) {
-            if (admitted[w] != 0) domain.push_back(w);
-        }
+        domains[i] = candidates(allowed, problem.domain->color(v));
     }
     return domains;
 }
 
-bool propagate_fixed(const ChromaticMapProblem& problem,
+FixedRoot::FixedRoot(const ChromaticMapProblem& problem,
                      const topo::AdjacencyIndex& index,
                      ConstraintTable& constraints,
                      const std::vector<VertexId>& fixed_order,
-                     DomainTable& domains) {
-    if (fixed_order.empty()) return true;
-    std::vector<char> is_fixed(domains.size(), 0);
-    for (VertexId v : fixed_order) {
-        if (domains[v].empty()) return false;  // fixed value rejected
-        is_fixed[v] = 1;
+                     const DomainLists& fixed_domains)
+    : problem_(problem),
+      index_(index),
+      constraints_(constraints),
+      fixed_order_(fixed_order),
+      fixed_domains_(fixed_domains) {
+    require(fixed_domains.size() == fixed_order.size(),
+            "FixedRoot: one domain per fixed vertex");
+}
+
+bool FixedRoot::is_fixed(VertexId x) const {
+    return x < value_.size() && value_[x] != kFree;
+}
+
+void FixedRoot::fixed_images(const Simplex& sigma, VertexId skip) {
+    images_.clear();
+    for (VertexId x : sigma.vertices()) {
+        if (x != skip) images_.push_back(value_[x]);
+    }
+}
+
+bool FixedRoot::check() {
+    value_.assign(id_slots(fixed_order_), kFree);
+    for (std::size_t i = 0; i < fixed_order_.size(); ++i) {
+        if (fixed_domains_[i].empty()) return false;  // fixed value rejected
+        value_[fixed_order_[i]] = fixed_domains_[i].front();
+    }
+    if (fixed_order_.empty()) return true;
+
+    // One pass over the domain complex in table order, which reads it
+    // sequentially: each all-fixed simplex is checked, and each simplex
+    // with one free vertex is listed under that vertex for propagate().
+    const ChromaticComplex& codomain = *problem_.codomain;
+    std::vector<std::pair<VertexId, const Simplex*>> one_free;
+    for (const Simplex& sigma : problem_.domain->complex().simplices()) {
+        if (sigma.size() < 2) continue;
+        VertexId u = kFree;
+        std::size_t num_free = 0;
+        for (VertexId x : sigma.vertices()) {
+            if (is_fixed(x)) continue;
+            u = x;
+            if (++num_free > 1) break;
+        }
+        if (num_free == 1) one_free.emplace_back(u, &sigma);
+        if (num_free != 0) continue;
+        fixed_images(sigma, kFree);
+        const Simplex tau{std::span<const VertexId>(images_)};
+        if (!codomain.contains(tau) ||
+            !constraints_.at(index_.id_of(&sigma), sigma).contains(tau)) {
+            return false;
+        }
     }
 
-    const ChromaticComplex& codomain = *problem.codomain;
-    const topo::AdjacencyIndex cofaces(codomain.complex());
-    std::vector<char> hit(id_slots(codomain.vertex_ids()), 0);
-    std::vector<VertexId> hits;
-    std::vector<char> seen(index.id_bound(), 0);
-    std::vector<VertexId> images;
+    // The lists by free vertex (CSR), each in table order.
+    VertexId max_free = 0;
+    for (const auto& [u, sigma] : one_free) max_free = std::max(max_free, u);
+    one_free_offsets_.assign(one_free.empty() ? 0 : max_free + 2, 0);
+    for (const auto& [u, sigma] : one_free) ++one_free_offsets_[u + 1];
+    for (std::size_t i = 1; i < one_free_offsets_.size(); ++i) {
+        one_free_offsets_[i] += one_free_offsets_[i - 1];
+    }
+    one_free_.resize(one_free.size());
+    std::vector<std::uint32_t> fill(one_free_offsets_);
+    for (const auto& [u, sigma] : one_free) one_free_[fill[u]++] = sigma;
+    return true;
+}
+
+bool FixedRoot::propagate(std::span<const VertexId> vertices,
+                          DomainLists& domains) {
+    const ChromaticComplex& codomain = *problem_.codomain;
     const auto mark = [&](VertexId w) {
-        if (hit[w] == 0) {
-            hit[w] = 1;
-            hits.push_back(w);
+        if (hit_[w] == 0) {
+            hit_[w] = 1;
+            hits_.push_back(w);
         }
     };
-
-    for (VertexId f : fixed_order) {
-        for (const Simplex* sigma_ptr : index.incident_simplices(f)) {
-            const std::size_t id = index.id_of(sigma_ptr);
-            if (seen[id] != 0) continue;
-            seen[id] = 1;
-            const Simplex& sigma = *sigma_ptr;
-            images.clear();
-            VertexId u = 0;
-            std::size_t num_free = 0;
-            for (VertexId x : sigma.vertices()) {
-                if (is_fixed[x] != 0) {
-                    images.push_back(domains[x].front());
-                } else {
-                    u = x;
-                    if (++num_free > 1) break;
-                }
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        const VertexId u = vertices[i];
+        if (static_cast<std::size_t>(u) + 1 >= one_free_offsets_.size()) {
+            continue;
+        }
+        std::vector<VertexId>& domain = domains[i];
+        for (std::uint32_t k = one_free_offsets_[u];
+             k < one_free_offsets_[u + 1]; ++k) {
+            const Simplex& sigma = *one_free_[k];
+            if (!cofaces_.has_value()) {
+                cofaces_.emplace(codomain.complex());
+                hit_.assign(id_slots(codomain.vertex_ids()), 0);
             }
-            if (num_free > 1) continue;
-            const Simplex tau{std::span<const VertexId>(images)};
-            const SimplicialComplex& allowed = constraints.at(id, sigma);
-            const bool tau_ok =
-                codomain.contains(tau) && allowed.contains(tau);
-            if (num_free == 0) {
-                if (!tau_ok) return false;
-                continue;
-            }
+            fixed_images(sigma, u);
+            const Simplex tau{std::span<const VertexId>(images_)};
+            const SimplicialComplex& allowed =
+                constraints_.at(index_.id_of(&sigma), sigma);
 
             // The w that keep the image in codomain ∩ allowed(sigma):
             // those of tau itself (the image collapses to tau), and the
             // extra vertex of every allowed codomain coface of tau with
             // one more vertex, walked from tau's least incident vertex.
-            if (tau_ok) {
+            if (codomain.contains(tau) && allowed.contains(tau)) {
                 for (VertexId t : tau.vertices()) mark(t);
             }
             VertexId pivot = tau.vertices().front();
             for (VertexId t : tau.vertices()) {
-                if (cofaces.incident_simplices(t).size() <
-                    cofaces.incident_simplices(pivot).size()) {
+                if (cofaces_->incident_simplices(t).size() <
+                    cofaces_->incident_simplices(pivot).size()) {
                     pivot = t;
                 }
             }
-            for (const Simplex* rho : cofaces.incident_simplices(pivot)) {
+            for (const Simplex* rho : cofaces_->incident_simplices(pivot)) {
                 if (rho->size() != tau.size() + 1 || !tau.is_face_of(*rho) ||
                     !allowed.contains(*rho)) {
                     continue;
@@ -227,21 +271,21 @@ bool propagate_fixed(const ChromaticMapProblem& problem,
                 }
             }
 
-            std::vector<VertexId>& domain = domains[u];
-            std::erase_if(domain, [&](VertexId w) { return hit[w] == 0; });
-            for (VertexId w : hits) hit[w] = 0;
-            hits.clear();
+            std::erase_if(domain, [&](VertexId w) { return hit_[w] == 0; });
+            for (VertexId w : hits_) hit_[w] = 0;
+            hits_.clear();
             if (domain.empty()) return false;
         }
     }
     return true;
 }
 
-void rank_domains(const ChromaticMapProblem& problem, DomainTable& domains) {
+void rank_domains(const ChromaticMapProblem& problem,
+                  std::span<const VertexId> vertices, DomainLists& domains) {
     if (!problem.order_candidates) return;
-    for (std::size_t v = 0; v < domains.size(); ++v) {
-        if (domains[v].size() < 2) continue;
-        problem.order_candidates(static_cast<VertexId>(v), domains[v]);
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        if (domains[i].size() < 2) continue;
+        problem.order_candidates(vertices[i], domains[i]);
     }
 }
 

@@ -1,23 +1,35 @@
 // The set-up half of solve_chromatic_map (core/chromatic_csp.h): the
-// assignment order, the initial domains, the fixed-vertex root
-// propagation and the candidate ranking. Internal to the solver; exposed
-// so tests can hold each stage against a plain reference
+// assignment order, the initial domains, the fixed-vertex checks and
+// root propagation, and the candidate ranking. Internal to the solver;
+// exposed so tests can hold each stage against a plain reference
 // (tests/csp_setup_test.cpp).
 //
-// Every stage costs near-linear time in the constraint structure:
+// The solver sets up one component at a time. The decomposition and the
+// fixed vertices come first, for the whole problem; then, just before a
+// component is searched, its own domains are built, propagated and
+// ranked. So the set-up of a component the search never reaches (because
+// an earlier one exhausts) is never paid for, and no stage holds a table
+// over every domain vertex's candidates.
+//
+// Every stage costs near-linear time in the part of the constraint
+// structure it is handed:
 //  * decompose: one pass for the components, one for their members, and
 //    per component a max-heap for the maximum-cardinality order;
-//  * initial_domains: the color-matching codomain list once per color,
-//    and the per-vertex constraint filter once per distinct constraint
-//    complex;
-//  * propagate_fixed: each simplex incident to a fixed vertex once, its
-//    one free vertex (if any) filtered through the codomain cofaces of
-//    the fixed images, its constraint complex resolved through the
-//    solve's ConstraintTable (which the search then reads);
-//  * rank_domains: the caller's order applied to the surviving
-//    candidates only.
+//  * initial_domains: the listed vertices only, each copying the
+//    candidate list of its (constraint complex, color), built once per
+//    distinct pair;
+//  * FixedRoot::check: each domain simplex whose vertices are all fixed
+//    once, from its smallest vertex;
+//  * FixedRoot::propagate: each simplex whose one free vertex is listed
+//    and whose other vertices are fixed once, the free vertex filtered
+//    through the codomain cofaces of the fixed images, its constraint
+//    complex resolved through the solve's ConstraintTable (which the
+//    search then reads);
+//  * rank_domains: the caller's order applied to the listed lists.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/chromatic_csp.h"
@@ -26,9 +38,9 @@
 
 namespace gact::core::csp_setup {
 
-/// Per-vertex candidate lists, indexed by domain vertex id; ids that are
-/// not domain vertices hold empty lists.
-using DomainTable = std::vector<std::vector<VertexId>>;
+/// Candidate lists parallel to a vertex list: entry i holds the
+/// candidates of the i-th listed vertex.
+using DomainLists = std::vector<std::vector<VertexId>>;
 
 /// The fixed vertices in ascending id order, and the free vertices split
 /// into connected components (free-free adjacency). Given the fixed
@@ -49,34 +61,81 @@ struct Decomposition {
 Decomposition decompose(const ChromaticMapProblem& problem,
                         const topo::AdjacencyIndex& index);
 
-/// The candidates of every domain vertex, ascending by id: for a fixed
-/// vertex its fixed value, for a free vertex every codomain vertex of its
-/// color; either way only the codomain vertices w with {w} in the
+/// The candidates of each listed domain vertex, ascending by id: for a
+/// fixed vertex its fixed value, for a free vertex every codomain vertex
+/// of its color; either way only the codomain vertices w with {w} in the
 /// vertex's own constraint complex.
-DomainTable initial_domains(const ChromaticMapProblem& problem);
+DomainLists initial_domains(const ChromaticMapProblem& problem,
+                            std::span<const VertexId> vertices);
 
-/// Root propagation of the fixed assignments: forward checking at the
-/// root of the search, done once per solve. Every domain simplex sigma
-/// incident to a fixed vertex is visited once:
-///  * all vertices fixed: the image must lie in codomain ∩ allowed(sigma);
-///  * exactly one free vertex u: u keeps only the w whose image
-///    tau ∪ {w} (tau the fixed images; w ∈ tau collapses it to tau) lies
-///    in codomain ∩ allowed(sigma).
-/// Each filter is an intersection, so the result does not depend on the
-/// visiting order. Returns false on a root conflict: an empty fixed
-/// domain, a violated all-fixed simplex, or a free domain a filter left
-/// empty. Filters keep the surviving candidates in their order.
-/// `constraints` resolves allowed(sigma) by `index`'s constraint ids.
-bool propagate_fixed(const ChromaticMapProblem& problem,
-                     const topo::AdjacencyIndex& index,
-                     ConstraintTable& constraints,
-                     const std::vector<VertexId>& fixed_order,
-                     DomainTable& domains);
+/// The fixed assignment of one solve, as the fast engine's set-up reads
+/// it: checked once, then propagated into one component at a time.
+/// Holds references to its arguments, which must outlive it.
+class FixedRoot {
+public:
+    /// `fixed_domains` is initial_domains(problem, fixed_order).
+    /// `constraints` resolves allowed(sigma) by `index`'s constraint ids;
+    /// `index` needs its incident simplices.
+    FixedRoot(const ChromaticMapProblem& problem,
+              const topo::AdjacencyIndex& index,
+              ConstraintTable& constraints,
+              const std::vector<VertexId>& fixed_order,
+              const DomainLists& fixed_domains);
 
-/// Apply problem.order_candidates to every list of two or more
-/// candidates (a no-op when the problem has no order). Because the order
-/// is a strict total order fixed per vertex, ranking a filtered list
-/// gives exactly the subsequence of the ranked full list.
-void rank_domains(const ChromaticMapProblem& problem, DomainTable& domains);
+    /// The all-fixed constraint checks. False when a fixed value is
+    /// rejected (an empty fixed domain) or a domain simplex whose
+    /// vertices are all fixed has its image outside
+    /// codomain ∩ allowed(sigma). Such a conflict involves no search
+    /// decision, so it proves the problem unsatisfiable outright.
+    bool check();
+
+    /// Root propagation into the listed vertices (the members of one
+    /// component; `domains` parallel to them): forward checking at the
+    /// root of the search. Every domain simplex sigma whose one free
+    /// vertex u is listed and whose other vertices are all fixed is
+    /// visited once, and u keeps only the w whose image tau ∪ {w} (tau
+    /// the fixed images; w ∈ tau collapses it to tau) lies in
+    /// codomain ∩ allowed(sigma). Each filter is an intersection, so the
+    /// result does not depend on the visiting order, and a component's
+    /// result does not depend on the other components. Filters keep the
+    /// surviving candidates in their order. Returns false when a filter
+    /// leaves a domain empty: that component, and so the problem, is
+    /// unsatisfiable. Requires check() to have passed.
+    bool propagate(std::span<const VertexId> vertices, DomainLists& domains);
+
+private:
+    static constexpr VertexId kFree = 0xffffffffu;
+
+    bool is_fixed(VertexId x) const;
+    /// Fill images_ with the fixed images of sigma's vertices other than
+    /// `skip` (kFree skips none), which must all be fixed.
+    void fixed_images(const Simplex& sigma, VertexId skip);
+
+    const ChromaticMapProblem& problem_;
+    const topo::AdjacencyIndex& index_;
+    ConstraintTable& constraints_;
+    const std::vector<VertexId>& fixed_order_;
+    const DomainLists& fixed_domains_;
+    /// The fixed value by vertex id, up to the largest fixed vertex;
+    /// kFree for the free ones.
+    std::vector<VertexId> value_;
+    /// The domain simplices with exactly one free vertex, listed by it
+    /// (CSR by vertex id, each list in table order); filled by check().
+    std::vector<std::uint32_t> one_free_offsets_;
+    std::vector<const Simplex*> one_free_;
+    /// The codomain's vertex/simplex incidence, built on first filter.
+    std::optional<topo::AdjacencyIndex> cofaces_;
+    std::vector<char> hit_;  // by codomain id: w survives this filter
+    std::vector<VertexId> hits_;
+    std::vector<VertexId> images_;
+};
+
+/// Apply problem.order_candidates to every listed list of two or more
+/// candidates (`domains` parallel to `vertices`; a no-op when the
+/// problem has no order). Because the order is a strict total order
+/// fixed per vertex, ranking a filtered list gives exactly the
+/// subsequence of the ranked full list.
+void rank_domains(const ChromaticMapProblem& problem,
+                  std::span<const VertexId> vertices, DomainLists& domains);
 
 }  // namespace gact::core::csp_setup

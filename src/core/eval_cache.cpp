@@ -1,5 +1,7 @@
 #include "core/eval_cache.h"
 
+#include <span>
+
 #include "core/chromatic_csp.h"
 #include "util/require.h"
 
@@ -44,7 +46,7 @@ bool EvalCache::image_allowed(const ChromaticMapProblem& problem,
         ++stats_.image_hits;
         return it->second;
     }
-    const topo::Simplex img{std::vector<topo::VertexId>(image)};
+    const topo::Simplex img{std::span<const topo::VertexId>(image)};
     const bool ok = problem.codomain->contains(img) &&
                     allowed(cid, sigma).contains(img);
     if (admit_one()) {
@@ -91,7 +93,7 @@ const std::vector<std::uint64_t>& EvalCache::allowed_mask(
     std::vector<std::uint64_t> mask((values.size() + 63) / 64, 0);
     for (std::size_t i = 0; i < values.size(); ++i) {
         image[hole_slot] = values[i];
-        const topo::Simplex img{std::vector<topo::VertexId>(image)};
+        const topo::Simplex img{std::span<const topo::VertexId>(image)};
         if (problem.codomain->contains(img) && constraint.contains(img)) {
             mask[i / 64] |= std::uint64_t{1} << (i % 64);
         }

@@ -72,7 +72,7 @@ struct EvalCacheStats {
 /// The constraint complex `problem.allowed(sigma)` of each domain
 /// simplex, by constraint id (topo::AdjacencyIndex::id_of): resolved on
 /// first use and read from the table after that. One per solve, shared
-/// by the set-up (csp_setup::propagate_fixed) and the search's
+/// by the set-up (csp_setup::FixedRoot) and the search's
 /// EvalCache; single-threaded.
 class ConstraintTable {
 public:

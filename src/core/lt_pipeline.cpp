@@ -148,6 +148,10 @@ void ray_segment_hits(const BaryPoint& c, const BaryPoint& x,
 // exact. Returns lcm(a, b), or 0 when it would exceed the cap.
 constexpr std::int64_t kGuideDenCap = std::int64_t{1} << 40;
 
+// The input vertices a carrier mask can name: the carrier table holds
+// 2^k entries for k input vertices.
+constexpr std::size_t kMaxCarrierBits = 16;
+
 std::int64_t lcm_capped(std::int64_t a, std::int64_t b) {
     const std::int64_t g = std::gcd(a, b);
     if (a / g > kGuideDenCap / b) return 0;
@@ -294,25 +298,67 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                 tsub.stable_position(v), tsub.stable_complex().color(v));
         };
     }
+    // allowed(sigma) is Delta of sigma's carrier (tsub.stable_carrier),
+    // the union of its vertices' carriers. Carriers are faces of the
+    // input complex, so each is a bitmask over the input vertices. Every
+    // K(T) vertex's mask is computed once, here, and so is Delta of every
+    // face of the input complex, in a table by mask (through `lru` when
+    // one is given). allowed(sigma) ORs the masks of sigma's vertices and
+    // reads the table.
     const tasks::Task& inner = task.task;
-    // A K(T) simplex's carrier (tsub.stable_carrier) is the union of its
-    // vertices' carriers: each vertex's is computed once, here, in a
-    // table by vertex id. The solver resolves each constraint once per
-    // solve (core::ConstraintTable).
-    auto vertex_carrier = std::make_shared<std::vector<Simplex>>();
-    for (VertexId v : k_complex.vertex_ids()) {
-        if (v >= vertex_carrier->size()) vertex_carrier->resize(v + 1);
-        (*vertex_carrier)[v] = tsub.stable_position(v).support();
+    const std::vector<VertexId> inputs = inner.inputs.vertex_ids();
+    require(inputs.size() <= kMaxCarrierBits,
+            "lt_approximation_problem: too many input vertices for carrier "
+            "masks");
+    std::vector<std::uint32_t> bit_of(inputs.empty() ? 0 : inputs.back() + 1,
+                                      0);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        bit_of[inputs[i]] = std::uint32_t{1} << i;
     }
-    problem.allowed = [&inner, vertex_carrier, lru](const Simplex& sigma)
-        -> const SimplicialComplex& {
-        Simplex carrier;
-        for (VertexId v : sigma.vertices()) {
-            carrier = carrier.union_with((*vertex_carrier)[v]);
+    const auto mask_of = [&bit_of](const Simplex& carrier) {
+        std::uint32_t mask = 0;
+        for (VertexId b : carrier.vertices()) {
+            require(b < bit_of.size() && bit_of[b] != 0,
+                    "lt_approximation_problem: carrier off the input "
+                    "complex");
+            mask |= bit_of[b];
         }
-        if (lru == nullptr) return inner.delta.at(carrier);
-        return lru->get(carrier,
-                        [&]() { return &inner.delta.at(carrier); });
+        return mask;
+    };
+    struct CarrierTable {
+        std::vector<std::uint32_t> vertex_mask;  // by K(T) vertex id
+        // Delta of each face of the input complex by mask; null for the
+        // masks of non-faces.
+        std::vector<const SimplicialComplex*> delta;
+    };
+    auto table = std::make_shared<CarrierTable>();
+    table->delta.assign(std::size_t{1} << inputs.size(), nullptr);
+    for (const Simplex& face : inner.inputs.complex().simplices()) {
+        if (!inner.delta.is_defined_at(face)) continue;
+        table->delta[mask_of(face)] =
+            lru == nullptr ? &inner.delta.at(face)
+                           : &lru->get(face, [&inner, &face]() {
+                                 return &inner.delta.at(face);
+                             });
+    }
+    for (VertexId v : k_complex.vertex_ids()) {
+        if (v >= table->vertex_mask.size()) {
+            table->vertex_mask.resize(v + 1, 0);
+        }
+        table->vertex_mask[v] = mask_of(tsub.stable_position(v).support());
+    }
+    problem.allowed = [table](const Simplex& sigma)
+        -> const SimplicialComplex& {
+        std::uint32_t mask = 0;
+        for (VertexId v : sigma.vertices()) mask |= table->vertex_mask[v];
+        const SimplicialComplex* allowed = table->delta[mask];
+        if (allowed == nullptr) {
+            throw precondition_error(
+                "lt_approximation_problem: Delta undefined at the carrier "
+                "of " +
+                sigma.to_string());
+        }
+        return *allowed;
     };
 
     if (fix_identity) {

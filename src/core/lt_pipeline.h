@@ -48,9 +48,13 @@ enum class LtGuidance {
 /// vertices lying in L, and optional geometric candidate guidance. The
 /// returned problem's closures reference `task` and `tsub`, which must
 /// outlive it — and `lru`, when non-null: the Delta lookups by carrier
-/// are then memoized through it (core/eval_cache.h). Every K(T) vertex's
-/// carrier is computed once, here; allowed(sigma) unions those of
-/// sigma's vertices.
+/// then go through it (core/eval_cache.h), once per face of the input
+/// complex, here. allowed(sigma) is Delta of sigma's carrier, resolved by
+/// carrier mask: every K(T) vertex's carrier is a bitmask over the input
+/// vertices, computed once, here, and so is a table of Delta by mask,
+/// one entry per face of the input complex. A call ORs the masks of
+/// sigma's vertices and reads the table: the same complex (by address)
+/// as Delta at the union of the vertex carriers.
 ///
 /// Everything candidate guidance needs is built here, once per problem:
 /// every output vertex's position by id, the positions' shared integer

@@ -1,16 +1,23 @@
 // The CSP set-up stages (core/csp_setup.h) against plain references kept
 // here: the O(V^2) maximum-cardinality decomposition that rescans every
-// member per step, and the per-value root propagation that assigns the
+// member per step, the initial domains by their definition over the
+// whole problem, and the per-value root propagation that assigns the
 // fixed vertices one by one and forward-checks every constraint left one
 // vertex short (the search engine's own forward checking, run at the
-// root with direct constraint evaluation). Both must agree on every
-// registry scenario's CSP and on hand-built edge cases: equal component
-// orders, equal root conflicts, equal propagated domains, and equal
-// ranked domains whether a domain is ranked before propagation (the
-// reference) or after it (the solver).
+// root with direct constraint evaluation). The solver sets up one
+// component at a time; every component's lists must agree, slot for
+// slot, with the whole-problem references on every registry scenario's
+// CSP and on hand-built edge cases: equal component orders, equal root
+// conflicts, equal initial and propagated domains, and equal ranked
+// domains whether a domain is ranked before propagation (the reference)
+// or after it (the solver).
 //
-// The heavy case compares the same stages on lt-3-2-res2. It is labeled
-// `heavy` in CTest and self-skips unless GACT_RUN_HEAVY=1:
+// The carrier-mask `allowed` of lt_approximation_problem is held against
+// the carrier union it replaced: the same Delta complex, by address, for
+// every K(T) simplex.
+//
+// The heavy cases run the same checks on lt-3-2-res2. The test is labeled
+// `heavy` in CTest and they self-skip unless GACT_RUN_HEAVY=1:
 //
 //   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 #include "core/csp_setup.h"
@@ -20,6 +27,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -34,7 +42,11 @@ namespace gact::core {
 namespace {
 
 using csp_setup::Decomposition;
-using csp_setup::DomainTable;
+using csp_setup::DomainLists;
+
+/// Candidate lists of the whole problem by vertex id (the references'
+/// shape); ids that are not domain vertices hold empty lists.
+using DomainTable = std::vector<std::vector<VertexId>>;
 
 // ---------------------------------------------------------------------------
 // References.
@@ -232,6 +244,31 @@ struct Coverage {
     std::size_t pruned = 0;  // candidates removed by root propagation
 };
 
+/// The ranked full lists: order_candidates on every list of two or more.
+DomainTable reference_rank(const ChromaticMapProblem& problem,
+                           DomainTable domains) {
+    if (!problem.order_candidates) return domains;
+    for (std::size_t v = 0; v < domains.size(); ++v) {
+        if (domains[v].size() < 2) continue;
+        problem.order_candidates(static_cast<VertexId>(v), domains[v]);
+    }
+    return domains;
+}
+
+/// Each listed vertex's list against the reference's list for it.
+void expect_slots(const DomainLists& lists,
+                  const std::vector<VertexId>& vertices,
+                  const DomainTable& reference, const std::string& label) {
+    ASSERT_EQ(lists.size(), vertices.size()) << label;
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        EXPECT_EQ(lists[i], reference[vertices[i]])
+            << label << ", vertex " << vertices[i];
+    }
+}
+
+/// The solver's set-up, one component at a time, against the
+/// whole-problem references. Every component is set up, also after one
+/// wipes out, so each is compared on its own.
 void compare_setup(const ChromaticMapProblem& problem,
                    const std::string& label, Coverage& coverage) {
     ++coverage.problems;
@@ -242,36 +279,71 @@ void compare_setup(const ChromaticMapProblem& problem,
     EXPECT_EQ(dec.fixed_order, ref_dec.fixed_order) << label;
     EXPECT_EQ(dec.component_orders, ref_dec.component_orders) << label;
 
-    const DomainTable base = csp_setup::initial_domains(problem);
-    ASSERT_EQ(base, reference_initial_domains(problem)) << label;
-
-    DomainTable propagated = base;
-    ConstraintTable constraints(problem, index.id_bound());
-    const bool ok = csp_setup::propagate_fixed(
-        problem, index, constraints, dec.fixed_order, propagated);
+    const DomainTable ref_base = reference_initial_domains(problem);
     const std::optional<DomainTable> ref_propagated =
-        reference_propagate(problem, index, ref_dec.fixed_order, base);
+        reference_propagate(problem, index, ref_dec.fixed_order, ref_base);
+    // The solver ranks after propagation; ranking the full lists first
+    // and propagating them must give the same lists.
+    const std::optional<DomainTable> ref_ranked = reference_propagate(
+        problem, index, ref_dec.fixed_order,
+        reference_rank(problem, ref_base));
+    ASSERT_EQ(ref_propagated.has_value(), ref_ranked.has_value()) << label;
+
+    ConstraintTable constraints(problem, index.id_bound());
+    const DomainLists fixed =
+        csp_setup::initial_domains(problem, dec.fixed_order);
+    expect_slots(fixed, dec.fixed_order, ref_base, label + " fixed");
+    csp_setup::FixedRoot root(problem, index, constraints, dec.fixed_order,
+                              fixed);
+    const bool fixed_ok = root.check();
+    bool ok = fixed_ok;
+    std::vector<DomainLists> propagated;
+    for (std::size_t c = 0; c < dec.component_orders.size(); ++c) {
+        const std::vector<VertexId>& order = dec.component_orders[c];
+        const std::string where =
+            label + " component " + std::to_string(c);
+        DomainLists domains = csp_setup::initial_domains(problem, order);
+        expect_slots(domains, order, ref_base, where + " initial");
+        // A fixed conflict ends the set-up before any propagation.
+        if (fixed_ok && !root.propagate(order, domains)) ok = false;
+        propagated.push_back(std::move(domains));
+    }
     ASSERT_EQ(ok, ref_propagated.has_value()) << label;
     if (!dec.fixed_order.empty()) ++coverage.propagations;
     if (!ok) {
         ++coverage.conflicts;
         return;
     }
-    ASSERT_EQ(propagated, *ref_propagated) << label;
-    for (std::size_t v = 0; v < base.size(); ++v) {
-        coverage.pruned += base[v].size() - propagated[v].size();
+    expect_slots(fixed, dec.fixed_order, *ref_propagated,
+                 label + " fixed propagated");
+    for (std::size_t c = 0; c < dec.component_orders.size(); ++c) {
+        const std::vector<VertexId>& order = dec.component_orders[c];
+        const std::string where =
+            label + " component " + std::to_string(c);
+        DomainLists& domains = propagated[c];
+        expect_slots(domains, order, *ref_propagated, where + " propagated");
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            coverage.pruned += ref_base[order[i]].size() - domains[i].size();
+        }
+        csp_setup::rank_domains(problem, order, domains);
+        expect_slots(domains, order, *ref_ranked, where + " ranked");
     }
+}
 
-    // The solver ranks after propagation; ranking first and propagating
-    // the ranked lists must give the same lists.
-    if (!problem.order_candidates) return;
-    DomainTable ranked_first = base;
-    csp_setup::rank_domains(problem, ranked_first);
-    const std::optional<DomainTable> ref_ranked = reference_propagate(
-        problem, index, ref_dec.fixed_order, ranked_first);
-    ASSERT_TRUE(ref_ranked.has_value()) << label;
-    csp_setup::rank_domains(problem, propagated);
-    EXPECT_EQ(propagated, *ref_ranked) << label;
+/// The terminating subdivision a general-route scenario's solve builds:
+/// its stable rule advanced through its stages.
+std::unique_ptr<TerminatingSubdivision> build_subdivision(
+    const engine::Scenario& scenario) {
+    auto tsub = std::make_unique<TerminatingSubdivision>(
+        scenario.affine->task.inputs);
+    for (std::size_t i = 0; i < scenario.options.subdivision_stages; ++i) {
+        tsub->advance(
+            [&scenario](const SubdividedComplex& cx, const Simplex& s) {
+                return scenario.options.stable_rule->stable(cx, s);
+            },
+            scenario.options.shard_threads);
+    }
+    return tsub;
 }
 
 /// Every approximation or ACT CSP the engine poses for one scenario, in
@@ -305,17 +377,11 @@ void for_each_csp(const engine::Scenario& scenario,
         scenario.affine->subdivision.base().dimension() != 2) {
         guidance = LtGuidance::kNearest;
     }
-    TerminatingSubdivision tsub(scenario.affine->task.inputs);
-    for (std::size_t i = 0; i < scenario.options.subdivision_stages; ++i) {
-        tsub.advance(
-            [&scenario](const SubdividedComplex& cx, const Simplex& s) {
-                return scenario.options.stable_rule->stable(cx, s);
-            },
-            scenario.options.shard_threads);
-    }
-    if (tsub.stable_complex().is_empty()) return;
+    const std::unique_ptr<TerminatingSubdivision> tsub =
+        build_subdivision(scenario);
+    if (tsub->stable_complex().is_empty()) return;
     const ChromaticMapProblem problem = lt_approximation_problem(
-        *scenario.affine, tsub, scenario.options.fix_identity, guidance);
+        *scenario.affine, *tsub, scenario.options.fix_identity, guidance);
     fn(problem, scenario.name);
 }
 
@@ -378,17 +444,27 @@ protected:
     }
 
     /// Compare against the references; returns whether set-up found no
-    /// root conflict, and the propagated domain of vertex 1.
+    /// root conflict, and the propagated domain of the free vertex 1.
     std::pair<bool, std::vector<VertexId>> run(const std::string& label) {
         Coverage coverage;
         compare_setup(problem_, label, coverage);
         const topo::AdjacencyIndex index(domain_.complex());
         const Decomposition dec = csp_setup::decompose(problem_, index);
-        DomainTable domains = csp_setup::initial_domains(problem_);
         ConstraintTable constraints(problem_, index.id_bound());
-        const bool ok = csp_setup::propagate_fixed(
-            problem_, index, constraints, dec.fixed_order, domains);
-        return {ok, ok ? domains[1] : std::vector<VertexId>{}};
+        const DomainLists fixed =
+            csp_setup::initial_domains(problem_, dec.fixed_order);
+        csp_setup::FixedRoot root(problem_, index, constraints,
+                                  dec.fixed_order, fixed);
+        if (!root.check()) return {false, {}};
+        std::vector<VertexId> domain_of_1;
+        for (const std::vector<VertexId>& order : dec.component_orders) {
+            DomainLists domains = csp_setup::initial_domains(problem_, order);
+            if (!root.propagate(order, domains)) return {false, {}};
+            for (std::size_t i = 0; i < order.size(); ++i) {
+                if (order[i] == 1) domain_of_1 = domains[i];
+            }
+        }
+        return {true, domain_of_1};
     }
 
     ChromaticComplex domain_;
@@ -505,6 +581,130 @@ TEST(CspSetup, OrderTiesBreakBySmallestIdAcrossComponents) {
               (std::vector<std::vector<VertexId>>{{1, 0}, {3, 4, 5}}));
     Coverage coverage;
     compare_setup(problem, "path", coverage);
+}
+
+TEST(CspSetup, SecondComponentWipedOutAfterTheFirstIsSearched) {
+    // A path 0-1-2-3 with 2 fixed to 10: components {0, 1} and {3}. The
+    // edge {0, 1} may not map onto {10, 11}, so the fast engine's first
+    // try at vertex 1 (11) wipes out vertex 0: one backtrack. The edge
+    // {2, 3} allows no edge image at all, so root propagation wipes out
+    // vertex 3 — found only when component {3} is set up, after {0, 1}
+    // was searched, whose backtrack then counts.
+    const ChromaticComplex domain(
+        SimplicialComplex::from_facets(
+            {Simplex{0, 1}, Simplex{1, 2}, Simplex{2, 3}}),
+        {{0, 0}, {1, 1}, {2, 0}, {3, 1}});
+    const ChromaticComplex codomain(
+        SimplicialComplex::from_facets(
+            {Simplex{10, 11}, Simplex{10, 13}, Simplex{12, 13}}),
+        {{10, 0}, {11, 1}, {12, 0}, {13, 1}});
+    const SimplicialComplex without_ten_eleven =
+        SimplicialComplex::from_facets(
+            {Simplex{10, 13}, Simplex{12, 13}, Simplex{11}});
+    const SimplicialComplex no_edges = SimplicialComplex::from_facets(
+        {Simplex{10}, Simplex{11}, Simplex{12}, Simplex{13}});
+    ChromaticMapProblem problem;
+    problem.domain = &domain;
+    problem.codomain = &codomain;
+    problem.allowed = [&](const Simplex& sigma) -> const SimplicialComplex& {
+        if (sigma == Simplex{0, 1}) return without_ten_eleven;
+        if (sigma == Simplex{2, 3}) return no_edges;
+        return codomain.complex();
+    };
+    problem.fixed = {{2, 10}};
+
+    const topo::AdjacencyIndex index(domain.complex());
+    const Decomposition dec = csp_setup::decompose(problem, index);
+    ASSERT_EQ(dec.component_orders,
+              (std::vector<std::vector<VertexId>>{{1, 0}, {3}}));
+    ConstraintTable constraints(problem, index.id_bound());
+    const DomainLists fixed =
+        csp_setup::initial_domains(problem, dec.fixed_order);
+    csp_setup::FixedRoot root(problem, index, constraints, dec.fixed_order,
+                              fixed);
+    ASSERT_TRUE(root.check());
+    DomainLists first =
+        csp_setup::initial_domains(problem, dec.component_orders[0]);
+    EXPECT_TRUE(root.propagate(dec.component_orders[0], first));
+    EXPECT_EQ(first, (DomainLists{{11, 13}, {10, 12}}));
+    DomainLists second =
+        csp_setup::initial_domains(problem, dec.component_orders[1]);
+    EXPECT_FALSE(root.propagate(dec.component_orders[1], second));
+    Coverage coverage;
+    compare_setup(problem, "second-component-wipeout", coverage);
+    EXPECT_EQ(coverage.conflicts, 1u);
+
+    const ChromaticMapResult fast =
+        solve_chromatic_map(problem, SolverConfig::fast());
+    const ChromaticMapResult naive =
+        solve_chromatic_map(problem, SolverConfig::naive());
+    EXPECT_FALSE(fast.map.has_value());
+    EXPECT_FALSE(naive.map.has_value());
+    EXPECT_TRUE(fast.exhausted);
+    EXPECT_TRUE(naive.exhausted);
+    EXPECT_EQ(fast.counters.backtracks, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The carrier-mask allowed() of lt_approximation_problem.
+// ---------------------------------------------------------------------------
+
+/// The lookup the carrier-mask table replaced: Delta at the union of
+/// sigma's vertex carriers, found in the task's carrier map.
+const SimplicialComplex& carrier_union_allowed(
+    const tasks::AffineTask& task, const TerminatingSubdivision& tsub,
+    const Simplex& sigma) {
+    Simplex carrier;
+    for (VertexId v : sigma.vertices()) {
+        carrier = carrier.union_with(tsub.stable_position(v).support());
+    }
+    return task.task.delta.at(carrier);
+}
+
+/// Every K(T) simplex of the scenario's subdivision gets the oracle's
+/// complex (pointer-equal) from allowed(), with and without an
+/// AllowedComplexLru (one too small to hold every face, so it evicts).
+/// Returns the number of simplices checked.
+std::size_t expect_carrier_mask_allowed(const std::string& name) {
+    const auto scenario = engine::ScenarioRegistry::standard().find(name);
+    EXPECT_TRUE(scenario.has_value()) << name;
+    if (!scenario.has_value()) return 0;
+    const std::unique_ptr<TerminatingSubdivision> tsub =
+        build_subdivision(*scenario);
+    AllowedComplexLru lru(2);
+    std::size_t checked = 0;
+    for (AllowedComplexLru* cache : {static_cast<AllowedComplexLru*>(nullptr),
+                                     &lru}) {
+        const ChromaticMapProblem problem = lt_approximation_problem(
+            *scenario->affine, *tsub, false, LtGuidance::kNone, cache);
+        std::size_t mismatched = 0;
+        for (const Simplex& sigma : tsub->stable_complex().complex()
+                                        .simplices()) {
+            ++checked;
+            if (&problem.allowed(sigma) !=
+                &carrier_union_allowed(*scenario->affine, *tsub, sigma)) {
+                ++mismatched;
+            }
+        }
+        EXPECT_EQ(mismatched, 0u)
+            << name << (cache == nullptr ? "" : " (through the LRU)");
+    }
+    return checked;
+}
+
+TEST(LtAllowed, CarrierMaskMatchesTheCarrierUnion) {
+    EXPECT_GT(expect_carrier_mask_allowed("lt-2-1-res1"), 0u);
+    EXPECT_GT(expect_carrier_mask_allowed("lt-2-2-res1"), 0u);
+}
+
+TEST(CspSetupHeavy, CarrierMaskMatchesTheCarrierUnionOnLt32Res2) {
+    const char* run = std::getenv("GACT_RUN_HEAVY");
+    if (run == nullptr || std::string(run) == "0") {
+        GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the heavy comparison";
+    }
+    // Both passes (plain and through the LRU) cover all 148,407 stable
+    // simplices.
+    EXPECT_EQ(expect_carrier_mask_allowed("lt-3-2-res2"), 2u * 148407u);
 }
 
 }  // namespace

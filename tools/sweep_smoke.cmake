@@ -6,14 +6,21 @@
 #  * --json output is byte-identical across repeated runs AND across
 #    thread counts (--threads 1 vs --threads 4) — no timings leak in, no
 #    shared pool makes backtrack counts order-dependent;
+#  * the 1-thread and 4-thread outputs are byte-identical to the
+#    committed golden (tests/quick_sweep.golden.json), so a change to any
+#    cell's verdict, backtrack count or witness digest fails here. A
+#    change that moves them on purpose regenerates the golden with
+#    `gact_sweep --preset quick --json > tests/quick_sweep.golden.json`
+#    and says why;
 #  * the JSON parses, every cell carries a verdict from the engine's
 #    four-way set, and the summary tallies add up to the cell count — an
 #    exception during any solve would have surfaced as exit 3 instead.
 #
-# Expected -D definitions: SWEEP (gact_sweep), WORKDIR (scratch dir).
+# Expected -D definitions: SWEEP (gact_sweep), WORKDIR (scratch dir),
+# GOLDEN (the committed quick-sweep JSON).
 
-if(NOT DEFINED SWEEP OR NOT DEFINED WORKDIR)
-  message(FATAL_ERROR "usage: cmake -DSWEEP=<gact_sweep> -DWORKDIR=<dir> -P sweep_smoke.cmake")
+if(NOT DEFINED SWEEP OR NOT DEFINED WORKDIR OR NOT DEFINED GOLDEN)
+  message(FATAL_ERROR "usage: cmake -DSWEEP=<gact_sweep> -DWORKDIR=<dir> -DGOLDEN=<json> -P sweep_smoke.cmake")
 endif()
 
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -43,6 +50,14 @@ if(NOT RUN4A STREQUAL RUN4B)
   message(FATAL_ERROR "sweep JSON differs between two identical --threads 4 runs (${WORKDIR}/run4a.json vs run4b.json)")
 endif()
 
+file(READ "${GOLDEN}" EXPECTED)
+if(NOT RUN1 STREQUAL EXPECTED)
+  message(FATAL_ERROR "sweep JSON at --threads 1 differs from the golden (${WORKDIR}/run1.json vs ${GOLDEN})")
+endif()
+if(NOT RUN4A STREQUAL EXPECTED)
+  message(FATAL_ERROR "sweep JSON at --threads 4 differs from the golden (${WORKDIR}/run4a.json vs ${GOLDEN})")
+endif()
+
 # Structural validation (cmake >= 3.19 has string(JSON)).
 string(JSON cell_count LENGTH "${RUN1}" cells)
 if(cell_count LESS 20)
@@ -68,4 +83,4 @@ foreach(i RANGE 0 ${last_cell})
   endif()
 endforeach()
 
-message(STATUS "sweep smoke: ${cell_count} cells, byte-identical across runs and thread counts")
+message(STATUS "sweep smoke: ${cell_count} cells, byte-identical across runs and thread counts and to the golden")
