@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/stable_index.h"
+#include "exec/cancel.h"
 #include "util/require.h"
 
 namespace gact::core {
@@ -566,14 +567,23 @@ std::optional<Landing> find_landing(const TerminatingSubdivision& tsub,
 
 AdmissibilityReport check_admissibility(const TerminatingSubdivision& tsub,
                                         const std::vector<iis::Run>& runs,
-                                        std::size_t max_round) {
+                                        std::size_t max_round,
+                                        const exec::CancelToken* cancel) {
     AdmissibilityReport report;
+    const auto cut = [&] {
+        if (cancel == nullptr || !cancel->cancelled()) return false;
+        report.admissible = false;
+        report.cancelled = true;
+        return true;
+    };
+    if (cut()) return report;
     report.admissible = true;
     // One index for every run: the candidates of each participation
     // dimension, each list in the order find_landing scans it.
     const StableSimplexIndex index = landing_index(
         tsub, 0, tsub.stable_complex().complex().dimension());
     for (const iis::Run& run : runs) {
+        if (cut()) return report;
         ++report.runs_checked;
         const auto landing = land(tsub, index, run, max_round);
         if (!landing.has_value()) {

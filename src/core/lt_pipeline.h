@@ -152,17 +152,21 @@ std::vector<Simplex> l_boundary_edges(const tasks::AffineTask& lt);
 /// realization of a stable simplex of K(T) that has the dimension of the
 /// run's participation face and whose carrier is a face of it (see
 /// find_landing). One StableSimplexIndex (core/stable_index.h) serves all
-/// the runs.
+/// the runs. `cancel` (exec/cancel.h), when set, is checked before the
+/// index is built and before each run; once it has fired the check stops
+/// with `cancelled` set, `admissible` false and `runs_checked` the runs
+/// it got through — a cut check proves nothing either way.
 struct AdmissibilityReport {
     bool admissible = false;
+    bool cancelled = false;
     std::size_t runs_checked = 0;
     std::size_t max_landing_round = 0;
     std::vector<iis::Run> failures;
 };
 
-AdmissibilityReport check_admissibility(const TerminatingSubdivision& tsub,
-                                        const std::vector<iis::Run>& runs,
-                                        std::size_t max_round);
+AdmissibilityReport check_admissibility(
+    const TerminatingSubdivision& tsub, const std::vector<iis::Run>& runs,
+    std::size_t max_round, const exec::CancelToken* cancel = nullptr);
 
 /// The landing data of one run: the first round k at which the run
 /// simplex sigma_k lies in the realization of a stable simplex tau of the

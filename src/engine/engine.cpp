@@ -128,12 +128,22 @@ SolveReport solve_general(const Scenario& scenario,
     }
     report.witness = witness.delta;
 
-    // Stage 3: the model's compact run family M_D.
+    // Stage 3: the model's compact run family M_D. The enumeration itself
+    // runs to the end; a token that fired meanwhile stops the solve
+    // before the model filter.
     auto start = stage_clock_now();
-    report.model_runs = iis::filter_by_model(
-        iis::enumerate_stabilized_runs(scenario.task.num_processes,
-                                       scenario.options.run_prefix_depth),
-        *scenario.model);
+    {
+        const std::vector<iis::Run> runs = iis::enumerate_stabilized_runs(
+            scenario.task.num_processes, scenario.options.run_prefix_depth);
+        if (solver.cancel != nullptr && solver.cancel->cancelled()) {
+            report.timings.push_back(
+                {"run-enumeration", millis_since(start)});
+            report.verdict = Verdict::kBudgetExhausted;
+            report.detail = "cut short in run enumeration";
+            return report;
+        }
+        report.model_runs = iis::filter_by_model(runs, *scenario.model);
+    }
     report.timings.push_back({"run-enumeration", millis_since(start)});
     if (report.model_runs.empty()) {
         report.verdict = Verdict::kBudgetExhausted;
@@ -147,8 +157,14 @@ SolveReport solve_general(const Scenario& scenario,
     // Stage 4: admissibility (Theorem 6.1, condition (a)).
     start = stage_clock_now();
     report.admissibility = core::check_admissibility(
-        *report.tsub, report.model_runs, scenario.options.max_landing_round);
+        *report.tsub, report.model_runs, scenario.options.max_landing_round,
+        solver.cancel);
     report.timings.push_back({"admissibility", millis_since(start)});
+    if (report.admissibility->cancelled) {
+        report.verdict = Verdict::kBudgetExhausted;
+        report.detail = "cut short in admissibility";
+        return report;
+    }
 
     if (report.admissibility->admissible) {
         report.verdict = Verdict::kSolvable;
@@ -171,8 +187,9 @@ SolveReport solve_general(const Scenario& scenario,
 }
 
 /// How far a solve cut short got: the wait-free depths it searched, or
-/// the subdivision stages it built and whether the approximation search
-/// had begun.
+/// the subdivision stages it built and the later stage it was in — the
+/// approximation search, run enumeration, or admissibility with the runs
+/// it had checked.
 std::string progress_of(const Scenario& scenario, const SolveReport& report) {
     if (scenario.is_wait_free()) {
         return "after " + std::to_string(report.backtracks_per_depth.size()) +
@@ -181,9 +198,15 @@ std::string progress_of(const Scenario& scenario, const SolveReport& report) {
     }
     const std::size_t requested = scenario.options.subdivision_stages;
     const auto built = static_cast<std::size_t>(report.witness_depth);
-    return "after " + std::to_string(built) + " of " +
-           std::to_string(requested) + " subdivision stages" +
-           (built == requested ? ", in the approximation search" : "");
+    const std::string out = "after " + std::to_string(built) + " of " +
+                            std::to_string(requested) + " subdivision stages";
+    if (report.admissibility.has_value()) {
+        return out + ", in admissibility after " +
+               std::to_string(report.admissibility->runs_checked) + " of " +
+               std::to_string(report.model_runs.size()) + " runs";
+    }
+    if (report.witness.has_value()) return out + ", in run enumeration";
+    return built == requested ? out + ", in the approximation search" : out;
 }
 
 }  // namespace
@@ -236,11 +259,12 @@ SolveReport Engine::solve(const Scenario& scenario) const {
 
     // Time budget (EngineOptions::time_budget_ms): materialized as a
     // CancelToken deadline the whole route observes — between wait-free
-    // depths, between subdivision stages, and at the CSP's backtrack
-    // checkpoints — so an over-budget solve stops at the next task
-    // boundary. A caller-provided token
-    // (solver.cancel) becomes the parent, so either source stops the
-    // solve and the deadline never leaks into the caller's scope.
+    // depths, between subdivision stages, at the CSP's backtrack
+    // checkpoints, after run enumeration and between admissibility's
+    // runs — so an over-budget solve stops at the next task boundary. A
+    // caller-provided token (solver.cancel) becomes the parent, so either
+    // source stops the solve and the deadline never leaks into the
+    // caller's scope.
     const auto solve_start = stage_clock_now();
     core::SolverConfig solver = scenario.options.solver;
     exec::CancelToken budget_token;

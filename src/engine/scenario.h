@@ -88,8 +88,9 @@ struct EngineOptions {
     /// @brief Wall-clock budget of the whole solve, in milliseconds
     /// (0 = none). Enforced through a CancelToken deadline
     /// (exec/cancel.h) observed at every task boundary — between
-    /// wait-free depths, between subdivision stages, and at the CSP's
-    /// backtrack checkpoints — so an
+    /// wait-free depths, between subdivision stages, at the CSP's
+    /// backtrack checkpoints, after run enumeration and between the
+    /// runs of the admissibility check — so an
     /// over-budget solve stops at the next boundary instead of only
     /// when a backtrack budget runs out. A solve cut short reports
     /// Verdict::kBudgetExhausted, a detail naming the limit that fired

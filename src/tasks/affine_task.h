@@ -23,17 +23,13 @@ struct AffineTask {
     std::uint32_t num_processes() const { return task.num_processes; }
 };
 
-/// Build the affine task of a subcomplex L ⊆ Chr^k s. Validates that
-/// L ∩ Chr^k t is pure of dimension dim(t) or empty for every face t
-/// (Section 4.2), and that L is pure n-dimensional.
-AffineTask make_affine_task(std::string name,
-                            const topo::SubdividedComplex& chr_k,
-                            const SimplicialComplex& l_complex);
-
-/// The intersection L ∩ Chr^k t: the subcomplex of simplices of L whose
-/// carrier lies in the face t.
-SimplicialComplex affine_restriction(const topo::SubdividedComplex& chr_k,
-                                     const SimplicialComplex& l_complex,
-                                     const Simplex& face);
+/// Build the affine task of a subcomplex L ⊆ Chr^k s, where the base of
+/// `chr_k` is the single simplex s. Checks that L is pure of dimension n
+/// and that every L ∩ Chr^k t is empty or pure of dimension dim(t)
+/// (Section 4.2), and everything Task::validate checks. Each simplex of L
+/// is filed once under its carrier, and Delta(t) is the union of the
+/// groups carried by faces of t.
+AffineTask make_affine_task(std::string name, topo::SubdividedComplex chr_k,
+                            SimplicialComplex l_complex);
 
 }  // namespace gact::tasks

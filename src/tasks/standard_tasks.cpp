@@ -1,6 +1,6 @@
 #include "tasks/standard_tasks.h"
 
-#include <map>
+#include <algorithm>
 
 #include "topology/combinatorics.h"
 #include "util/require.h"
@@ -50,44 +50,45 @@ Simplex sigma_alpha(const topo::SubdividedComplex& chr2,
 }
 
 AffineTask total_order_task(int n) {
-    const topo::SubdividedComplex chr2 = topo::SubdividedComplex::
+    topo::SubdividedComplex chr2 = topo::SubdividedComplex::
         iterated_chromatic(topo::ChromaticComplex::standard_simplex(n), 2);
-    SimplicialComplex l;
+    std::vector<Simplex> facets;
     for (const auto& perm : topo::all_permutations(
              static_cast<std::size_t>(n) + 1)) {
         std::vector<ProcessId> alpha(perm.begin(), perm.end());
-        l.add_simplex(sigma_alpha(chr2, alpha));
+        facets.push_back(sigma_alpha(chr2, alpha));
     }
-    return make_affine_task("L_ord(n=" + std::to_string(n) + ")", chr2, l);
+    SimplicialComplex l = SimplicialComplex::from_facets(facets);
+    return make_affine_task("L_ord(n=" + std::to_string(n) + ")",
+                            std::move(chr2), std::move(l));
 }
 
 AffineTask t_resilience_task(int n, int t) {
     require(t >= 0 && t <= n, "t_resilience_task: need 0 <= t <= n");
-    const topo::SubdividedComplex chr2 = topo::SubdividedComplex::
+    topo::SubdividedComplex chr2 = topo::SubdividedComplex::
         iterated_chromatic(topo::ChromaticComplex::standard_simplex(n), 2);
     // Keep the facets having no vertex on an (n-t-1)-dimensional face,
     // i.e. every vertex's carrier has dimension >= n-t.
-    SimplicialComplex l;
-    for (const Simplex& f : chr2.complex().facets()) {
-        bool ok = true;
-        for (topo::VertexId v : f.vertices()) {
-            if (chr2.carrier(v).dimension() < n - t) {
-                ok = false;
-                break;
-            }
+    std::vector<Simplex> kept;
+    for (const Simplex& f : chr2.facets()) {
+        if (std::ranges::all_of(f.vertices(), [&](topo::VertexId v) {
+                return chr2.carrier(v).dimension() >= n - t;
+            })) {
+            kept.push_back(f);
         }
-        if (ok) l.add_simplex(f);
     }
+    SimplicialComplex l = SimplicialComplex::from_facets(kept);
     return make_affine_task(
-        "L_" + std::to_string(t) + "(n=" + std::to_string(n) + ")", chr2, l);
+        "L_" + std::to_string(t) + "(n=" + std::to_string(n) + ")",
+        std::move(chr2), std::move(l));
 }
 
 AffineTask immediate_snapshot_task(int n) {
-    const topo::SubdividedComplex chr = topo::SubdividedComplex::
+    topo::SubdividedComplex chr = topo::SubdividedComplex::
         iterated_chromatic(topo::ChromaticComplex::standard_simplex(n), 1);
-    SimplicialComplex l;
-    for (const Simplex& f : chr.complex().facets()) l.add_simplex(f);
-    return make_affine_task("IS(n=" + std::to_string(n) + ")", chr, l);
+    SimplicialComplex l = SimplicialComplex::from_facets(chr.facets());
+    return make_affine_task("IS(n=" + std::to_string(n) + ")", std::move(chr),
+                            std::move(l));
 }
 
 topo::VertexId value_vertex(std::uint32_t num_values, ProcessId p,

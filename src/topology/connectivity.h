@@ -24,7 +24,11 @@ struct LinkConnectivityReport {
     std::string to_string() const;
 };
 
-/// Check Definition 8.3 on a pure n-dimensional complex.
+/// Check Definition 8.3 on a pure n-dimensional complex. The simplices
+/// are visited in table order, and the first whose link fails is the
+/// witness. Each link is read off a vertex -> star incidence built once,
+/// from the smallest star among the simplex's vertices; the homology of
+/// the links (is_k_connected) is most of the cost.
 LinkConnectivityReport check_link_connected(const SimplicialComplex& complex);
 
 inline bool is_link_connected(const SimplicialComplex& complex) {

@@ -2,10 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include "tasks/standard_tasks.h"
+#include "topology/homology.h"
 #include "topology/subdivision.h"
 
 namespace gact::topo {
 namespace {
+
+/// The check as it was before the star incidence: each link built by
+/// SimplicialComplex::link, a scan of the whole complex per simplex.
+LinkConnectivityReport reference_check(const SimplicialComplex& complex) {
+    LinkConnectivityReport report;
+    const int n = complex.dimension();
+    for (const Simplex& sigma : complex.simplices()) {
+        const int required = n - sigma.dimension() - 2;
+        if (required <= -2) continue;
+        if (!is_k_connected(complex.link(sigma), required)) {
+            report.witness = sigma;
+            report.required_connectivity = required;
+            return report;
+        }
+    }
+    report.link_connected = true;
+    return report;
+}
+
+void expect_same_report(const SimplicialComplex& complex,
+                        const std::string& what) {
+    const LinkConnectivityReport got = check_link_connected(complex);
+    const LinkConnectivityReport want = reference_check(complex);
+    EXPECT_EQ(got.link_connected, want.link_connected) << what;
+    EXPECT_EQ(got.witness, want.witness) << what;
+    EXPECT_EQ(got.required_connectivity, want.required_connectivity)
+        << what;
+}
 
 TEST(LinkConnected, SolidTriangle) {
     const SimplicialComplex c =
@@ -67,6 +97,28 @@ TEST(LinkConnected, ReportToString) {
     const SimplicialComplex good =
         SimplicialComplex::from_facets({Simplex{0, 1, 2}});
     EXPECT_EQ(check_link_connected(good).to_string(), "link-connected");
+}
+
+TEST(LinkConnected, VerdictAndWitnessMatchTheFullScan) {
+    expect_same_report(SimplicialComplex::from_facets(
+                           {Simplex{0, 1, 2}, Simplex{2, 3, 4}}),
+                       "bowtie");
+    expect_same_report(
+        SimplicialComplex::from_facets({Simplex{0, 1}, Simplex{5}}),
+        "edge and isolated vertex");
+    for (int t = 0; t <= 2; ++t) {
+        const tasks::AffineTask lt = tasks::t_resilience_task(2, t);
+        expect_same_report(lt.l_complex, lt.task.name);
+        for (const Simplex& face : lt.task.inputs.complex().simplices()) {
+            expect_same_report(lt.task.delta.at(face),
+                               lt.task.name + " Delta(" + face.to_string() +
+                                   ")");
+        }
+    }
+    const tasks::AffineTask lord = tasks::total_order_task(2);
+    ASSERT_FALSE(reference_check(lord.l_complex).link_connected);
+    expect_same_report(lord.l_complex, lord.task.name);
+    expect_same_report(tasks::immediate_snapshot_task(2).l_complex, "IS(2)");
 }
 
 // The paper's key negative example is checked in tasks tests: the total

@@ -1,7 +1,9 @@
 // The heavy-scenario gate: the sharded lt-3-2-res2 run, timed, with the
 // shape of its terminating subdivision pinned, and its stages held
 // against the former stabilization pass and its stable_since stamps
-// against the map-based stamping they replaced.
+// against the map-based stamping they replaced. Beside it, two more
+// wall-clock gates: the link check of L_2 at n = 3, and a time budget
+// cutting an lt-3-2-res2 solve in its run enumeration or admissibility.
 //
 // This test is labeled `heavy` in CTest and self-skips unless
 // GACT_RUN_HEAVY=1, so the tier-1 suite stays fast while CI (and anyone
@@ -24,6 +26,8 @@
 #include "core/terminating_subdivision.h"
 #include "engine/engine.h"
 #include "engine/scenario_registry.h"
+#include "tasks/standard_tasks.h"
+#include "topology/connectivity.h"
 #include "stabilization_oracle.h"
 #include "stable_since_oracle.h"
 
@@ -116,6 +120,59 @@ TEST(HeavyScenarios, StabilizationMatchesTheOraclesOnLt32Res2) {
         core::expect_matches_reference(tsub, ref);
         core::expect_stamps_match_map_oracle(tsub);
     }
+}
+
+// The link check of Definition 8.3 on L_2 (n = 3), 23,279 simplices:
+// each link is read off a star, so the check is bound by the links'
+// homology (51.6 s when every link was a scan of L).
+TEST(HeavyScenarios, LinkCheckOfL2AtNThreeStaysUnderTwoSeconds) {
+    const char* run = std::getenv("GACT_RUN_HEAVY");
+    if (run == nullptr || std::string(run) == "0") {
+        GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the heavy link check";
+    }
+    const tasks::AffineTask l2 = tasks::t_resilience_task(3, 2);
+    const auto start = std::chrono::steady_clock::now();
+    const topo::LinkConnectivityReport report =
+        topo::check_link_connected(l2.l_complex);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    EXPECT_TRUE(report.link_connected) << report.to_string();
+    EXPECT_LT(elapsed, 2.0) << "link check took " << elapsed << " s";
+}
+
+// A time budget bounds the admissibility stage too: with 3 stages every
+// K(T) vertex is identity-fixed and the CSP is immediate, but the runs
+// of prefix depth 2 (962,381 before the model filter) took ~68 s to
+// check when the stage ignored the token.
+TEST(HeavyScenarios, TimeBudgetCutsLt32Res2InRunsOrAdmissibility) {
+    const char* run = std::getenv("GACT_RUN_HEAVY");
+    if (run == nullptr || std::string(run) == "0") {
+        GTEST_SKIP() << "set GACT_RUN_HEAVY=1 to run the budgeted solve";
+    }
+    auto scenario = ScenarioRegistry::standard().find("lt-3-2-res2");
+    ASSERT_TRUE(scenario.has_value());
+    scenario->options.subdivision_stages = 3;
+    scenario->options.run_prefix_depth = 2;
+    scenario->options.time_budget_ms = 500;
+
+    const auto start = std::chrono::steady_clock::now();
+    const SolveReport report = Engine().solve(*scenario);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    EXPECT_LT(elapsed, 5.0) << report.summary();
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted)
+        << report.summary();
+    const std::string prefix =
+        "time budget of 500 ms ran out after 3 of 3 subdivision stages, in ";
+    ASSERT_EQ(report.detail.rfind(prefix, 0), 0u) << report.detail;
+    const std::string stage = report.detail.substr(prefix.size());
+    EXPECT_TRUE(stage == "run enumeration" ||
+                stage.rfind("admissibility after ", 0) == 0)
+        << report.detail;
 }
 
 }  // namespace

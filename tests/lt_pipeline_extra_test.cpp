@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/general_route.h"
+#include "exec/cancel.h"
 #include "protocol/gact_protocol.h"
 #include "protocol/verifier.h"
 
@@ -39,6 +40,30 @@ TEST(LtWaitFreeDegeneracy, AdmissibleForAllWaitFreeRuns) {
     EXPECT_TRUE(report.admissible);
     // Every run lands as soon as sigma_2 exists.
     EXPECT_LE(report.max_landing_round, 2u);
+}
+
+TEST(LtWaitFreeDegeneracy, AdmissibilityStopsAtOnceOnAFiredToken) {
+    const tasks::AffineTask task = tasks::t_resilience_task(2, 2);
+    const engine::GeneralWitness p = engine::build_general_witness(
+        task, engine::LtStableRule(2, 2), 2 + 1, /*fix_identity=*/true,
+        LtGuidance::kNearest, SolverConfig::fast());
+    const auto runs = iis::enumerate_stabilized_runs(3, 1);
+    ASSERT_FALSE(runs.empty());
+
+    exec::CancelToken token;
+    const AdmissibilityReport live =
+        check_admissibility(p.tsub, runs, 4, &token);
+    EXPECT_TRUE(live.admissible);
+    EXPECT_FALSE(live.cancelled);
+    EXPECT_EQ(live.runs_checked, runs.size());
+
+    token.cancel();
+    const AdmissibilityReport cut =
+        check_admissibility(p.tsub, runs, 4, &token);
+    EXPECT_TRUE(cut.cancelled);
+    EXPECT_FALSE(cut.admissible);
+    EXPECT_EQ(cut.runs_checked, 0u);
+    EXPECT_TRUE(cut.failures.empty());
 }
 
 TEST(LtWaitFreeDegeneracy, ProtocolSolvesLnWaitFree) {
