@@ -2,7 +2,7 @@
 //
 // The batch is the registry's standard quick sweep grid
 // (ScenarioRegistry::quick_grid — every scenario family expanded at
-// cheap parameter points, the same ~22 cells `gact_sweep --preset
+// cheap parameter points, the same ~22 cells `gact sweep --preset
 // quick` runs): independent solvability questions of very different
 // sizes (microsecond depth-0 witnesses up to the L_t pipeline), exactly
 // the shape the self-scheduling shard pool targets: long solves overlap

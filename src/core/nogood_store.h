@@ -379,7 +379,7 @@ public:
     /// that does not parse. On failure the pool is untouched. Absence is
     /// decided by the open itself failing with ENOENT, never by a
     /// separate existence probe. The one implementation of the pool-file
-    /// warm start: example_engine_cli --pool-file and SolveServer both
+    /// warm start: `gact solve --pool-file` and SolveServer both
     /// call it.
     std::string load_if_present(const std::string& path);
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "engine/scenario_registry.h"
+#include "exec/scheduler.h"
 
 namespace gact::engine {
 
@@ -157,13 +158,12 @@ std::string apply_options_json(const util::Json& overrides,
         } else if (key == "max_backtracks") {
             err = expect_uint(value, key, options.solver.max_backtracks);
         } else if (key == "shard_threads") {
-            // The range gact_serve --threads accepts: the scheduler's
-            // worker cap (GACT_EXEC_THREADS).
-            constexpr unsigned kMaxShardThreads = 1024;
             unsigned threads = 0;
             err = expect_uint(value, key, threads);
-            if (err.empty() && (threads == 0 || threads > kMaxShardThreads)) {
-                err = "option 'shard_threads' must be in 1..1024";
+            if (err.empty() &&
+                (threads == 0 || threads > exec::kMaxWorkers)) {
+                err = "option 'shard_threads' must be in 1.." +
+                      std::to_string(exec::kMaxWorkers);
             }
             if (err.empty()) options.shard_threads = threads;
         } else if (key == "fix_identity") {

@@ -3,7 +3,7 @@
 //
 // Two surfaces speak engine results over text: the service layer
 // (src/service/) answers solve requests with serialized SolveReports,
-// and example_engine_cli --json prints the same objects to stdout. Both
+// and `gact solve --json` prints the same objects to stdout. Both
 // call report_to_json(), so the wire format and the CLI format are one
 // definition that cannot drift. The same goes for the request side:
 // scenario_from_request() resolves a registry name plus inline
@@ -12,9 +12,9 @@
 //
 // The witness itself stays out of the JSON (a subdivision-depth vertex
 // map is megabytes of rationals nobody diffs); what crosses the wire is
-// its order-independent digest — the same digest example_engine_cli has
-// always printed, now computed by witness_digest() here so the CLI, the
-// service, and the e2e gates compare one canonical value.
+// its order-independent digest — the same digest `gact solve` prints,
+// computed by witness_digest() here so the CLI, the service, and the
+// e2e gates compare one canonical value.
 #pragma once
 
 #include <cstdint>

@@ -66,7 +66,7 @@ struct EngineOptions {
     /// witness-preserving (pruning only). The engine does no file I/O:
     /// to carry a pool across processes, load it before the solves
     /// (SharedNogoodPool::load_if_present) and save it after, as
-    /// example_engine_cli --pool-file and gact_serve do.
+    /// `gact solve --pool-file` and `gact serve` do.
     std::shared_ptr<core::SharedNogoodPool> nogood_pool;
 
     /// @brief Intra-scenario sharding (general route): split each
@@ -74,8 +74,8 @@ struct EngineOptions {
     /// closure of each stage's facets into slot ranges, across at most
     /// this many workers of the shared scheduler. Every complex, stable
     /// set and verdict is identical to the 1-thread build's; wall clock
-    /// only. The wire accepts 1..1024. (The approximation CSP itself is
-    /// single-threaded.)
+    /// only. The wire accepts 1..exec::kMaxWorkers. (The approximation
+    /// CSP itself is single-threaded.)
     unsigned shard_threads = 1;
 
     /// General route: depth of the arbitrary-schedule prefix of the

@@ -19,9 +19,9 @@
 // The 12 legacy registry names are aliases resolving *through* these
 // families (scenario_registry.cpp), so every existing witness-digest
 // golden stays pinned while any in-range parameter combination becomes
-// a valid scenario name everywhere a name is accepted: the engine CLI,
-// the solve server's wire protocol, the fuzzer, and the sweep driver
-// (tools/gact_sweep.cpp) which expands Cartesian grids through
+// a valid scenario name everywhere a name is accepted: `gact solve`,
+// the solve server's wire protocol, `gact fuzz`, and `gact sweep`
+// (tools/gact.cpp), which expands Cartesian grids through
 // Engine::solve_batch.
 #pragma once
 

@@ -17,7 +17,7 @@
 // minutes-scale builds, e.g. L_t at n = 3) are only materialized when
 // the scenario is actually requested. ScenarioRegistry::expand turns a
 // family plus a value grid into the Cartesian product of scenarios —
-// the sweep driver (tools/gact_sweep.cpp) feeds that straight into
+// `gact sweep` (tools/gact.cpp) feeds that straight into
 // Engine::solve_batch.
 #pragma once
 
@@ -89,7 +89,7 @@ public:
                                      nullptr) const;
 
     /// The standard ~20-cell quick sweep grid: every family sampled at
-    /// cheap parameter points (what `gact_sweep --preset quick`,
+    /// cheap parameter points (what `gact sweep --preset quick`,
     /// bench_engine_batch, and the CI sweep smoke run).
     std::vector<Scenario> quick_grid() const;
 

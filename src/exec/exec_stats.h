@@ -14,7 +14,7 @@ namespace gact::exec {
 
 /// @brief Lifetime counters of a Scheduler, snapshot by
 /// Scheduler::stats(). Served in the solve server's `stats` reply and
-/// printed by `gact_sweep --stats`.
+/// printed by `gact sweep --stats`.
 struct ExecStats {
     /// Resident worker threads of the pool.
     std::size_t workers = 0;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "exec/task_group.h"
+#include "util/cli.h"
 
 namespace gact::exec {
 
@@ -17,9 +18,12 @@ thread_local const Scheduler* tls_scheduler = nullptr;
 thread_local unsigned tls_worker = 0;
 
 unsigned default_worker_count() {
-    if (const char* env = std::getenv("GACT_EXEC_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1 && n <= 1024) return static_cast<unsigned>(n);
+    // A value that is not a plain count in 1..kMaxWorkers ("0", "5x",
+    // " 6") falls back to the default.
+    unsigned n = 0;
+    if (util::parse_count(std::getenv("GACT_EXEC_THREADS"), n, 1u,
+                          kMaxWorkers)) {
+        return n;
     }
     // Floor of 4: exec::for_index callers may rely on a few units
     // genuinely overlapping (tests/parallel_test.cpp rendezvouses 4

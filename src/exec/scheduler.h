@@ -36,6 +36,10 @@
 
 namespace gact::exec {
 
+/// The worker cap: the upper end of the ranges GACT_EXEC_THREADS,
+/// `gact serve --threads` and the wire's `shard_threads` accept.
+inline constexpr unsigned kMaxWorkers = 1024;
+
 class TaskGroup;
 
 /// @brief A resident pool of worker threads with per-worker

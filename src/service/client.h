@@ -2,7 +2,7 @@
 // length-prefixed JSON framing.
 //
 // Thin by design — connect, send a request object, await a reply
-// object. The one-shot CLI (tools/gact_client.cpp), the load generator
+// object. `gact client` (tools/gact.cpp), the load generator
 // (bench/bench_service_load.cpp), and the loopback e2e tests all drive
 // the server through this class, so the client-side framing exists in
 // exactly one place. send()/receive() are exposed separately from

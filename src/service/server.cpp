@@ -525,7 +525,7 @@ void SolveServer::reply_error(const std::shared_ptr<Connection>& conn,
 
 util::Json SolveServer::list_json() const {
     // Sorted names via the registry, each with its description — the
-    // served form of `example_engine_cli --list`.
+    // served form of `gact list`.
     const engine::ScenarioRegistry& registry =
         engine::ScenarioRegistry::standard();
     std::vector<const engine::ScenarioSpec*> sorted;

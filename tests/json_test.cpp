@@ -1,5 +1,5 @@
 // gact::util::Json — the minimal JSON value the service wire format and
-// example_engine_cli --json are built on. Strictness matters more than
+// `gact solve --json` are built on. Strictness matters more than
 // features here: every reject case below is a payload the server must
 // answer with a clean error instead of misreading.
 #include <gtest/gtest.h>

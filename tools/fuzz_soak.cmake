@@ -7,7 +7,7 @@
 #
 #   GACT_RUN_HEAVY=1 ctest -L heavy --output-on-failure
 #
-# One gact_fuzz invocation, 250k schedules for each of the four
+# One `gact fuzz` invocation, 250k schedules for each of the four
 # wait-free table-rule scenarios = 1M executions total (the wait-free
 # executor runs tens of thousands of schedules per second; the landing
 # rules' exact rational arithmetic is ~3 orders of magnitude slower and
@@ -15,8 +15,8 @@
 # Definition 4.1 violation exits 1 with a shrunk, replayable
 # counterexample in the output.
 
-if(NOT DEFINED FUZZ)
-  message(FATAL_ERROR "usage: cmake -DFUZZ=<gact_fuzz> -P fuzz_soak.cmake")
+if(NOT DEFINED GACT)
+  message(FATAL_ERROR "usage: cmake -DGACT=<gact> -P fuzz_soak.cmake")
 endif()
 
 if(NOT "$ENV{GACT_RUN_HEAVY}" STREQUAL "1")
@@ -26,14 +26,14 @@ endif()
 
 set(iters 250000)
 execute_process(
-  COMMAND "${FUZZ}"
+  COMMAND "${GACT}" fuzz
     --scenario is-1-wf --scenario is-2-wf
     --scenario ksa-2p-k2-wf --scenario chr2-2p-wf
     --iters ${iters} --threads 4 --seed 1
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE code)
-message(STATUS "gact_fuzz output:\n${out}")
+message(STATUS "gact fuzz output:\n${out}")
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "fuzz soak failed (exit ${code}):\n${out}\n${err}")
 endif()

@@ -1,19 +1,19 @@
 # End-to-end gate for nogood-pool persistence, run as a ctest
 # (`cmake -P` script mode; see CMakeLists.txt, test engine_cli_pool_file):
-# one example_engine_cli process solves a scenario with --pool-file, a
+# one `gact solve` process solves a scenario with --pool-file, a
 # SECOND process loads the file cold and must reproduce the
 # bit-identical witness (compared by the printed digests) with 0
 # backtracks. This is the acceptance shape of the PR-5 persistence
 # tentpole, exercised through the real CLI surface rather than the
 # library API (tests/nogood_pool_persistence_test.cpp covers that).
 #
-# Expected -D definitions: CLI (path to example_engine_cli), WORKDIR
+# Expected -D definitions: GACT (path to the gact binary), WORKDIR
 # (scratch directory). The scenario: chr2-2p-wf — solvable at depth 2
 # with a nonzero cold backtrack count, so "0 backtracks warm" is a real
 # assertion, in ~milliseconds.
 
-if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
-  message(FATAL_ERROR "usage: cmake -DCLI=<example_engine_cli> -DWORKDIR=<dir> -P pool_file_e2e.cmake")
+if(NOT DEFINED GACT OR NOT DEFINED WORKDIR)
+  message(FATAL_ERROR "usage: cmake -DGACT=<gact> -DWORKDIR=<dir> -P pool_file_e2e.cmake")
 endif()
 
 set(scenario chr2-2p-wf)
@@ -23,12 +23,12 @@ file(REMOVE "${pool_file}")
 
 function(run_cli out_var)
   execute_process(
-    COMMAND "${CLI}" --threads 1 --pool-file "${pool_file}" "${scenario}"
+    COMMAND "${GACT}" solve --threads 1 --pool-file "${pool_file}" "${scenario}"
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE code)
   if(NOT code EQUAL 0)
-    message(FATAL_ERROR "CLI exited ${code}:\n${out}\n${err}")
+    message(FATAL_ERROR "gact solve exited ${code}:\n${out}\n${err}")
   endif()
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()

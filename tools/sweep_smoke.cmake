@@ -1,7 +1,7 @@
 # Sweep determinism smoke, end to end through the real binary (`cmake -P`
 # script mode; see CMakeLists.txt, test sweep_smoke).
 #
-# The contract under test (tools/gact_sweep.cpp):
+# The contract under test (`gact sweep`, tools/gact.cpp):
 #  * the quick preset expands to a >= 20-cell grid and completes (exit 0);
 #  * --json output is byte-identical across repeated runs AND across
 #    thread counts (--threads 1 vs --threads 4) — no timings leak in, no
@@ -10,29 +10,29 @@
 #    committed golden (tests/quick_sweep.golden.json), so a change to any
 #    cell's verdict, backtrack count or witness digest fails here. A
 #    change that moves them on purpose regenerates the golden with
-#    `gact_sweep --preset quick --json > tests/quick_sweep.golden.json`
+#    `gact sweep --preset quick --json > tests/quick_sweep.golden.json`
 #    and says why;
 #  * the JSON parses, every cell carries a verdict from the engine's
 #    four-way set, and the summary tallies add up to the cell count — an
 #    exception during any solve would have surfaced as exit 3 instead.
 #
-# Expected -D definitions: SWEEP (gact_sweep), WORKDIR (scratch dir),
+# Expected -D definitions: GACT (the gact binary), WORKDIR (scratch dir),
 # GOLDEN (the committed quick-sweep JSON).
 
-if(NOT DEFINED SWEEP OR NOT DEFINED WORKDIR OR NOT DEFINED GOLDEN)
-  message(FATAL_ERROR "usage: cmake -DSWEEP=<gact_sweep> -DWORKDIR=<dir> -DGOLDEN=<json> -P sweep_smoke.cmake")
+if(NOT DEFINED GACT OR NOT DEFINED WORKDIR OR NOT DEFINED GOLDEN)
+  message(FATAL_ERROR "usage: cmake -DGACT=<gact> -DWORKDIR=<dir> -DGOLDEN=<json> -P sweep_smoke.cmake")
 endif()
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 function(run_sweep outfile threads)
   execute_process(
-    COMMAND "${SWEEP}" --preset quick --json --threads ${threads}
+    COMMAND "${GACT}" sweep --preset quick --json --threads ${threads}
     OUTPUT_FILE "${WORKDIR}/${outfile}"
     ERROR_VARIABLE err
     RESULT_VARIABLE code)
   if(NOT code EQUAL 0)
-    message(FATAL_ERROR "gact_sweep --preset quick --threads ${threads}: expected exit 0, got ${code}\nstderr:\n${err}")
+    message(FATAL_ERROR "gact sweep --preset quick --threads ${threads}: expected exit 0, got ${code}\nstderr:\n${err}")
   endif()
 endfunction()
 
