@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <optional>
 
 #include "bench_size.h"
 #include "engine/general_route.h"
@@ -73,19 +74,57 @@ void BM_RadialProjection(benchmark::State& state) {
     // per-vertex call the candidate order makes.
     const core::RadialProjection projection(f.task);
     // Project a ring-1 vertex (one that actually moves).
-    topo::BaryPoint x = topo::BaryPoint::vertex(0);
+    std::optional<topo::BaryPoint> ring;
     for (topo::VertexId v : f.witness.tsub.stable_complex().vertex_ids()) {
         const topo::BaryPoint& q = f.witness.tsub.stable_position(v);
         if (!core::point_in_l(f.task, q)) {
-            x = q;
+            ring = q;
             break;
         }
     }
+    // With one extra stage K(T) is R_0 alone, and f fixes every vertex.
+    if (!ring.has_value()) {
+        state.SkipWithError("no K(T) vertex outside L at this size");
+        return;
+    }
+    const topo::BaryPoint x = *ring;
     for (auto _ : state) {
         benchmark::DoNotOptimize(projection.project(x));
     }
 }
 BENCHMARK(BM_RadialProjection);
+
+// One call per stable vertex of K(T), as the candidate order makes them:
+// the per-call time is the iteration time over items_processed.
+template <typename Call>
+void every_stable_vertex(benchmark::State& state, Call call) {
+    const Figure& f = figure();
+    const std::vector<topo::VertexId> vertices =
+        f.witness.tsub.stable_complex().vertex_ids();
+    for (auto _ : state) {
+        for (topo::VertexId v : vertices) {
+            benchmark::DoNotOptimize(call(f.witness.tsub.stable_position(v)));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(vertices.size()));
+}
+
+void BM_RadialProjectionEveryVertex(benchmark::State& state) {
+    const core::RadialProjection projection(figure().task);
+    every_stable_vertex(state, [&](const topo::BaryPoint& x) {
+        return projection.project(x);
+    });
+}
+BENCHMARK(BM_RadialProjectionEveryVertex);
+
+void BM_RadialContainsEveryVertex(benchmark::State& state) {
+    const core::RadialProjection projection(figure().task);
+    every_stable_vertex(state, [&](const topo::BaryPoint& x) {
+        return projection.contains(x);
+    });
+}
+BENCHMARK(BM_RadialContainsEveryVertex);
 
 void BM_PointInL(benchmark::State& state) {
     const Figure& f = figure();

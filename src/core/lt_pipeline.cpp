@@ -146,17 +146,50 @@ void ray_segment_hits(const BaryPoint& c, const BaryPoint& x,
 // Shared-denominator headroom for the integer candidate-distance fast
 // path below: an l1 distance accumulates at most 2(n + 1) terms of
 // magnitude <= den, so capping den well inside int64 keeps every sum
-// exact. Returns lcm(a, b), or 0 when it would exceed the cap.
+// exact.
 constexpr std::int64_t kGuideDenCap = std::int64_t{1} << 40;
+
+// The radial projection's integer kernel: with L's denominator and x's
+// both at most 2^30, a coordinate numerator is at most 2^30, a cross
+// product at most 2^60, a Cramer determinant at most 2^61, and the
+// largest product formed (two hits compared, sigma * det) below 2^122.
+constexpr std::int64_t kRadialDenCap = std::int64_t{1} << 30;
 
 // The input vertices a carrier mask can name: the carrier table holds
 // 2^k entries for k input vertices.
 constexpr std::size_t kMaxCarrierBits = 16;
 
-std::int64_t lcm_capped(std::int64_t a, std::int64_t b) {
+/// lcm(a, b), or 0 when it would exceed `cap`.
+std::int64_t lcm_capped(std::int64_t a, std::int64_t b, std::int64_t cap) {
     const std::int64_t g = std::gcd(a, b);
-    if (a / g > kGuideDenCap / b) return 0;
+    if (a / g > cap / b) return 0;
     return (a / g) * b;
+}
+
+using Wide = __int128;
+
+/// The lcm of `den` and the denominators of p's coordinates, or 0 when it
+/// passes kRadialDenCap or p has a coordinate off the base 0..2.
+std::int64_t chart_den(const BaryPoint& p, std::int64_t den) {
+    for (const auto& [b, r] : p.coords()) {
+        if (b >= 3 || den == 0) return 0;
+        den = lcm_capped(den, r.den(), kRadialDenCap);
+    }
+    return den;
+}
+
+/// p's coordinates 0..2 as numerators over `den`, a multiple of each of
+/// their denominators.
+std::array<std::int64_t, 3> chart_nums(const BaryPoint& p, std::int64_t den) {
+    std::array<std::int64_t, 3> out{};
+    for (const auto& [b, r] : p.coords()) out[b] = r.num() * (den / r.den());
+    return out;
+}
+
+/// Whether x is the base vertex `corner`.
+bool is_corner(const BaryPoint& x, std::size_t corner) {
+    return x.coords().size() == 1 && x.coords()[0].first == corner &&
+           x.coords()[0].second == Rational(1);
 }
 
 }  // namespace
@@ -164,19 +197,12 @@ std::int64_t lcm_capped(std::int64_t a, std::int64_t b) {
 RadialProjection::RadialProjection(const tasks::AffineTask& lt) {
     require(lt.subdivision.base().dimension() == 2,
             "RadialProjection: implemented for n = 2");
+    den_ = 1;
     for (const Simplex& f : lt.l_complex.facets()) {
-        Facet facet;
-        facet.vertices = lt.subdivision.positions_of(f);
-        bool first = true;
-        for (const BaryPoint& p : facet.vertices) {
-            for (std::size_t i = 0; i < kCoords; ++i) {
-                const Rational r = p.coord(static_cast<VertexId>(i));
-                if (first || r < facet.lo[i]) facet.lo[i] = r;
-                if (first || r > facet.hi[i]) facet.hi[i] = r;
-            }
-            first = false;
-        }
-        facets_.push_back(std::move(facet));
+        facets_.push_back(lt.subdivision.positions_of(f));
+        for (const BaryPoint& p : facets_.back()) den_ = chart_den(p, den_);
+        // The chart's containment test is for triangles.
+        if (facets_.back().size() != 3) den_ = 0;
     }
     // Boundary edges of |L_1| as geometric segments between distinct
     // endpoints, so each endpoint's side is computed once per corner.
@@ -186,88 +212,236 @@ RadialProjection::RadialProjection(const tasks::AffineTask& lt) {
         for (std::size_t k = 0; k < 2; ++k) {
             const VertexId v = e.vertices()[k];
             const auto [it, added] = point_of.emplace(v, points_.size());
-            if (added) {
-                BoundaryPoint p;
-                p.position = lt.subdivision.position(v);
-                for (std::size_t i = 0; i < kCoords; ++i) {
-                    p.coords[i] = p.position.coord(static_cast<VertexId>(i));
-                }
-                points_.push_back(std::move(p));
-            }
+            if (added) points_.push_back(lt.subdivision.position(v));
             ends[k] = it->second;
         }
         segments_.push_back(ends);
     }
+    // Boundary points are vertices of facets, so den_ covers them.
+    if (den_ == 0) return;
+
+    // The integer chart: facets in coordinates 0 and 1, each turned
+    // counter-clockwise; a degenerate one contains no point (its affine
+    // coordinates are not unique) and is left out.
+    for (const std::vector<BaryPoint>& f : facets_) {
+        std::array<Coords, 3> v;
+        ChartFacet cf;
+        for (std::size_t k = 0; k < 3; ++k) {
+            v[k] = chart_nums(f[k], den_);
+            for (std::size_t i = 0; i < kCoords; ++i) {
+                cf.lo[i] = k == 0 ? v[k][i] : std::min(cf.lo[i], v[k][i]);
+                cf.hi[i] = k == 0 ? v[k][i] : std::max(cf.hi[i], v[k][i]);
+            }
+        }
+        const Wide turn = Wide{v[1][0] - v[0][0]} * (v[2][1] - v[0][1]) -
+                          Wide{v[1][1] - v[0][1]} * (v[2][0] - v[0][0]);
+        if (turn == 0) continue;
+        if (turn < 0) std::swap(v[1], v[2]);
+        for (std::size_t k = 0; k < 3; ++k) {
+            const Coords& p = v[k];
+            const Coords& q = v[(k + 1) % 3];
+            // (q - p) x (x - p), scaled by D_L^2 * D_x.
+            EdgeLine& e = cf.edges[k];
+            e.a = -(q[1] - p[1]);
+            e.b = q[0] - p[0];
+            e.c = (q[1] - p[1]) * p[0] - (q[0] - p[0]) * p[1];
+        }
+        chart_facets_.push_back(cf);
+    }
+    for (const BaryPoint& p : points_) {
+        point_num_.push_back(chart_nums(p, den_));
+    }
+    for (std::size_t corner = 0; corner < kCoords; ++corner) {
+        const std::size_t i = (corner + 1) % kCoords;
+        const std::size_t j = (corner + 2) % kCoords;
+        for (const auto& [a, b] : segments_) {
+            const Coords& pa = point_num_[a];
+            const Coords& pb = point_num_[b];
+            sigma_[corner].push_back(pb[i] * pa[j] - pa[i] * pb[j]);
+        }
+    }
 }
 
-bool RadialProjection::contains(const BaryPoint& x) const {
-    std::array<Rational, kCoords> coords;
-    for (const auto& [b, r] : x.coords()) {
-        // Off the base no facet of L reaches.
-        if (b >= kCoords) return false;
-        coords[b] = r;
+RadialProjection::ChartPoint RadialProjection::chart(
+    const BaryPoint& x) const {
+    ChartPoint out;
+    if (den_ == 0) return out;
+    out.den = chart_den(x, 1);
+    if (out.den == 0) return out;
+    out.num = chart_nums(x, out.den);
+    // Only a point off the plane of s (the empty BaryPoint) fails this.
+    if (out.num[0] + out.num[1] + out.num[2] != out.den) out.den = 0;
+    return out;
+}
+
+bool RadialProjection::contains_chart(const ChartPoint& x) const {
+    // The box test compares x_i * D_L with lo_i * D_x and hi_i * D_x; an
+    // edge line's value is scaled by D_L^2 * D_x.
+    std::array<Wide, kCoords> scaled;
+    for (std::size_t i = 0; i < kCoords; ++i) {
+        scaled[i] = Wide{x.num[i]} * den_;
     }
-    for (const Facet& f : facets_) {
-        bool in_box = true;
-        for (std::size_t i = 0; in_box && i < kCoords; ++i) {
-            in_box = !(coords[i] < f.lo[i]) && !(coords[i] > f.hi[i]);
+    for (const ChartFacet& f : chart_facets_) {
+        bool in = true;
+        for (std::size_t i = 0; in && i < kCoords; ++i) {
+            in = scaled[i] >= Wide{f.lo[i]} * x.den &&
+                 scaled[i] <= Wide{f.hi[i]} * x.den;
         }
-        if (in_box && topo::point_in_simplex(x, f.vertices)) return true;
+        for (std::size_t k = 0; in && k < 3; ++k) {
+            const EdgeLine& e = f.edges[k];
+            in = Wide{den_} * (Wide{e.a} * x.num[0] + Wide{e.b} * x.num[1]) +
+                     Wide{x.den} * e.c >=
+                 0;
+        }
+        if (in) return true;
     }
     return false;
 }
 
-BaryPoint RadialProjection::project(const BaryPoint& x) const {
+bool RadialProjection::contains_exact(const BaryPoint& x) const {
+    // Off the base no facet of L reaches.
+    for (const auto& [b, r] : x.coords()) {
+        if (b >= kCoords) return false;
+    }
+    for (const std::vector<BaryPoint>& f : facets_) {
+        if (topo::point_in_simplex(x, f)) return true;
+    }
+    return false;
+}
+
+bool RadialProjection::contains(const BaryPoint& x) const {
+    const ChartPoint cx = chart(x);
+    return cx.den != 0 ? contains_chart(cx) : contains_exact(x);
+}
+
+void RadialProjection::chart_sides(std::size_t corner, const ChartPoint& x,
+                                   std::vector<std::int64_t>& side) const {
+    // In the chart (i, j) the corner is the origin, and boundary point p's
+    // side of the ray is the sign of the cross product x × p.
+    const std::size_t i = (corner + 1) % kCoords;
+    const std::size_t j = (corner + 2) % kCoords;
+    side.clear();
+    for (const Coords& p : point_num_) {
+        side.push_back(static_cast<std::int64_t>(Wide{x.num[i]} * p[j] -
+                                                 Wide{x.num[j]} * p[i]));
+    }
+}
+
+void RadialProjection::exact_sides(std::size_t corner, const BaryPoint& x,
+                                   std::vector<std::int64_t>& side) const {
+    // The same cross product in Rationals. Points with coordinates 0..2
+    // summing to 1 fill a plane that these two coordinates chart
+    // faithfully. (If x's coordinates do not, the ray leaves the plane at
+    // the corner and no segment yields a hit at all.)
+    const auto i = static_cast<VertexId>((corner + 1) % kCoords);
+    const auto j = static_cast<VertexId>((corner + 2) % kCoords);
+    const Rational xi = x.coord(i);
+    const Rational xj = x.coord(j);
+    side.clear();
+    for (const BaryPoint& p : points_) {
+        const Rational l = xi * p.coord(j);
+        const Rational r = xj * p.coord(i);
+        side.push_back(l < r ? -1 : (r < l ? 1 : 0));
+    }
+}
+
+bool RadialProjection::chart_corner_hit(std::size_t corner,
+                                        const ChartPoint& x,
+                                        const std::vector<std::int64_t>& side,
+                                        std::optional<BaryPoint>& hit) const {
+    // Solving s x = a + u (b - a) over D_x and D_L by Cramer's rule gives
+    // det = x × a - x × b, u = (x × a) / det and
+    // s = sigma * D_x / (det * D_L).
+    std::size_t best = segments_.size();
+    Wide best_sigma = 0, best_det = 1, best_u = 0;
+    for (std::size_t k = 0; k < segments_.size(); ++k) {
+        const std::int64_t ca = side[segments_[k][0]];
+        const std::int64_t cb = side[segments_[k][1]];
+        // Both endpoints strictly on one side: no hit.
+        if ((ca > 0 && cb > 0) || (ca < 0 && cb < 0)) continue;
+        Wide det = Wide{ca} - cb;
+        if (det == 0) return false;  // collinear with the ray
+        Wide sigma = sigma_[corner][k];
+        Wide u = ca;
+        if (det < 0) {
+            det = -det;
+            sigma = -sigma;
+            u = -u;
+        }
+        // u is in [0, 1]: the endpoints are not strictly on one side.
+        if (sigma <= 0) continue;  // s <= 0: behind the corner
+        if (best == segments_.size() || sigma * best_det < best_sigma * det) {
+            best = k;
+            best_sigma = sigma;
+            best_det = det;
+            best_u = u;
+        }
+    }
+    if (best != segments_.size() &&
+        best_sigma * x.den >= best_det * den_) {
+        const Rational u(static_cast<std::int64_t>(best_u),
+                         static_cast<std::int64_t>(best_det));
+        hit = BaryPoint::combination(
+            {points_[segments_[best][0]], points_[segments_[best][1]]},
+            {Rational(1) - u, u});
+    }
+    return true;
+}
+
+std::optional<BaryPoint> RadialProjection::exact_corner_hit(
+    std::size_t corner, const BaryPoint& x,
+    const std::vector<std::int64_t>& side) const {
     constexpr int n = 2;
-    if (contains(x)) return x;
+    const BaryPoint c = BaryPoint::vertex(static_cast<VertexId>(corner));
+    std::vector<RayHit> hits;
+    for (const auto& [a, b] : segments_) {
+        // Both endpoints strictly on one side: the segment misses the
+        // whole line, so ray_segment_hits would add nothing.
+        if ((side[a] > 0 && side[b] > 0) || (side[a] < 0 && side[b] < 0)) {
+            continue;
+        }
+        ray_segment_hits(c, x, points_[a], points_[b], n, hits);
+    }
+    if (hits.empty()) return std::nullopt;
+    const auto min_hit = std::min_element(
+        hits.begin(), hits.end(),
+        [](const RayHit& p, const RayHit& q) { return p.s < q.s; });
+    if (min_hit->s < Rational(1)) return std::nullopt;
+    return min_hit->point;
+}
+
+BaryPoint RadialProjection::project(const BaryPoint& x) const {
+    const ChartPoint cx = chart(x);
+    if (cx.den != 0 ? contains_chart(cx) : contains_exact(x)) return x;
 
     // Identify the corner whose radial ray reaches x before R_0: the one
     // for which every boundary hit is at parameter s >= 1.
     std::optional<BaryPoint> best;
-    std::vector<int> sides;
-    sides.reserve(points_.size());
-    for (int corner = 0; corner <= n; ++corner) {
-        const BaryPoint c = BaryPoint::vertex(static_cast<VertexId>(corner));
-        if (x == c) continue;
-        // Side of the line through c and x for every boundary point p:
-        // the exact sign of the cross product of x - c and p - c in the
-        // two coordinates i, j other than c's, in which c is the origin.
-        // Points with coordinates 0..2 summing to 1 fill a plane that
-        // these two coordinates chart faithfully. (If x's coordinates do
-        // not, the ray leaves the plane at c and no segment yields a hit
-        // at all.)
-        const std::size_t i = (corner + 1) % kCoords;
-        const std::size_t j = (corner + 2) % kCoords;
-        const Rational xi = x.coord(static_cast<VertexId>(i));
-        const Rational xj = x.coord(static_cast<VertexId>(j));
-        sides.clear();
-        for (const BoundaryPoint& p : points_) {
-            const Rational l = xi * p.coords[j];
-            const Rational r = xj * p.coords[i];
-            sides.push_back(l < r ? -1 : (r < l ? 1 : 0));
+    std::vector<std::int64_t> side;
+    side.reserve(points_.size());
+    for (std::size_t corner = 0; corner < kCoords; ++corner) {
+        if (is_corner(x, corner)) continue;
+        std::optional<BaryPoint> hit;
+        if (cx.den != 0) {
+            chart_sides(corner, cx, side);
+        } else {
+            exact_sides(corner, x, side);
         }
-        std::vector<RayHit> hits;
-        for (const auto& [a, b] : segments_) {
-            // Both endpoints strictly on one side: the segment misses the
-            // whole line, so ray_segment_hits would add nothing.
-            if (sides[a] * sides[b] > 0) continue;
-            ray_segment_hits(c, x, points_[a].position, points_[b].position,
-                             n, hits);
+        if (cx.den == 0 || !chart_corner_hit(corner, cx, side, hit)) {
+            hit = exact_corner_hit(corner, x, side);
         }
-        if (hits.empty()) continue;
-        const auto min_hit = std::min_element(
-            hits.begin(), hits.end(),
-            [](const RayHit& p, const RayHit& q) { return p.s < q.s; });
-        if (min_hit->s >= Rational(1)) {
-            require(!best.has_value(),
-                    "RadialProjection: ambiguous corner for " +
-                        x.to_string());
-            best = min_hit->point;
+        if (!hit.has_value()) continue;
+        if (best.has_value()) {
+            throw precondition_error(
+                "RadialProjection: ambiguous corner for " + x.to_string());
         }
+        best = std::move(hit);
     }
-    require(best.has_value(),
-            "RadialProjection: no corner projects " + x.to_string());
-    return *best;
+    if (!best.has_value()) {
+        throw precondition_error("RadialProjection: no corner projects " +
+                                 x.to_string());
+    }
+    return std::move(*best);
 }
 
 ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
@@ -410,7 +584,8 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
             guide->position[w] = &task.subdivision.position(w);
             for (const auto& [bv, r] : guide->position[w]->coords()) {
                 if (guide->den != 0) {
-                    guide->den = lcm_capped(guide->den, r.den());
+                    guide->den =
+                        lcm_capped(guide->den, r.den(), kGuideDenCap);
                 }
             }
         }
@@ -436,7 +611,7 @@ ChromaticMapProblem lt_approximation_problem(const tasks::AffineTask& task,
                 // Extend the shared denominator to cover this target.
                 std::int64_t dv = guide->den;
                 for (const auto& [bv, r] : target.coords()) {
-                    dv = lcm_capped(dv, r.den());
+                    dv = lcm_capped(dv, r.den(), kGuideDenCap);
                     if (dv == 0) break;
                 }
                 if (dv != 0) {

@@ -10,7 +10,7 @@
 //     forbidden skeleton is terminated; K(T) accumulates the rings;
 //  3. the continuous map f: identity on R_0, radial projection away from
 //     the skeleton onto the boundary of R_0 elsewhere (RadialProjection:
-//     exact rational arithmetic for n = 2, t = 1 — the paper's
+//     exact integer arithmetic for n = 2, t = 1 — the paper's
 //     illustrated case — built once per task);
 //  4. the chromatic simplicial approximation delta : K(T) -> L_t of
 //     Proposition 9.1, found by the CSP solver with candidates ordered by
@@ -25,6 +25,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <optional>
 
 #include "core/chromatic_csp.h"
 #include "core/eval_cache.h"
@@ -98,18 +100,35 @@ std::size_t ring_of_stable_facet(const TerminatingSubdivision& tsub,
 /// onto the boundary of |L_1| outside.
 ///
 /// Built once per task (lt_approximation_problem builds one per problem
-/// and every order_candidates call reuses it): it copies L's facets as
-/// vertex positions, each with its exact per-coordinate box, and L's
-/// boundary segments in l_boundary_edges order over their distinct
-/// endpoints. Two exact prefilters keep the per-point work small without
-/// changing any answer:
-///  * a point outside a facet's box is outside the facet, so the exact
-///    point_in_simplex runs only for facets whose box holds the point;
-///  * a boundary segment with both endpoints strictly on one side of the
-///    line through a corner and the point cannot meet the corner's ray,
-///    so only the other segments are intersected exactly.
-/// Immutable once built; `project` is a pure read, safe from several
-/// threads. The task need not outlive it.
+/// and every order_candidates call reuses it). The geometry is exact and
+/// runs in integers. The constructor writes every vertex of L as int64
+/// numerators over one shared denominator D_L. A point x gets its own
+/// denominator D_x. Points of |s| satisfy x_0 + x_1 + x_2 = 1, so any two
+/// coordinates chart the plane of s faithfully:
+///  * contains: a facet's exact coordinate box rejects most facets; a
+///    facet whose box holds x contains it when x is on the inner side of
+///    all three of its edge lines (three orientation tests, each an
+///    __int128 cross product);
+///  * project: corner c's ray through x is charted in the two coordinates
+///    other than c's, where c is the origin. Each boundary point's side of
+///    the ray is one cross product. A boundary segment with both endpoints
+///    strictly on one side cannot meet the ray; every other segment's
+///    hit (sigma, u) comes from Cramer's rule over the cross products,
+///    with ray parameter s = sigma * D_x / (det * D_L). Hits are compared
+///    by cross-multiplication, the first minimal one wins, and s >= 1
+///    accepts the corner. The one BaryPoint built per accepted corner is
+///    the combination of the winning segment's endpoints.
+/// Both denominators are capped at 2^30, so every numerator is at most
+/// 2^30 in magnitude and every product the kernel forms stays below
+/// 2^122. The caps are checked before any product is formed. The Rational
+/// code of the per-call projection this class replaced remains as the
+/// fallback the data selects: for an x (or an L) whose denominator passes
+/// the cap or that leaves the base 0..2, and, per corner, for a ray that
+/// runs along a boundary segment (det = 0). Both paths give the same
+/// answers (tests/radial_projection_test.cpp keeps the per-call
+/// projection as its oracle).
+/// Immutable once built; `contains` and `project` are pure reads, safe
+/// from several threads. The task need not outlive it.
 class RadialProjection {
 public:
     /// Requires the task's base to be a 2-simplex with vertex ids 0..2.
@@ -123,20 +142,65 @@ public:
 
 private:
     static constexpr std::size_t kCoords = 3;
-    struct Facet {
-        std::vector<BaryPoint> vertices;
-        std::array<Rational, kCoords> lo, hi;
+    using Coords = std::array<std::int64_t, kCoords>;
+    /// A point's coordinates 0..2 as numerators over `den`; den == 0 when
+    /// the point takes the Rational path.
+    struct ChartPoint {
+        Coords num{};
+        std::int64_t den = 0;
     };
-    struct BoundaryPoint {
-        BaryPoint position;
-        std::array<Rational, kCoords> coords;
+    /// The line through two facet vertices: a*x_0 + b*x_1 over D_L, plus
+    /// c over D_L^2, is >= 0 exactly on the facet's side.
+    struct EdgeLine {
+        std::int64_t a = 0, b = 0, c = 0;
     };
-    std::vector<Facet> facets_;
+    struct ChartFacet {
+        Coords lo{}, hi{};
+        std::array<EdgeLine, 3> edges;
+    };
+
+    ChartPoint chart(const BaryPoint& x) const;
+    bool contains_chart(const ChartPoint& x) const;
+    bool contains_exact(const BaryPoint& x) const;
+    /// Each boundary point's side of corner `corner`'s ray through x: a
+    /// value whose sign is the side. chart_sides gives the cross products
+    /// themselves, which chart_corner_hit reads.
+    void chart_sides(std::size_t corner, const ChartPoint& x,
+                     std::vector<std::int64_t>& side) const;
+    void exact_sides(std::size_t corner, const BaryPoint& x,
+                     std::vector<std::int64_t>& side) const;
+    /// The corner's accepted point in integers: false when a boundary
+    /// segment is collinear with the ray, which leaves the corner to
+    /// exact_corner_hit; otherwise `hit` is set to the accepted point, if
+    /// any.
+    bool chart_corner_hit(std::size_t corner, const ChartPoint& x,
+                          const std::vector<std::int64_t>& side,
+                          std::optional<BaryPoint>& hit) const;
+    /// The corner's accepted point by the Rational ray_segment_hits, over
+    /// the segments whose endpoints `side` does not put strictly on one
+    /// side of the ray.
+    std::optional<BaryPoint> exact_corner_hit(
+        std::size_t corner, const BaryPoint& x,
+        const std::vector<std::int64_t>& side) const;
+
+    /// L's facets as vertex positions.
+    std::vector<std::vector<BaryPoint>> facets_;
     /// The distinct endpoints of L's boundary edges.
-    std::vector<BoundaryPoint> points_;
+    std::vector<BaryPoint> points_;
     /// L's boundary edges in l_boundary_edges order, as indices into
     /// points_.
     std::vector<std::array<std::size_t, 2>> segments_;
+
+    /// D_L, or 0 when L's denominators pass the cap.
+    std::int64_t den_ = 0;
+    /// The non-degenerate facets of L, in facets_ order.
+    std::vector<ChartFacet> chart_facets_;
+    /// points_ over D_L.
+    std::vector<Coords> point_num_;
+    /// Per corner and segment [a, b]: b_i * a_j - a_i * b_j over D_L^2 in
+    /// the corner's chart (i, j), the numerator of the segment's hit
+    /// parameter.
+    std::array<std::vector<std::int64_t>, kCoords> sigma_;
 };
 
 /// Whether `x` lies in the realization of the task's complex L: the plain

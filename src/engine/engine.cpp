@@ -128,22 +128,29 @@ SolveReport solve_general(const Scenario& scenario,
     }
     report.witness = witness.delta;
 
-    // Stage 3: the model's compact run family M_D. The enumeration itself
-    // runs to the end; a token that fired meanwhile stops the solve
-    // before the model filter.
+    // Stage 3: the model's compact run family M_D. The enumeration and
+    // the model filter both obey the token; a list either one cut short
+    // proves nothing, so the solve stops there.
     auto start = stage_clock_now();
+    const auto cut = [&] {
+        if (solver.cancel == nullptr || !solver.cancel->cancelled()) {
+            return false;
+        }
+        report.model_runs.clear();
+        report.timings.push_back({"run-enumeration", millis_since(start)});
+        report.verdict = Verdict::kBudgetExhausted;
+        report.detail = "cut short in run enumeration";
+        return true;
+    };
     {
         const std::vector<iis::Run> runs = iis::enumerate_stabilized_runs(
-            scenario.task.num_processes, scenario.options.run_prefix_depth);
-        if (solver.cancel != nullptr && solver.cancel->cancelled()) {
-            report.timings.push_back(
-                {"run-enumeration", millis_since(start)});
-            report.verdict = Verdict::kBudgetExhausted;
-            report.detail = "cut short in run enumeration";
-            return report;
-        }
-        report.model_runs = iis::filter_by_model(runs, *scenario.model);
+            scenario.task.num_processes, scenario.options.run_prefix_depth,
+            solver.cancel);
+        if (cut()) return report;
+        report.model_runs =
+            iis::filter_by_model(runs, *scenario.model, solver.cancel);
     }
+    if (cut()) return report;
     report.timings.push_back({"run-enumeration", millis_since(start)});
     if (report.model_runs.empty()) {
         report.verdict = Verdict::kBudgetExhausted;
@@ -260,7 +267,7 @@ SolveReport Engine::solve(const Scenario& scenario) const {
     // Time budget (EngineOptions::time_budget_ms): materialized as a
     // CancelToken deadline the whole route observes — between wait-free
     // depths, between subdivision stages, at the CSP's backtrack
-    // checkpoints, after run enumeration and between admissibility's
+    // checkpoints, inside run enumeration and between admissibility's
     // runs — so an over-budget solve stops at the next task boundary. A
     // caller-provided token (solver.cancel) becomes the parent, so either
     // source stops the solve and the deadline never leaks into the

@@ -89,7 +89,7 @@ struct EngineOptions {
     /// (0 = none). Enforced through a CancelToken deadline
     /// (exec/cancel.h) observed at every task boundary — between
     /// wait-free depths, between subdivision stages, at the CSP's
-    /// backtrack checkpoints, after run enumeration and between the
+    /// backtrack checkpoints, inside run enumeration and between the
     /// runs of the admissibility check — so an
     /// over-budget solve stops at the next boundary instead of only
     /// when a backtrack budget runs out. A solve cut short reports

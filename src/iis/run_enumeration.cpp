@@ -6,39 +6,57 @@ namespace gact::iis {
 
 namespace {
 
-void extend(std::uint32_t num_processes, std::vector<OrderedPartition>& prefix,
+// How many runs pass between two checks of a cancel token.
+constexpr std::size_t kCancelStride = 1024;
+
+bool fired(const exec::CancelToken* cancel) {
+    return cancel != nullptr && cancel->cancelled();
+}
+
+/// Appends every run extending `prefix`; false once `cancel` has fired.
+bool extend(std::uint32_t num_processes,
+            std::vector<OrderedPartition>& prefix,
             ProcessSet current_support, std::uint32_t remaining_depth,
-            std::vector<Run>& out) {
+            const exec::CancelToken* cancel, std::vector<Run>& out) {
     if (remaining_depth == 0) {
         // Close with any fixed tail on any non-empty subset of the current
         // support.
         for (const ProcessSet f : nonempty_subsets(current_support)) {
             for (const OrderedPartition& tail : all_ordered_partitions(f)) {
+                if (out.size() % kCancelStride == 0 && fired(cancel)) {
+                    return false;
+                }
                 out.emplace_back(num_processes, prefix,
                                  std::vector<OrderedPartition>{tail});
             }
         }
-        return;
+        return true;
     }
     for (const ProcessSet s : nonempty_subsets(current_support)) {
         for (const OrderedPartition& round : all_ordered_partitions(s)) {
+            // Each first-round branch starts with a check.
+            if (prefix.empty() && fired(cancel)) return false;
             prefix.push_back(round);
-            extend(num_processes, prefix, s, remaining_depth - 1, out);
+            const bool whole = extend(num_processes, prefix, s,
+                                      remaining_depth - 1, cancel, out);
             prefix.pop_back();
+            if (!whole) return false;
         }
     }
+    return true;
 }
 
 }  // namespace
 
 std::vector<Run> enumerate_stabilized_runs(std::uint32_t num_processes,
-                                           std::uint32_t prefix_depth) {
+                                           std::uint32_t prefix_depth,
+                                           const exec::CancelToken* cancel) {
     require(num_processes >= 1 && num_processes <= 5,
             "enumerate_stabilized_runs: enumeration limited to <= 5 processes");
     std::vector<Run> out;
     std::vector<OrderedPartition> prefix;
     extend(num_processes, prefix, ProcessSet::full(num_processes),
-           prefix_depth, out);
+           prefix_depth, cancel, out);
     return out;
 }
 
@@ -56,10 +74,12 @@ std::vector<Run> enumerate_full_participation_runs(
 }
 
 std::vector<Run> filter_by_model(const std::vector<Run>& runs,
-                                 const Model& model) {
+                                 const Model& model,
+                                 const exec::CancelToken* cancel) {
     std::vector<Run> out;
-    for (const Run& r : runs) {
-        if (model.contains(r)) out.push_back(r);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (i % kCancelStride == 0 && fired(cancel)) break;
+        if (model.contains(runs[i])) out.push_back(runs[i]);
     }
     return out;
 }

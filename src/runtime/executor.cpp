@@ -51,8 +51,10 @@ std::optional<topo::VertexId> TableRule::decide(
                 break;
             }
         }
-        ensure(found, "TableRule: view of p" + std::to_string(p) +
-                          " has no own sub-view");
+        if (!found) {
+            throw invariant_error("TableRule: view of p" + std::to_string(p) +
+                                  " has no own sub-view");
+        }
     }
     const auto it = table_.find(canonical_view_key(arena, current));
     if (it == table_.end()) return std::nullopt;

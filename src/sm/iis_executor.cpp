@@ -71,9 +71,11 @@ void IisExecution::run_levels(const std::vector<ProcessId>& schedule,
         if (all_done) return;
     }
     for (ProcessId q = 0; q < num_processes_; ++q) {
-        require(!procs_[q].participating || procs_[q].level >= levels,
+        if (procs_[q].participating && procs_[q].level < levels) {
+            throw precondition_error(
                 "IisExecution: schedule too short for process " +
-                    std::to_string(q));
+                std::to_string(q));
+        }
     }
 }
 
@@ -83,13 +85,17 @@ std::size_t IisExecution::run_partition_round(const iis::OrderedPartition& round
             "run_partition_round: support out of range");
     const std::size_t m = level_of(round.support().min());
     for (ProcessId p : round.support().members()) {
-        require(procs_[p].participating,
+        if (!procs_[p].participating) {
+            throw precondition_error("run_partition_round: process " +
+                                     std::to_string(p) +
+                                     " is not a participant");
+        }
+        if (procs_[p].level != m) {
+            throw precondition_error(
                 "run_partition_round: process " + std::to_string(p) +
-                    " is not a participant");
-        require(procs_[p].level == m,
-                "run_partition_round: process " + std::to_string(p) +
-                    " is at level " + std::to_string(procs_[p].level) +
-                    ", round needs level " + std::to_string(m));
+                " is at level " + std::to_string(procs_[p].level) +
+                ", round needs level " + std::to_string(m));
+        }
     }
     for (const ProcessSet& block : round.blocks()) {
         // Lockstep descent: all writes of the block, then all snapshots,
@@ -109,10 +115,12 @@ std::size_t IisExecution::run_partition_round(const iis::OrderedPartition& round
             }
         }
     }
-    ensure(partition_of_level(m) == round,
-           "run_partition_round: SM substrate realized " +
-               partition_of_level(m).to_string() + " instead of " +
-               round.to_string());
+    const iis::OrderedPartition realized = partition_of_level(m);
+    if (realized != round) {
+        throw invariant_error("run_partition_round: SM substrate realized " +
+                              realized.to_string() + " instead of " +
+                              round.to_string());
+    }
     return m;
 }
 

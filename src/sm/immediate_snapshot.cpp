@@ -77,9 +77,11 @@ IsOutcome run_immediate_snapshot(std::uint32_t num_processes,
     out.values.assign(num_processes, {});
     for (ProcessId p = 0; p < num_processes; ++p) {
         if (procs[p].has_value()) {
-            require(procs[p]->done(),
+            if (!procs[p]->done()) {
+                throw precondition_error(
                     "run_immediate_snapshot: schedule too short for p" +
-                        std::to_string(p));
+                    std::to_string(p));
+            }
             out.result_sets[p] = procs[p]->result_set();
             out.values[p] = procs[p]->result_values();
             out.finished = out.finished.with(p);

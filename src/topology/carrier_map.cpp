@@ -9,7 +9,10 @@ void CarrierMap::set(const Simplex& sigma, SimplicialComplex image) {
 
 const SimplicialComplex& CarrierMap::at(const Simplex& sigma) const {
     const auto it = images_.find(sigma);
-    require(it != images_.end(), "CarrierMap: undefined at " + sigma.to_string());
+    if (it == images_.end()) {
+        throw precondition_error("CarrierMap: undefined at " +
+                                 sigma.to_string());
+    }
     return it->second;
 }
 

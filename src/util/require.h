@@ -30,7 +30,10 @@ public:
 };
 
 // The message is a view so that a passing check with a literal message
-// builds no std::string: these run in the innermost loops.
+// builds no std::string: these run in the innermost loops. A concatenated
+// message defeats the view, since the std::string is built before the
+// call whether the check passes or not; on a per-call path, test the
+// condition and build such a message only where it throws.
 
 /// Check a caller-facing precondition.
 inline void require(bool condition, std::string_view what) {

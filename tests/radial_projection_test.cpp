@@ -1,22 +1,28 @@
 // Oracle agreement for the Section 9.2 radial projection
-// (core::RadialProjection). The class is built once per task and puts two
-// exact prefilters in front of the geometry: a per-facet coordinate box
-// before point_in_simplex, and a side-of-line test that skips boundary
-// segments lying strictly on one side of a corner's ray. Neither may change
-// an answer, so this file keeps the per-call projection it replaced
-// verbatim as the oracle and compares the two on every stable vertex of
-// the lt-2-1 and lt-2-2 K(T), through the candidate order of the
-// approximation problem, and on constructed points that sit exactly on
-// the prefilters' edge cases: rays through a boundary vertex (a zero side
-// on one endpoint), rays along an edge of s (segments collinear with the
-// ray) and points of the boundary of |L| that pass a facet's box only on
-// the box's boundary.
+// (core::RadialProjection). The class is built once per task and decides
+// containment and the ray hits in integers over shared denominators, with
+// two exact prefilters: a per-facet coordinate box before the orientation
+// tests, and a side-of-line test that skips boundary segments lying
+// strictly on one side of a corner's ray. Points whose denominators pass
+// the integer cap, and rays collinear with a boundary segment, take the
+// Rational path instead. None of this may change an answer, so this file
+// keeps the per-call projection the class replaced verbatim as the oracle
+// and compares the two on every stable vertex of the lt-2-1 K(T) at 4, 5
+// and 6 stages and of the lt-2-2 K(T), through the candidate order of the
+// approximation problem, on points on either side of the integer cap, on
+// a lattice of |s| that covers L's boundary, and on constructed points
+// that sit exactly on the prefilters' edge cases: rays through a boundary
+// vertex (a zero side on one endpoint), rays along an edge of s (segments
+// collinear with the ray) and points of the boundary of |L| that pass a
+// facet's box only on the box's boundary.
 #include "core/lt_pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <vector>
@@ -163,15 +169,16 @@ void expect_agrees(const tasks::AffineTask& task, const RadialProjection& f,
 }
 
 /// The L_t task on the 2-simplex with its K(T), built as the registry's
-/// lt-2-t scenarios build it: four stages under the L_t stable rule.
+/// lt-2-t scenarios build it: `stages` stages (four in the registry)
+/// under the L_t stable rule.
 struct Construction {
     tasks::AffineTask task;
     TerminatingSubdivision tsub;
 
-    explicit Construction(int t)
+    explicit Construction(int t, int stages = 4)
         : task(tasks::t_resilience_task(2, t)), tsub(task.task.inputs) {
         const engine::LtStableRule rule(2, t);
-        for (int stage = 0; stage < 4; ++stage) {
+        for (int stage = 0; stage < stages; ++stage) {
             tsub.advance([&rule](const SubdividedComplex& cx,
                                  const Simplex& s) {
                 return rule.stable(cx, s);
@@ -218,6 +225,22 @@ TEST(RadialProjection, AgreesOnEveryStableVertex) {
         } else {
             EXPECT_EQ(moved, 0u);
         }
+    }
+}
+
+TEST(RadialProjection, AgreesOnDeeperStableVertices) {
+    // More stages refine the collar rings, so K(T) carries larger
+    // denominators than at the registry's four.
+    for (int stages : {5, 6}) {
+        const Construction c(1, stages);
+        const RadialProjection f(c.task);
+        std::size_t moved = 0;
+        for (VertexId v : c.tsub.stable_complex().vertex_ids()) {
+            const BaryPoint& x = c.tsub.stable_position(v);
+            expect_agrees(c.task, f, x);
+            if (!f.contains(x)) ++moved;
+        }
+        EXPECT_GT(moved, 0u) << stages << " stages";
     }
 }
 
@@ -356,6 +379,103 @@ TEST(RadialProjection, BoundaryPointsOnTheBoxBoundary) {
         if (touches_every_box) ++box_boundary_only;
     }
     EXPECT_GT(box_boundary_only, 0u);
+}
+
+// The denominator cap of RadialProjection's integer path.
+constexpr std::int64_t kIntegerCap = std::int64_t{1} << 30;
+
+/// The lcm of x's coordinate denominators, saturated at 2^62.
+std::int64_t denominator(const BaryPoint& x) {
+    constexpr std::int64_t kSaturated = std::int64_t{1} << 62;
+    std::int64_t den = 1;
+    for (const auto& [b, r] : x.coords()) {
+        const std::int64_t g = std::gcd(den, r.den());
+        if (den / g > kSaturated / r.den()) return kSaturated;
+        den = den / g * r.den();
+    }
+    return den;
+}
+
+TEST(RadialProjection, PointsPastTheIntegerCapTakeTheRationalPath) {
+    // Mixes with weight 1/(2^31 - 1) carry a denominator past the cap, so
+    // containment and every corner run the Rational path: points next to
+    // a corner (projected) and next to each boundary vertex of L.
+    const Construction& c = construction(1);
+    const RadialProjection f(c.task);
+    const Rational w(1, (std::int64_t{1} << 31) - 1);
+    std::size_t moved = 0;
+    for (const BaryPoint& p : boundary_vertices(c.task)) {
+        for (VertexId corner : {0u, 1u, 2u}) {
+            const BaryPoint c0 = BaryPoint::vertex(corner);
+            for (const BaryPoint& x : {mix(c0, p, w), mix(p, c0, w)}) {
+                ASSERT_GT(denominator(x), kIntegerCap) << x.to_string();
+                expect_agrees(c.task, f, x);
+                if (!f.contains(x)) ++moved;
+            }
+        }
+    }
+    EXPECT_GT(moved, 0u);
+}
+
+TEST(RadialProjection, PointsJustUnderTheIntegerCap) {
+    // The same mixes with the largest weight denominator m that keeps the
+    // point's denominator within the cap: the integer path with its
+    // numerators near their bound.
+    const Construction& c = construction(1);
+    const RadialProjection f(c.task);
+    std::size_t moved = 0;
+    for (const BaryPoint& p : boundary_vertices(c.task)) {
+        for (VertexId corner : {0u, 1u, 2u}) {
+            const BaryPoint c0 = BaryPoint::vertex(corner);
+            for (bool near_corner : {true, false}) {
+                const auto at = [&](std::int64_t m) {
+                    const Rational w(1, m);
+                    return near_corner ? mix(c0, p, w) : mix(p, c0, w);
+                };
+                std::int64_t m = kIntegerCap / denominator(p) + 1;
+                while (denominator(at(m)) > kIntegerCap) --m;
+                const BaryPoint x = at(m);
+                ASSERT_GT(denominator(x), kIntegerCap / 64) << x.to_string();
+                expect_agrees(c.task, f, x);
+                if (!f.contains(x)) ++moved;
+            }
+        }
+    }
+    EXPECT_GT(moved, 0u);
+}
+
+TEST(RadialProjection, ContainsAgreesWithPointInLOnALattice) {
+    // The points (a, b, c) / N of |s|, inside L and outside it. L_1's
+    // boundary vertices have denominators 3, 5, 9, 15, 25 and 75, so both
+    // lattices hold some of them, and points of its boundary edges.
+    for (int t : {1, 2}) {
+        const Construction& c = construction(t);
+        const RadialProjection f(c.task);
+        const std::set<BaryPoint> boundary = boundary_vertices(c.task);
+        for (std::int64_t n : {30, 45}) {
+            std::size_t inside = 0;
+            std::size_t on_boundary = 0;
+            for (std::int64_t a = 0; a <= n; ++a) {
+                for (std::int64_t b = 0; a + b <= n; ++b) {
+                    const BaryPoint x({{0, Rational(a, n)},
+                                       {1, Rational(b, n)},
+                                       {2, Rational(n - a - b, n)}});
+                    const bool in = f.contains(x);
+                    EXPECT_EQ(in, point_in_l(c.task, x))
+                        << "t=" << t << " " << x.to_string();
+                    if (in) ++inside;
+                    if (boundary.contains(x)) ++on_boundary;
+                }
+            }
+            const std::size_t total =
+                static_cast<std::size_t>((n + 1) * (n + 2) / 2);
+            EXPECT_GT(inside, 0u);
+            if (t == 1) {
+                EXPECT_LT(inside, total);
+                EXPECT_GT(on_boundary, 0u) << n;
+            }
+        }
+    }
 }
 
 TEST(RadialProjection, RequiresTheTwoSimplexBase) {
