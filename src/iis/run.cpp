@@ -217,6 +217,44 @@ ViewId Run::view(ProcessId p, std::size_t k, ViewArena& arena,
     return *table[k][p];
 }
 
+std::vector<std::optional<ViewId>> initial_view_row(
+    std::uint32_t num_processes, ViewArena& arena,
+    const std::vector<std::optional<topo::VertexId>>* inputs) {
+    require(inputs == nullptr || inputs->size() >= num_processes,
+            "initial_view_row: inputs vector too short");
+    std::vector<std::optional<ViewId>> row(num_processes);
+    for (ProcessId p = 0; p < num_processes; ++p) {
+        row[p] = arena.make_initial(
+            p, inputs != nullptr ? (*inputs)[p] : std::nullopt);
+    }
+    return row;
+}
+
+void next_view_row(const OrderedPartition& round,
+                   const std::vector<std::optional<ViewId>>& previous,
+                   ViewArena& arena, std::vector<std::optional<ViewId>>& row) {
+    require(&row != &previous, "next_view_row: row aliases previous");
+    require(ProcessSet::full(static_cast<std::uint32_t>(previous.size()))
+                .contains_all(round.support()),
+            "next_view_row: unknown process");
+    row.assign(previous.size(), std::nullopt);
+    // Block j's processes all see blocks 1..j: walk the blocks once.
+    ProcessSet seen_set;
+    for (const ProcessSet& block : round.blocks()) {
+        seen_set = seen_set | block;
+        for (ProcessId p : block) {
+            std::vector<ViewId> seen;
+            seen.reserve(seen_set.size());
+            for (ProcessId q : seen_set) {
+                ensure(previous[q].has_value(),
+                       "next_view_row: snapshot of a dropped process");
+                seen.push_back(*previous[q]);
+            }
+            row[p] = arena.make_view(p, std::move(seen));
+        }
+    }
+}
+
 std::string Run::to_string() const {
     std::string out;
     for (const OrderedPartition& p : prefix_) out += p.to_string();

@@ -114,4 +114,18 @@ private:
 
 std::ostream& operator<<(std::ostream& os, const Run& r);
 
+/// Row 0 of Run::view_table: every process's initial view, carrying
+/// `(*inputs)[p]` when `inputs` is given.
+std::vector<std::optional<ViewId>> initial_view_row(
+    std::uint32_t num_processes, ViewArena& arena,
+    const std::vector<std::optional<topo::VertexId>>* inputs = nullptr);
+
+/// Row j of Run::view_table from row j-1 (`previous`), where `round` is
+/// the run's round j-1: one row per round actually executed, instead of
+/// a whole table up front. Writes into `row` (resized to previous.size()),
+/// which must not alias `previous`.
+void next_view_row(const OrderedPartition& round,
+                   const std::vector<std::optional<ViewId>>& previous,
+                   ViewArena& arena, std::vector<std::optional<ViewId>>& row);
+
 }  // namespace gact::iis

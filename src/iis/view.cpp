@@ -1,16 +1,44 @@
 #include "iis/view.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/require.h"
 
 namespace gact::iis {
 
+std::size_t ViewArena::home_slot(std::size_t hash) const noexcept {
+    // Fibonacci hashing spreads hash_combine's low bits over the table.
+    const int shift = 64 - std::countr_zero(slots_.size());
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
+void ViewArena::grow_slots() {
+    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kNoView);
+    const std::size_t mask = slots_.size() - 1;
+    for (ViewId id = 0; id < nodes_.size(); ++id) {
+        std::size_t i = home_slot(hashes_[id]);
+        while (slots_[i] != kNoView) i = (i + 1) & mask;
+        slots_[i] = id;
+    }
+}
+
 ViewId ViewArena::intern(ViewNode n) {
-    const auto it = index_.find(n);
-    if (it != index_.end()) return it->second;
+    // Keep the load at most 1/2; growing first keeps the probe's free
+    // slot valid for the insertion.
+    if (2 * (nodes_.size() + 1) > slots_.size()) grow_slots();
+    const std::size_t hash = NodeHash{}(n);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home_slot(hash);
+    for (; slots_[i] != kNoView; i = (i + 1) & mask) {
+        const ViewId id = slots_[i];
+        if (hashes_[id] == hash && nodes_[id] == n) return id;
+    }
     const ViewId id = static_cast<ViewId>(nodes_.size());
-    index_.emplace(n, id);
+    require(id != kNoView, "ViewArena: too many views");
+    slots_[i] = id;
+    hashes_.push_back(hash);
     nodes_.push_back(std::move(n));
     processes_cache_.emplace_back();
     return id;

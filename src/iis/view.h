@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "topology/simplex.h"
@@ -84,11 +83,18 @@ private:
         }
     };
 
+    static constexpr ViewId kNoView = ~ViewId{0};
+
+    // The intern index is an open-addressing table of ids into nodes_,
+    // so each node, with its `seen` list, is stored once.
     std::vector<ViewNode> nodes_;
-    std::unordered_map<ViewNode, ViewId, NodeHash> index_;
+    std::vector<std::size_t> hashes_;  // NodeHash of each node
+    std::vector<ViewId> slots_;        // power-of-two size, kNoView = free
     mutable std::vector<std::optional<ProcessSet>> processes_cache_;
 
     ViewId intern(ViewNode n);
+    std::size_t home_slot(std::size_t hash) const noexcept;
+    void grow_slots();
 };
 
 }  // namespace gact::iis

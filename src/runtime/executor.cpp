@@ -103,7 +103,7 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
     sm::IisExecution exec(n, participants, arena, &inputs);
 
     // Analytic companions of the substrate execution: positions feed the
-    // landing rule; the view table is the SM -> IIS cross-check.
+    // landing rule; the view rows are the SM -> IIS cross-check.
     //
     // Positions are advanced lazily, one row per executed round, never
     // the whole horizon up front: each round divides denominators by
@@ -125,44 +125,45 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
         ++pos_row;
         positions_row = iis::next_view_positions(run, pos_row, positions_row);
     };
-    std::vector<std::vector<std::optional<iis::ViewId>>> expected;
+    // The SM -> IIS cross-check: row k of Run::view_table, built from row
+    // k-1 as round k executes, so only the rounds that run are interned.
+    std::vector<std::optional<iis::ViewId>> expected;
+    std::vector<std::optional<iis::ViewId>> expected_next;
     if (config.check_views) {
-        expected = run.view_table(config.horizon, arena, &inputs);
+        expected = iis::initial_view_row(n, arena, &inputs);
     }
 
-    std::vector<bool> decided_ever(n, false);
+    ProcessSet decided_ever;
     const auto record = [&](ProcessId p, std::size_t k,
                             std::optional<topo::VertexId> out) {
         if (!out.has_value()) {
-            if (decided_ever[p]) {
+            if (decided_ever.contains(p)) {
                 violation("p" + std::to_string(p) + " un-decided at round " +
                           std::to_string(k));
             }
             return;
         }
-        if (decided_ever[p] && *result.outputs[p] != *out) {
+        if (decided_ever.contains(p) && *result.outputs[p] != *out) {
             violation("p" + std::to_string(p) + " changed decision at round " +
                       std::to_string(k));
         }
-        if (!decided_ever[p] && task.outputs.color(*out) != p) {
+        if (!decided_ever.contains(p) && task.outputs.color(*out) != p) {
             violation("p" + std::to_string(p) + " decided a vertex of color " +
                       std::to_string(task.outputs.color(*out)));
         }
         result.outputs[p] = out;
-        decided_ever[p] = true;
+        decided_ever = decided_ever.with(p);
     };
 
     const auto all_infinite_decided = [&] {
-        for (ProcessId p : infinite.members()) {
-            if (!decided_ever[p]) return false;
-        }
-        return true;
+        return decided_ever.contains_all(infinite);
     };
 
-    // Round 0: initial views (a depth-0 table rule decides here).
-    const std::vector<topo::BaryPoint> no_positions;
-    for (ProcessId p : participants.members()) {
-        record(p, 0, rule.decide(p, 0, exec.view_of(p), arena, no_positions));
+    // Round 0: initial views (a depth-0 table rule decides here). `seen`
+    // holds the positions a round's snapshot sees, none before round 1.
+    std::vector<topo::BaryPoint> seen;
+    for (ProcessId p : participants) {
+        record(p, 0, rule.decide(p, 0, exec.view_of(p), arena, seen));
     }
 
     std::optional<std::size_t> decided_at;
@@ -191,22 +192,26 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
             }
         }
         const iis::OrderedPartition& round = run.round(k - 1);
+        if (config.check_views) {
+            iis::next_view_row(round, expected, arena, expected_next);
+            expected.swap(expected_next);
+        }
         exec.run_partition_round(round);
-        for (ProcessId p : round.support().members()) {
+        for (ProcessId p : round.support()) {
             const iis::ViewId view = exec.view_of(p);
             if (config.check_views) {
-                ensure(expected[k][p].has_value(),
-                       "execute: analytic view table missing entry");
-                if (*expected[k][p] != view) {
+                ensure(expected[p].has_value(),
+                       "execute: analytic view row missing entry");
+                if (*expected[p] != view) {
                     violation("p" + std::to_string(p) +
                               " substrate view differs from run semantics "
                               "at round " +
                               std::to_string(k));
                 }
             }
-            std::vector<topo::BaryPoint> seen;
+            seen.clear();
             if (use_positions) {
-                for (ProcessId q : round.snapshot_of(p).members()) {
+                for (ProcessId q : round.snapshot_of(p)) {
                     ensure(positions_row[q].has_value(),
                            "execute: missing position for seen process");
                     seen.push_back(*positions_row[q]);
@@ -232,8 +237,8 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
     result.rounds = k;
     result.all_decided = decided_at.has_value();
     if (!decided_at.has_value()) {
-        for (ProcessId p : infinite.members()) {
-            if (!decided_ever[p]) {
+        for (ProcessId p : infinite) {
+            if (!decided_ever.contains(p)) {
                 violation("infinitely participating p" + std::to_string(p) +
                           " never decides (horizon " +
                           std::to_string(config.horizon) + ")");

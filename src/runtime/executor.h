@@ -117,8 +117,9 @@ struct ExecutionConfig {
     /// Extra cycle rounds executed after every infinite participant has
     /// decided, to exercise decision stability past the landing point.
     std::size_t stability_tail = 2;
-    /// Cross-check every substrate view against the analytic
-    /// Run::view_table — the SM -> IIS simulation check, per round.
+    /// Cross-check every substrate view against the analytic one (the
+    /// row of Run::view_table, built as each round executes) — the
+    /// SM -> IIS simulation check, per executed round.
     bool check_views = true;
 };
 

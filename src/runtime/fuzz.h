@@ -34,7 +34,8 @@ struct FuzzConfig {
     std::size_t horizon_slack = 8;
     /// Extra rounds executed after the last decision (stability check).
     std::size_t stability_tail = 2;
-    /// Cross-check substrate views against Run::view_table every round.
+    /// Cross-check every executed round's substrate views against the
+    /// analytic ones (Run::view_table's rows).
     bool check_views = true;
     /// Keep at most this many shrunk counterexamples in the result.
     std::size_t max_recorded_violations = 4;

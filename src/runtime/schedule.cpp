@@ -55,12 +55,23 @@ ScheduleGenerator::ScheduleGenerator(std::uint32_t num_processes,
     }
     require(!cycle_supports_.empty(),
             "ScheduleGenerator: model admits no period-1 cycle support");
+    // A drawn support lies between a cycle support and the full set.
+    partitions_.resize(std::size_t{1} << num_processes_);
+    for (ProcessSet s : nonempty_subsets(ProcessSet::full(num_processes_))) {
+        for (ProcessSet c : cycle_supports_) {
+            if (s.contains_all(c)) {
+                partitions_[s.bits()] = iis::all_ordered_partitions(s);
+                break;
+            }
+        }
+    }
 }
 
 Schedule ScheduleGenerator::next(SplitMix64& rng) const {
-    const auto pick_partition = [&rng](ProcessSet support) {
-        const std::vector<iis::OrderedPartition> parts =
-            iis::all_ordered_partitions(support);
+    const auto pick_partition = [this, &rng](ProcessSet support) {
+        const std::vector<iis::OrderedPartition>& parts =
+            partitions_[support.bits()];
+        ensure(!parts.empty(), "ScheduleGenerator: support without partitions");
         return parts[rng.below(parts.size())];
     };
     // Bounded retry: the partition layout can shift fast(r) away from
@@ -81,18 +92,18 @@ Schedule ScheduleGenerator::next(SplitMix64& rng) const {
             // A random set between cycle_support and the current ceiling:
             // keep every cycle process, coin-flip the rest of the ceiling.
             ProcessSet chosen = cycle_support;
-            for (ProcessId p : (ceiling - cycle_support).members()) {
+            for (ProcessId p : ceiling - cycle_support) {
                 if (rng.next() & 1) chosen = chosen.with(p);
             }
             supports[i] = chosen;
             ceiling = chosen;
         }
+        s.prefix.reserve(depth);
         for (std::uint32_t i = 0; i < depth; ++i) {
             s.prefix.push_back(pick_partition(supports[i]));
         }
         s.cycle = pick_partition(cycle_support);
-        const iis::Run run = s.to_run();
-        if (model_ == nullptr || model_->contains(run)) return s;
+        if (model_ == nullptr || model_->contains(s.to_run())) return s;
     }
     throw precondition_error(
         "ScheduleGenerator: no admissible schedule found for model " +

@@ -84,9 +84,10 @@ struct Schedule {
 /// forever-concurrent run of each support — exact for every fast-set-
 /// determined family: wait-free admits all supports, Res_t those of
 /// size >= n+1-t, OF_k those of size <= k, an adversary the complements
-/// of its slow sets). Each draw picks an admissible cycle support, a
-/// weakly decreasing random prefix above it, and random ordered
-/// partitions, then re-checks Model::contains on the assembled run —
+/// of its slow sets), and the ordered partitions of every support a draw
+/// can reach. Each draw picks an admissible cycle support, a weakly
+/// decreasing random prefix above it, and random ordered partitions from
+/// those lists, then re-checks Model::contains on the assembled run —
 /// the fuzzer never executes a schedule the model does not permit.
 class ScheduleGenerator {
 public:
@@ -108,6 +109,9 @@ private:
     std::shared_ptr<const iis::Model> model_;
     std::uint32_t max_prefix_rounds_;
     std::vector<ProcessSet> cycle_supports_;
+    /// all_ordered_partitions of every support a draw can reach, indexed
+    /// by the support's bitmask (empty for the others).
+    std::vector<std::vector<iis::OrderedPartition>> partitions_;
 };
 
 }  // namespace gact::runtime

@@ -1,8 +1,9 @@
 #include "sm/iis_executor.h"
 
-#include <map>
+#include <array>
 #include <memory>
 #include <set>
+#include <span>
 
 namespace gact::sm {
 
@@ -10,10 +11,14 @@ IisExecution::IisExecution(
     std::uint32_t num_processes, ProcessSet participants,
     iis::ViewArena& arena,
     const std::vector<std::optional<topo::VertexId>>* inputs)
-    : num_processes_(num_processes), arena_(&arena), procs_(num_processes) {
+    : num_processes_(num_processes), arena_(&arena) {
     require(ProcessSet::full(num_processes).contains_all(participants),
             "IisExecution: participants out of range");
-    for (ProcessId p : participants.members()) {
+    procs_.reserve(num_processes);
+    for (ProcessId p = 0; p < num_processes; ++p) {
+        procs_.push_back(PerProcess{IsProcess(p, 0, num_processes)});
+    }
+    for (ProcessId p : participants) {
         std::optional<topo::VertexId> input;
         if (inputs != nullptr) {
             require(p < inputs->size(), "IisExecution: inputs too short");
@@ -24,36 +29,48 @@ IisExecution::IisExecution(
     }
 }
 
-IisExecution::Level& IisExecution::level_boards(std::size_t m) {
-    while (levels_.size() <= m) levels_.emplace_back(num_processes_);
-    return levels_[m];
+std::size_t IisExecution::slot_base(std::size_t m) {
+    if (levels_.size() <= m) {
+        levels_.resize(m + 1);
+        const std::size_t slots = (m + 1) * num_processes_;
+        floor_cells_.resize(slots);
+        value_cells_.resize(slots);
+        result_sets_.resize(slots);
+    }
+    return m * num_processes_;
 }
 
 void IisExecution::step(ProcessId p) {
     require(p < num_processes_, "IisExecution: unknown process");
     PerProcess& pp = procs_[p];
     if (!pp.participating) return;
-    Level& boards = level_boards(pp.level);
-    if (!pp.machine.has_value()) {
+    const std::size_t base = slot_base(pp.level);
+    Level& level = levels_[pp.level];
+    if (!pp.in_instance) {
         // Enter the IS instance of the current level with the current view
         // as the full-information value.
-        pp.machine.emplace(p, static_cast<Word>(pp.view), num_processes_);
-        boards.entered = boards.entered.with(p);
+        pp.machine.restart(static_cast<Word>(pp.view));
+        pp.in_instance = true;
+        level.entered = level.entered.with(p);
     }
-    pp.machine->step(boards.levels, boards.values);
-    if (pp.machine->done()) {
+    pp.machine.step(
+        SnapshotMemory(std::span(floor_cells_).subspan(base, num_processes_)),
+        SnapshotMemory(std::span(value_cells_).subspan(base, num_processes_)));
+    if (pp.machine.done()) {
         // Collect the seen views and form the next view.
+        const ProcessSet result_set = pp.machine.result_set();
+        const auto& values = pp.machine.result_values();
         std::vector<iis::ViewId> seen;
-        const auto& values = pp.machine->result_values();
-        for (ProcessId q : pp.machine->result_set().members()) {
+        seen.reserve(result_set.size());
+        for (ProcessId q : result_set) {
             ensure(values[q].has_value(),
                    "IisExecution: result set member without value");
             seen.push_back(static_cast<iis::ViewId>(*values[q]));
         }
-        boards.finished = boards.finished.with(p);
-        boards.result_sets[p] = pp.machine->result_set();
+        level.finished = level.finished.with(p);
+        result_sets_[base + p] = result_set;
         pp.view = arena_->make_view(p, std::move(seen));
-        pp.machine.reset();
+        pp.in_instance = false;
         ++pp.level;
     }
 }
@@ -84,7 +101,7 @@ std::size_t IisExecution::run_partition_round(const iis::OrderedPartition& round
     require(ProcessSet::full(num_processes_).contains_all(round.support()),
             "run_partition_round: support out of range");
     const std::size_t m = level_of(round.support().min());
-    for (ProcessId p : round.support().members()) {
+    for (ProcessId p : round.support()) {
         if (!procs_[p].participating) {
             throw precondition_error("run_partition_round: process " +
                                      std::to_string(p) +
@@ -103,25 +120,48 @@ std::size_t IisExecution::run_partition_round(const iis::OrderedPartition& round
         // floor equal to the cumulative support so far).
         while (true) {
             bool any_pending = false;
-            for (ProcessId p : block.members()) {
+            for (ProcessId p : block) {
                 if (procs_[p].level == m) {
                     any_pending = true;
                     step(p);  // write
                 }
             }
             if (!any_pending) break;
-            for (ProcessId p : block.members()) {
+            for (ProcessId p : block) {
                 if (procs_[p].level == m) step(p);  // snapshot
             }
         }
     }
-    const iis::OrderedPartition realized = partition_of_level(m);
-    if (realized != round) {
+    if (!realizes(m, round)) {
         throw invariant_error("run_partition_round: SM substrate realized " +
-                              realized.to_string() + " instead of " +
-                              round.to_string());
+                              partition_of_level(m).to_string() +
+                              " instead of " + round.to_string());
     }
     return m;
+}
+
+bool IisExecution::realizes(std::size_t m,
+                            const iis::OrderedPartition& round) const {
+    // partition_of_level(m) == round without building it: the level is
+    // complete with exactly round's processes, each block's processes
+    // returned sets of one size, and that size rises block by block (so
+    // grouping by size gives back round's blocks in order).
+    if (m >= levels_.size()) return false;
+    const Level& level = levels_[m];
+    if (level.entered != level.finished || level.finished != round.support()) {
+        return false;
+    }
+    const std::size_t base = m * num_processes_;
+    std::uint32_t previous = 0;
+    for (const ProcessSet& block : round.blocks()) {
+        const std::uint32_t size = result_sets_[base + block.min()].size();
+        if (size <= previous) return false;
+        for (ProcessId p : block) {
+            if (result_sets_[base + p].size() != size) return false;
+        }
+        previous = size;
+    }
+    return true;
 }
 
 std::size_t IisExecution::level_of(ProcessId p) const {
@@ -137,17 +177,22 @@ iis::ViewId IisExecution::view_of(ProcessId p) const {
 
 iis::OrderedPartition IisExecution::partition_of_level(std::size_t m) const {
     require(m < levels_.size(), "IisExecution: level not started");
-    const Level& boards = levels_[m];
-    require(boards.entered == boards.finished,
+    const Level& level = levels_[m];
+    require(level.entered == level.finished,
             "IisExecution: level still in progress");
-    require(!boards.finished.empty(), "IisExecution: empty level");
-    std::map<std::uint32_t, ProcessSet> by_size;
-    for (ProcessId p : boards.finished.members()) {
-        by_size[boards.result_sets[p].size()] =
-            by_size[boards.result_sets[p].size()].with(p);
+    require(!level.finished.empty(), "IisExecution: empty level");
+    // Processes returning sets of one size form one block; blocks are
+    // ordered by that size.
+    std::array<ProcessSet, kMaxProcesses + 1> by_size{};
+    for (ProcessId p : level.finished) {
+        ProcessSet& block =
+            by_size[result_sets_[m * num_processes_ + p].size()];
+        block = block.with(p);
     }
     std::vector<ProcessSet> blocks;
-    for (const auto& [size, block] : by_size) blocks.push_back(block);
+    for (const ProcessSet& block : by_size) {
+        if (!block.empty()) blocks.push_back(block);
+    }
     return iis::OrderedPartition(std::move(blocks));
 }
 
@@ -185,18 +230,18 @@ std::string encode_execution(const IisExecution& exec,
 
 std::string IisExecution::encode_boards() const {
     std::string key;
-    for (const Level& boards : levels_) {
+    for (std::size_t m = 0; m < levels_.size(); ++m) {
         for (ProcessId p = 0; p < num_processes_; ++p) {
-            const auto lv = boards.levels.read(p);
+            const auto& lv = floor_cells_[m * num_processes_ + p];
             key += lv ? std::to_string(*lv) : "-";
             key += ",";
         }
         key += "/";
     }
     for (const PerProcess& pp : procs_) {
-        if (pp.machine.has_value()) {
-            key += pp.machine->pending_write() ? "w" : "s";
-            key += std::to_string(pp.machine->current_level());
+        if (pp.in_instance) {
+            key += pp.machine.pending_write() ? "w" : "s";
+            key += std::to_string(pp.machine.current_level());
         } else {
             key += "n";
         }

@@ -70,29 +70,33 @@ public:
 
 private:
     struct PerProcess {
-        std::optional<IsProcess> machine;  // current IS instance
+        IsProcess machine;          // restarted at every level
+        bool in_instance = false;   // machine is running level `level`
         std::size_t level = 0;
         iis::ViewId view = 0;
         bool participating = false;
     };
 
     struct Level {
-        SnapshotMemory levels;
-        SnapshotMemory values;
         ProcessSet entered;
         ProcessSet finished;
-        std::vector<ProcessSet> result_sets;
-
-        explicit Level(std::uint32_t n)
-            : levels(n), values(n), result_sets(n) {}
     };
 
-    Level& level_boards(std::size_t m);
+    /// Level m's slots in the flat arrays below, opening the level (and
+    /// any below it) on first use.
+    std::size_t slot_base(std::size_t m);
+    /// Does level m's outcome, read from the result sets, equal `round`?
+    bool realizes(std::size_t m, const iis::OrderedPartition& round) const;
 
     std::uint32_t num_processes_;
     iis::ViewArena* arena_;
     std::vector<PerProcess> procs_;
     std::vector<Level> levels_;
+    // Every level's level board, value board and result sets, n slots per
+    // level back to back: a new level reuses their capacity.
+    std::vector<std::optional<Word>> floor_cells_;
+    std::vector<std::optional<Word>> value_cells_;
+    std::vector<ProcessSet> result_sets_;
 };
 
 /// Convenience: execute `depth` IIS levels under a round-robin schedule

@@ -14,7 +14,15 @@ IsProcess::IsProcess(ProcessId id, Word value, std::uint32_t num_processes)
     require(id < num_processes, "IsProcess: id out of range");
 }
 
-void IsProcess::step(SnapshotMemory& levels, SnapshotMemory& values) {
+void IsProcess::restart(Word value) {
+    value_ = value;
+    level_ = num_processes_ + 2;
+    about_to_write_ = true;
+    done_ = false;
+    result_set_ = ProcessSet();
+}
+
+void IsProcess::step(SnapshotMemory levels, SnapshotMemory values) {
     require(!done_, "IsProcess: stepping a finished process");
     if (about_to_write_) {
         --level_;
@@ -35,7 +43,7 @@ void IsProcess::step(SnapshotMemory& levels, SnapshotMemory& values) {
     }
     if (at_or_below.size() >= level_) {
         result_.assign(num_processes_, std::nullopt);
-        for (ProcessId q : at_or_below.members()) {
+        for (ProcessId q : at_or_below) {
             result_[q] = value_board[q];
         }
         result_set_ = at_or_below;
@@ -60,8 +68,8 @@ IsOutcome run_immediate_snapshot(std::uint32_t num_processes,
                                  const std::vector<ProcessId>& schedule) {
     require(values.size() == num_processes,
             "run_immediate_snapshot: one value slot per process");
-    SnapshotMemory level_board(num_processes);
-    SnapshotMemory value_board(num_processes);
+    std::vector<std::optional<Word>> level_board(num_processes);
+    std::vector<std::optional<Word>> value_board(num_processes);
     std::vector<std::optional<IsProcess>> procs(num_processes);
     for (ProcessId p : schedule) {
         require(p < num_processes, "run_immediate_snapshot: bad schedule");
@@ -70,7 +78,10 @@ IsOutcome run_immediate_snapshot(std::uint32_t num_processes,
                     "run_immediate_snapshot: scheduled process has no input");
             procs[p].emplace(p, *values[p], num_processes);
         }
-        if (!procs[p]->done()) procs[p]->step(level_board, value_board);
+        if (!procs[p]->done()) {
+            procs[p]->step(SnapshotMemory(level_board),
+                           SnapshotMemory(value_board));
+        }
     }
     IsOutcome out;
     out.result_sets.assign(num_processes, ProcessSet());
@@ -134,13 +145,13 @@ namespace {
 /// state-space deduplication.
 struct SearchState {
     std::vector<std::optional<IsProcess>> procs;
-    SnapshotMemory levels;
-    SnapshotMemory values;
+    std::vector<std::optional<Word>> levels;  // the two boards' cells
+    std::vector<std::optional<Word>> values;
 
     std::string encode(std::uint32_t n) const {
         std::string key;
         for (ProcessId p = 0; p < n; ++p) {
-            const auto lv = levels.read(p);
+            const auto lv = levels[p];
             key += lv ? std::to_string(*lv) : "-";
             if (!procs[p].has_value()) {
                 key += "n";
@@ -170,8 +181,8 @@ std::vector<IsOutcome> enumerate_is_outcomes(
     std::set<std::string> seen_outcomes;
 
     SearchState initial{std::vector<std::optional<IsProcess>>(num_processes),
-                        SnapshotMemory(num_processes),
-                        SnapshotMemory(num_processes)};
+                        std::vector<std::optional<Word>>(num_processes),
+                        std::vector<std::optional<Word>>(num_processes)};
     for (ProcessId p : participants.members()) {
         require(values[p].has_value(),
                 "enumerate_is_outcomes: participant has no input");
@@ -189,7 +200,8 @@ std::vector<IsOutcome> enumerate_is_outcomes(
             if (!state.procs[p]->done()) {
                 all_done = false;
                 SearchState next = state;
-                next.procs[p]->step(next.levels, next.values);
+                next.procs[p]->step(SnapshotMemory(next.levels),
+                                    SnapshotMemory(next.values));
                 stack.push_back(std::move(next));
             }
         }

@@ -28,6 +28,10 @@ class IsProcess {
 public:
     IsProcess(ProcessId id, Word value, std::uint32_t num_processes);
 
+    /// Start a fresh instance with input `value` (the next IS level of
+    /// a chained execution), keeping the result buffer's capacity.
+    void restart(Word value);
+
     ProcessId id() const noexcept { return id_; }
     bool done() const noexcept { return done_; }
 
@@ -38,7 +42,7 @@ public:
 
     /// Execute one atomic step (a write or a snapshot) against `levels`
     /// (the level board) and `values` (the value board).
-    void step(SnapshotMemory& levels, SnapshotMemory& values);
+    void step(SnapshotMemory levels, SnapshotMemory values);
 
     /// The processes whose values p returned. Requires done().
     ProcessSet result_set() const;

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "util/process_set.h"
 #include "util/require.h"
@@ -26,11 +26,14 @@ using gact::ProcessSet;
 /// Values stored in memory components (opaque to the memory).
 using Word = std::uint64_t;
 
-/// One single-writer multi-reader atomic-snapshot object.
+/// One single-writer multi-reader atomic-snapshot object, over cells its
+/// owner provides (one per process). The owner decides where the cells
+/// live and when they are reused: the chained IIS executor keeps every
+/// level's boards in one flat array.
 class SnapshotMemory {
 public:
-    explicit SnapshotMemory(std::uint32_t num_processes)
-        : cells_(num_processes) {}
+    explicit SnapshotMemory(std::span<std::optional<Word>> cells) noexcept
+        : cells_(cells) {}
 
     std::uint32_t num_processes() const noexcept {
         return static_cast<std::uint32_t>(cells_.size());
@@ -42,17 +45,15 @@ public:
         cells_[p] = value;
     }
 
-    /// Atomic snapshot of all components (nullopt = never written).
-    std::vector<std::optional<Word>> snapshot() const { return cells_; }
-
-    /// Component read (used by tests).
-    std::optional<Word> read(ProcessId p) const {
-        require(p < cells_.size(), "SnapshotMemory: unknown process");
-        return cells_[p];
+    /// Atomic snapshot of all components (nullopt = never written), read
+    /// in place: a step is atomic in this simulation, so nothing writes
+    /// while the stepping process reads it. Copy it to keep it.
+    std::span<const std::optional<Word>> snapshot() const noexcept {
+        return cells_;
     }
 
 private:
-    std::vector<std::optional<Word>> cells_;
+    std::span<std::optional<Word>> cells_;
 };
 
 }  // namespace gact::sm

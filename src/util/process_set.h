@@ -103,6 +103,29 @@ public:
         return static_cast<ProcessId>(__builtin_ctz(bits_));
     }
 
+    /// Iterates the members in increasing order without building a
+    /// vector: `for (ProcessId p : set)`.
+    class Iterator {
+    public:
+        constexpr explicit Iterator(std::uint32_t bits) noexcept
+            : bits_(bits) {}
+
+        ProcessId operator*() const noexcept {
+            return static_cast<ProcessId>(__builtin_ctz(bits_));
+        }
+        Iterator& operator++() noexcept {
+            bits_ &= bits_ - 1;
+            return *this;
+        }
+        friend bool operator==(Iterator a, Iterator b) noexcept = default;
+
+    private:
+        std::uint32_t bits_;
+    };
+
+    Iterator begin() const noexcept { return Iterator(bits_); }
+    Iterator end() const noexcept { return Iterator(0); }
+
     /// Members in increasing order.
     std::vector<ProcessId> members() const {
         std::vector<ProcessId> out;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 namespace gact::sm {
 namespace {
@@ -97,7 +99,8 @@ TEST(DoubleCollect, AgreesWithPrimitiveSnapshotMemory) {
     // The register-grounded scan and the primitive SnapshotMemory agree
     // on quiescent states: the primitive is a sound abstraction.
     RegisterFile regs(3);
-    SnapshotMemory primitive(3);
+    std::vector<std::optional<Word>> cells(3);
+    SnapshotMemory primitive(cells);
     std::mt19937 rng(5);
     std::uniform_int_distribution<int> p(0, 2);
     std::uniform_int_distribution<int> val(0, 99);
@@ -107,7 +110,7 @@ TEST(DoubleCollect, AgreesWithPrimitiveSnapshotMemory) {
         regs.write(proc, w);
         primitive.update(proc, w);
         const ScanResult scan = double_collect_scan(regs);
-        EXPECT_EQ(scan.snapshot, primitive.snapshot());
+        EXPECT_TRUE(std::ranges::equal(scan.snapshot, primitive.snapshot()));
     }
 }
 

@@ -1,5 +1,6 @@
 // The witness executor (runtime/executor.h): canonical view keys,
-// TableRule's own-subview descent, and end-to-end executions of real
+// TableRule's own-subview descent, the per-round view rows it checks the
+// substrate against (oracle: Run::view_table), and end-to-end executions of real
 // engine witnesses under handpicked schedules on the SM substrate —
 // clean runs must produce zero Definition 4.1 violations, and a
 // deliberately corrupted witness must be caught.
@@ -124,6 +125,56 @@ TEST(TableRule, DecidesOnlyAtItsDepthViaOwnSubView) {
     EXPECT_EQ(rule.decide(0, 0, v0, arena, no_positions), std::nullopt);
     EXPECT_EQ(rule.decide(0, 1, v1, arena, no_positions), 77);
     EXPECT_EQ(rule.decide(0, 2, v2, arena, no_positions), 77);
+}
+
+TEST(ViewRows, IncrementalRowsEqualViewTableOnEveryDrawnSchedule) {
+    // The executor checks each executed round against a view row built
+    // from the previous row (iis::next_view_row). Run::view_table stays
+    // the oracle: over every schedule the fuzzer draws for three seeds on
+    // the quick registry's n = 2 and n = 3 tasks, each row up to past the
+    // longest horizon an execution runs must equal the table's row, in
+    // one arena, with the task's inputs on its first input facet.
+    constexpr std::size_t kDraws = 200;
+    constexpr std::size_t kRoundsPastPrefix = 24;
+    std::size_t schedules = 0;
+    for (const Scenario& scenario : ScenarioRegistry::standard().quick()) {
+        const tasks::Task& task = scenario.task;
+        const std::uint32_t n = task.num_processes;
+        if (n != 2 && n != 3) continue;
+        std::vector<std::optional<topo::VertexId>> inputs(n);
+        if (!task.is_inputless()) {
+            const topo::Simplex omega =
+                task.inputs.complex()
+                    .simplices_of_dimension(static_cast<int>(n) - 1)
+                    .front();
+            for (ProcessId p = 0; p < n; ++p) {
+                inputs[p] = task.inputs.vertex_with_color(omega, p);
+            }
+        }
+        const ScheduleGenerator gen(n, scenario.model, 3);
+        for (std::uint64_t seed : {1, 2, 3}) {
+            for (std::size_t i = 0; i < kDraws; ++i) {
+                SplitMix64 rng(mix_seed(seed, i));
+                const Schedule s = gen.next(rng);
+                const iis::Run run = s.to_run();
+                const std::size_t horizon = s.prefix.size() + kRoundsPastPrefix;
+                iis::ViewArena arena;
+                const auto table = run.view_table(horizon, arena, &inputs);
+                auto row = iis::initial_view_row(n, arena, &inputs);
+                ASSERT_EQ(row, table[0]) << scenario.name << " " << s.to_string();
+                std::vector<std::optional<iis::ViewId>> next;
+                for (std::size_t k = 1; k <= horizon; ++k) {
+                    iis::next_view_row(run.round(k - 1), row, arena, next);
+                    row.swap(next);
+                    ASSERT_EQ(row, table[k])
+                        << scenario.name << " " << s.to_string() << " round "
+                        << k;
+                }
+                ++schedules;
+            }
+        }
+    }
+    EXPECT_GT(schedules, 0u);
 }
 
 TEST(Executor, WitnessRunsCleanUnderHandpickedSchedules) {

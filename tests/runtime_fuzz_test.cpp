@@ -112,6 +112,32 @@ TEST(RuntimeFuzz, ResultDigestIsReproducibleAcrossRunsAndThreadCounts) {
     }
 }
 
+TEST(RuntimeFuzz, PinnedDigestsAtSeedOne) {
+    // Absolute result digests of 200 schedules at seed 1, for a table
+    // rule and a landing rule, at 1 and at 4 shard threads. They fold
+    // every execution's rounds, decisions and violation count, so a
+    // change that shifts a draw or an executed round fails here.
+    const std::pair<const char*, std::uint64_t> pinned[] = {
+        {"chr2-2p-wf", 0xf19b2b77d60551b9ULL},
+        {"is-2-of1", 0xff28c7eb3f663995ULL},
+    };
+    for (const auto& [name, digest] : pinned) {
+        const Scenario scenario = find(name);
+        const SolveReport& report = solved(scenario);
+        ASSERT_TRUE(report.solvable()) << report.summary();
+        for (unsigned threads : {1u, 4u}) {
+            FuzzConfig config;
+            config.seed = 1;
+            config.iterations = 200;
+            config.threads = threads;
+            const FuzzResult r = fuzz(scenario, report, config);
+            EXPECT_TRUE(r.clean()) << r.summary();
+            EXPECT_EQ(r.result_digest, digest)
+                << r.summary() << " at " << threads << " threads";
+        }
+    }
+}
+
 TEST(RuntimeFuzz, CorruptedWitnessIsCaughtAndShrunkToAReplayableSchedule) {
     // The negative control: flip witness outputs to different
     // same-color vertices (color-correct, so only the task relation can

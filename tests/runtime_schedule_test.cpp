@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 
 #include "engine/scenario_registry.h"
 
@@ -102,6 +104,60 @@ TEST(ScheduleGenerator, DrawsAreDeterministicPerSeed) {
         diverged = !(gen.next(c) == gen.next(d));
     }
     EXPECT_TRUE(diverged);
+}
+
+TEST(ScheduleGenerator, PinnedDrawsAtOneSeed) {
+    // The replay contract: (seed, iteration) names one schedule on every
+    // build. The first 16 draws from one stream are pinned for a
+    // wait-free and an obstruction-free model on 3 processes, so a
+    // change to the order of the partition lists, or to the sequence of
+    // draws, fails here.
+    const std::vector<std::string> wait_free = {
+        "p=({0}|{1}),({1}|{0}) c=({1}|{0})",
+        "p=({1}|{2}|{0}),({1}|{0}|{2}),({1}|{2}|{0}) c=({0}|{1,2})",
+        "p=({1}|{2}),({2}|{1}) c=({1}|{2})",
+        "p=({2}|{1}),({1}|{2}),({2}|{1}) c=({1}|{2})",
+        "p=({1}|{0}|{2}),({2}|{1}),({1}) c=({1})",
+        "p=({1}),({1}),({1}) c=({1})",
+        "p=({0,2}),({0,2}),({0,2}) c=({2}|{0})",
+        "p=- c=({0,2}|{1})",
+        "p=({1,2}|{0}) c=({0}|{1}|{2})",
+        "p=({2}),({2}) c=({2})",
+        "p=- c=({2}|{0}|{1})",
+        "p=({1,2}),({1}|{2}) c=({2})",
+        "p=({0,2}) c=({0}|{2})",
+        "p=({1,2}|{0}),({1,2}|{0}) c=({0,1,2})",
+        "p=({2}|{0}),({0}) c=({0})",
+        "p=- c=({1,2})",
+    };
+    const std::vector<std::string> obstruction_free = {
+        "p=({0}|{2}),({2}|{0}) c=({2}|{0})",
+        "p=({0}|{1}),({0}|{1}),({0}) c=({0})",
+        "p=({2}|{0}|{1}),({1}),({1}) c=({1})",
+        "p=({0}|{1}) c=({1})",
+        "p=({2}|{1}),({1}|{2}) c=({2})",
+        "p=({1}|{2}) c=({1,2})",
+        "p=- c=({1,2})",
+        "p=({1}|{2}|{0}),({0,2}|{1}) c=({1,2})",
+        "p=- c=({1})",
+        "p=({1}),({1}) c=({1})",
+        "p=- c=({1}|{0})",
+        "p=({1}|{2}),({1,2}) c=({1,2})",
+        "p=({1,2}) c=({2})",
+        "p=({0}),({0}) c=({0})",
+        "p=- c=({0})",
+        "p=({0}|{2}),({0}) c=({0})",
+    };
+    const ScheduleGenerator wf(3, nullptr, 3);
+    const ScheduleGenerator of(
+        3, std::make_shared<iis::ObstructionFreeModel>(2), 3);
+    SplitMix64 wf_rng(mix_seed(28, 0));
+    SplitMix64 of_rng(mix_seed(28, 0));
+    for (std::size_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(wf.next(wf_rng).to_string(), wait_free[i]) << "draw " << i;
+        EXPECT_EQ(of.next(of_rng).to_string(), obstruction_free[i])
+            << "draw " << i;
+    }
 }
 
 TEST(ScheduleGenerator, EveryDrawIsAdmissibleForEachRegistryModel) {

@@ -128,6 +128,17 @@ foreach(bad abc -1 18446744073709551616)
   expect_exit(2 "fuzz --iters ${bad}"
     "${GACT}" fuzz --scenario chr2-2p-wf --iters ${bad})
 endforeach()
+# --iters is bounded like --slack: the largest count used to reach
+# runtime::fuzz, which allocates a result slot per iteration up front, and
+# died with "cannot create std::vector larger than max_size()" (exit 3).
+# Only values rejected at parse time are tried here.
+foreach(bad 10000001 18446744073709551615)
+  expect_exit(2 "fuzz --iters ${bad}"
+    "${GACT}" fuzz --scenario chr2-2p-wf --iters ${bad})
+  if(NOT last_err MATCHES "want 0..10000000")
+    message(FATAL_ERROR "fuzz --iters ${bad}: no range diagnostic:\n${last_err}")
+  endif()
+endforeach()
 # In-range values still run a clean campaign.
 expect_exit(0 "fuzz in-range numeric flags"
   "${GACT}" fuzz --scenario chr2-2p-wf --iters 5 --slack 0 --max-prefix 0

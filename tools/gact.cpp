@@ -393,6 +393,10 @@ int run_sweep(ArgCursor& args) {
 /// schedule, and past this a campaign is no longer a fuzz run.
 constexpr std::uint32_t kMaxRounds = 1000;
 
+/// Upper bound on --iters: runtime::fuzz keeps one result slot per
+/// iteration, so an unbounded count is an unbounded allocation.
+constexpr std::size_t kMaxIterations = 10'000'000;
+
 void print_violation(std::uint64_t seed, const runtime::FuzzViolation& v) {
     std::cout << "    VIOLATION at seed " << seed << " iteration "
               << v.iteration << " (omega " << v.omega_index << "): "
@@ -412,7 +416,8 @@ int run_fuzz(ArgCursor& args) {
         if (args.value("--scenario", name)) {
             scenarios.push_back(resolve(name));
         } else if (!args.count("--seed", config.seed) &&
-                   !args.count("--iters", config.iterations) &&
+                   !args.count("--iters", config.iterations, 0,
+                               kMaxIterations) &&
                    !args.count("--threads", config.threads, 1) &&
                    !args.decimal("--seconds", seconds) &&
                    !args.count("--slack", config.horizon_slack, 0,
