@@ -717,9 +717,11 @@ std::optional<Landing> land(const TerminatingSubdivision& tsub,
     for (gact::ProcessId p = 0; p < run.num_processes(); ++p) {
         row[p] = BaryPoint::vertex(static_cast<VertexId>(p));
     }
+    std::vector<std::optional<BaryPoint>> next;
     std::vector<BaryPoint> points;
     for (std::size_t k = 1; k <= max_round; ++k) {
-        row = iis::next_view_positions(run, k, row);
+        iis::next_view_positions(run.round(k - 1), row, next);
+        row.swap(next);
         points.clear();
         for (gact::ProcessId p : run.round(k - 1).support().members()) {
             points.push_back(*row[p]);

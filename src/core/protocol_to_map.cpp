@@ -17,7 +17,7 @@ iis::ViewId view_of_vertex(iis::SubdivisionChain& chain,
     for (VertexId w : prov.parent_simplex.vertices()) {
         seen.push_back(view_of_vertex(chain, arena, k - 1, w));
     }
-    return arena.make_view(level.complex().color(vertex), std::move(seen));
+    return arena.make_view(level.complex().color(vertex), seen);
 }
 
 EtaExtraction extract_eta(const protocol::Protocol& protocol,

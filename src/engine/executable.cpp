@@ -28,7 +28,7 @@ iis::ViewId view_of_vertex(iis::SubdivisionChain& chain,
     for (topo::VertexId w : prov.parent_simplex.vertices()) {
         seen.push_back(view_of_vertex(chain, arena, k - 1, w, with_inputs));
     }
-    return arena.make_view(level.complex().color(vertex), std::move(seen));
+    return arena.make_view(level.complex().color(vertex), seen);
 }
 
 }  // namespace
@@ -44,15 +44,13 @@ std::unique_ptr<runtime::DecisionRule> make_decision_rule(
         auto table = std::make_unique<runtime::TableRule>(
             "eta@" + std::to_string(d) + "(" + scenario.name + ")", d);
         iis::SubdivisionChain chain(scenario.task.inputs);
-        iis::ViewArena arena;
         const bool with_inputs = !scenario.task.is_inputless();
         for (topo::VertexId v : chain.level(d).complex().vertex_ids()) {
             require(report.witness->is_defined_at(v),
                     "make_decision_rule: witness undefined at a Chr^" +
                         std::to_string(d) + " vertex");
             table->insert(
-                runtime::canonical_view_key(
-                    arena, view_of_vertex(chain, arena, d, v, with_inputs)),
+                view_of_vertex(chain, table->arena(), d, v, with_inputs),
                 report.witness->apply(v));
         }
         return table;

@@ -3,9 +3,10 @@
 // runtime can run as n simulated processes.
 //
 // Wait-free route: eta : Chr^d I -> O is tabulated into a TableRule over
-// canonical view keys via the view <-> Chr^d vertex bijection (the same
-// provenance recursion as core/protocol_to_map.h, extended to carry
-// depth-0 input vertices for tasks with inputs). General route: the
+// depth-d views, interned in the rule's own arena, via the view <-> Chr^d
+// vertex bijection (the same provenance recursion as
+// core/protocol_to_map.h, extended to carry depth-0 input vertices for
+// tasks with inputs). General route: the
 // witness delta : K(T) -> L is wrapped into the on-the-fly view-local
 // landing rule, which covers any admissible schedule — not only the
 // compact run family the engine enumerated for admissibility.

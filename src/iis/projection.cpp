@@ -1,5 +1,7 @@
 #include "iis/projection.h"
 
+#include <array>
+
 #include "util/require.h"
 
 namespace gact::iis {
@@ -63,31 +65,45 @@ std::vector<std::vector<std::optional<topo::BaryPoint>>> view_positions(
         table[0][p] = topo::BaryPoint::vertex(input_vertex_of_process[p]);
     }
     for (std::size_t m = 1; m <= k; ++m) {
-        table.push_back(next_view_positions(run, m, table.back()));
+        table.emplace_back();
+        next_view_positions(run.round(m - 1), table[m - 1], table[m]);
     }
     return table;
 }
 
-std::vector<std::optional<topo::BaryPoint>> next_view_positions(
-    const Run& run, std::size_t m,
-    const std::vector<std::optional<topo::BaryPoint>>& previous) {
-    require(m >= 1, "next_view_positions: round numbers start at 1");
-    const OrderedPartition& round = run.round(m - 1);
-    std::vector<std::optional<topo::BaryPoint>> row(previous.size());
-    for (ProcessId p : round.support().members()) {
-        const ProcessSet snap = round.snapshot_of(p);
+void next_view_positions(
+    const OrderedPartition& round,
+    const std::vector<std::optional<topo::BaryPoint>>& previous,
+    std::vector<std::optional<topo::BaryPoint>>& row) {
+    require(&row != &previous, "next_view_positions: row aliases previous");
+    require(ProcessSet::full(static_cast<std::uint32_t>(previous.size()))
+                .contains_all(round.support()),
+            "next_view_positions: unknown process");
+    row.assign(previous.size(), std::nullopt);
+    // Block j's processes all see blocks 1..j, so a block shares its
+    // points; a process weighs its own position 1 and every other 2.
+    std::array<const topo::BaryPoint*, kMaxProcesses> points;
+    std::array<Rational, kMaxProcesses> weights;
+    ProcessSet snap;
+    for (const ProcessSet& block : round.blocks()) {
+        snap = snap | block;
         const auto c = static_cast<std::int64_t>(snap.size());
-        std::vector<topo::BaryPoint> pts;
-        std::vector<Rational> weights;
-        for (ProcessId q : snap.members()) {
-            ensure(q < previous.size() && previous[q].has_value(),
+        const Rational own(1, 2 * c - 1);
+        const Rational other(2, 2 * c - 1);
+        std::size_t count = 0;
+        for (ProcessId q : snap) {
+            ensure(previous[q].has_value(),
                    "view_positions: snapshot of dropped process");
-            pts.push_back(*previous[q]);
-            weights.emplace_back(q == p ? 1 : 2, 2 * c - 1);
+            points[count++] = &*previous[q];
         }
-        row[p] = topo::BaryPoint::combination(pts, weights);
+        for (ProcessId p : block) {
+            std::size_t i = 0;
+            for (ProcessId q : snap) weights[i++] = q == p ? own : other;
+            row[p] = topo::BaryPoint::combination(
+                std::span(points.data(), count),
+                std::span(weights.data(), count));
+        }
     }
-    return row;
 }
 
 std::vector<topo::BaryPoint> run_simplex_positions(

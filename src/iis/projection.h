@@ -60,13 +60,16 @@ std::vector<std::vector<std::optional<topo::BaryPoint>>> view_positions(
     const Run& run, std::size_t k,
     const std::vector<topo::VertexId>& input_vertex_of_process);
 
-/// Row m of view_positions' table from row m - 1 (m >= 1), for callers
-/// that advance one round at a time: every extra round multiplies the
-/// denominators by up to (2c-1), so a table built past the round a
-/// caller stops at can overflow the exact arithmetic for nothing.
-std::vector<std::optional<topo::BaryPoint>> next_view_positions(
-    const Run& run, std::size_t m,
-    const std::vector<std::optional<topo::BaryPoint>>& previous);
+/// Row m of view_positions' table from row m - 1 (`previous`), where
+/// `round` is the run's round m - 1 (0-indexed), for callers that advance
+/// one round at a time: every extra round multiplies the denominators by
+/// up to (2c-1), so a table built past the round a caller stops at can
+/// overflow the exact arithmetic for nothing. Writes into `row` (resized
+/// to previous.size()), which must not alias `previous`.
+void next_view_positions(
+    const OrderedPartition& round,
+    const std::vector<std::optional<topo::BaryPoint>>& previous,
+    std::vector<std::optional<topo::BaryPoint>>& row);
 
 /// The positions spanning sigma_k: the k-th views of round k's processes
 /// (participants for k = 0). These are the points whose containment in a

@@ -1,5 +1,6 @@
 #include "iis/run.h"
 
+#include <array>
 #include <numeric>
 #include <ostream>
 
@@ -15,31 +16,37 @@ std::size_t lcm_size(std::size_t a, std::size_t b) {
 
 }  // namespace
 
-Run::Run(std::uint32_t num_processes, std::vector<OrderedPartition> prefix,
-         std::vector<OrderedPartition> cycle)
-    : num_processes_(num_processes),
-      prefix_(std::move(prefix)),
-      cycle_(std::move(cycle)) {
-    require(num_processes_ >= 1 && num_processes_ <= kMaxProcesses,
+void validate_rounds(std::uint32_t num_processes,
+                     std::span<const OrderedPartition> prefix,
+                     std::span<const OrderedPartition> cycle) {
+    require(num_processes >= 1 && num_processes <= kMaxProcesses,
             "Run: process count out of range");
-    require(!cycle_.empty(), "Run: cycle must be non-empty");
-    const ProcessSet full = ProcessSet::full(num_processes_);
+    require(!cycle.empty(), "Run: cycle must be non-empty");
+    const ProcessSet full = ProcessSet::full(num_processes);
     ProcessSet prev = full;
-    for (const OrderedPartition& p : prefix_) {
+    for (const OrderedPartition& p : prefix) {
         require(!p.empty(), "Run: empty round");
         require(prev.contains_all(p.support()),
                 "Run: supports must be decreasing");
         require(full.contains_all(p.support()), "Run: unknown process");
         prev = p.support();
     }
-    const ProcessSet tail_support = cycle_[0].support();
+    const ProcessSet tail_support = cycle[0].support();
     require(prev.contains_all(tail_support),
             "Run: supports must be decreasing into the cycle");
-    for (const OrderedPartition& p : cycle_) {
+    for (const OrderedPartition& p : cycle) {
         require(p.support() == tail_support,
                 "Run: all cycle rounds must share one support");
         require(full.contains_all(p.support()), "Run: unknown process");
     }
+}
+
+Run::Run(std::uint32_t num_processes, std::vector<OrderedPartition> prefix,
+         std::vector<OrderedPartition> cycle)
+    : num_processes_(num_processes),
+      prefix_(std::move(prefix)),
+      cycle_(std::move(cycle)) {
+    validate_rounds(num_processes_, prefix_, cycle_);
 }
 
 Run Run::forever(std::uint32_t num_processes, OrderedPartition round) {
@@ -202,7 +209,7 @@ std::vector<std::vector<std::optional<ViewId>>> Run::view_table(
                        "Run::view_table: snapshot of a dropped process");
                 seen.push_back(*table[j - 1][q]);
             }
-            table[j][p] = arena.make_view(p, std::move(seen));
+            table[j][p] = arena.make_view(p, seen);
         }
     }
     return table;
@@ -217,17 +224,16 @@ ViewId Run::view(ProcessId p, std::size_t k, ViewArena& arena,
     return *table[k][p];
 }
 
-std::vector<std::optional<ViewId>> initial_view_row(
-    std::uint32_t num_processes, ViewArena& arena,
-    const std::vector<std::optional<topo::VertexId>>* inputs) {
+void initial_view_row(std::uint32_t num_processes, ViewArena& arena,
+                      const std::vector<std::optional<topo::VertexId>>* inputs,
+                      std::vector<std::optional<ViewId>>& row) {
     require(inputs == nullptr || inputs->size() >= num_processes,
             "initial_view_row: inputs vector too short");
-    std::vector<std::optional<ViewId>> row(num_processes);
+    row.resize(num_processes);
     for (ProcessId p = 0; p < num_processes; ++p) {
         row[p] = arena.make_initial(
             p, inputs != nullptr ? (*inputs)[p] : std::nullopt);
     }
-    return row;
 }
 
 void next_view_row(const OrderedPartition& round,
@@ -238,19 +244,18 @@ void next_view_row(const OrderedPartition& round,
                 .contains_all(round.support()),
             "next_view_row: unknown process");
     row.assign(previous.size(), std::nullopt);
-    // Block j's processes all see blocks 1..j: walk the blocks once.
-    ProcessSet seen_set;
+    // Block j's processes all see blocks 1..j: walk the blocks once,
+    // appending each block's views to the seen list they share.
+    std::array<ViewId, kMaxProcesses> seen;
+    std::size_t count = 0;
     for (const ProcessSet& block : round.blocks()) {
-        seen_set = seen_set | block;
+        for (ProcessId q : block) {
+            ensure(previous[q].has_value(),
+                   "next_view_row: snapshot of a dropped process");
+            seen[count++] = *previous[q];
+        }
         for (ProcessId p : block) {
-            std::vector<ViewId> seen;
-            seen.reserve(seen_set.size());
-            for (ProcessId q : seen_set) {
-                ensure(previous[q].has_value(),
-                       "next_view_row: snapshot of a dropped process");
-                seen.push_back(*previous[q]);
-            }
-            row[p] = arena.make_view(p, std::move(seen));
+            row[p] = arena.make_view(p, std::span(seen.data(), count));
         }
     }
 }

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "iis/ordered_partition.h"
 #include "iis/view.h"
@@ -114,11 +115,21 @@ private:
 
 std::ostream& operator<<(std::ostream& os, const Run& r);
 
+/// The checks Run's constructor makes on its rounds, for callers that
+/// walk rounds in place instead of building a Run: the process count is
+/// in range, the cycle is non-empty, no prefix round is empty, supports
+/// decrease weakly along prefix + cycle, and every cycle round has one
+/// support. Throws precondition_error.
+void validate_rounds(std::uint32_t num_processes,
+                     std::span<const OrderedPartition> prefix,
+                     std::span<const OrderedPartition> cycle);
+
 /// Row 0 of Run::view_table: every process's initial view, carrying
-/// `(*inputs)[p]` when `inputs` is given.
-std::vector<std::optional<ViewId>> initial_view_row(
-    std::uint32_t num_processes, ViewArena& arena,
-    const std::vector<std::optional<topo::VertexId>>* inputs = nullptr);
+/// `(*inputs)[p]` when `inputs` is given. Writes into `row` (resized to
+/// num_processes).
+void initial_view_row(std::uint32_t num_processes, ViewArena& arena,
+                      const std::vector<std::optional<topo::VertexId>>* inputs,
+                      std::vector<std::optional<ViewId>>& row);
 
 /// Row j of Run::view_table from row j-1 (`previous`), where `round` is
 /// the run's round j-1: one row per round actually executed, instead of

@@ -11,10 +11,17 @@
 // carry their owner process: the vertex of Chr^k corresponding to a view
 // is the pair (owner's previous vertex, simplex of seen views), and the
 // paper's protocol map is indexed by per-process views.
+//
+// Storage is flat: one record per node and one pool holding every node's
+// `seen` ids back to back, so clear() empties an arena for reuse without
+// giving back its capacity, and interning a view that already exists
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,17 +34,16 @@ namespace gact::iis {
 /// Index of an interned view inside its arena.
 using ViewId = std::uint32_t;
 
-/// One view node. depth 0: `seen` is empty and `input` may carry the
-/// process's input vertex (in some input complex); depth k > 0: `seen`
-/// lists the (k-1)-views of the processes observed, sorted by id.
+/// One view node, read out of its arena. depth 0: `seen` is empty and
+/// `input` may carry the process's input vertex (in some input complex);
+/// depth k > 0: `seen` lists the (k-1)-views of the processes observed,
+/// sorted by id. `seen` points into the arena and stays valid until the
+/// arena's next intern or clear().
 struct ViewNode {
     ProcessId owner = 0;
     int depth = 0;
     std::optional<topo::VertexId> input;  // only meaningful at depth 0
-    std::vector<ViewId> seen;             // sorted, deduplicated
-
-    friend bool operator==(const ViewNode& a, const ViewNode& b) noexcept =
-        default;
+    std::span<const ViewId> seen;         // sorted, deduplicated
 };
 
 /// Interning arena for views.
@@ -56,13 +62,28 @@ public:
     ViewId make_initial(ProcessId owner,
                         std::optional<topo::VertexId> input = std::nullopt);
 
-    /// Intern a depth-(k) view from the (k-1)-views seen. `seen` must be
-    /// non-empty and contain a view owned by `owner` at equal depth.
-    ViewId make_view(ProcessId owner, std::vector<ViewId> seen);
+    /// Intern a depth-(k) view from the (k-1)-views seen, in any order
+    /// and possibly repeated. `seen` must be non-empty and contain a view
+    /// owned by `owner` at equal depth.
+    ViewId make_view(ProcessId owner, std::span<const ViewId> seen);
+    ViewId make_view(ProcessId owner, std::initializer_list<ViewId> seen) {
+        return make_view(owner, std::span<const ViewId>(seen.begin(),
+                                                        seen.size()));
+    }
 
-    const ViewNode& node(ViewId id) const;
+    ViewNode node(ViewId id) const;
 
-    std::size_t size() const noexcept { return nodes_.size(); }
+    std::size_t size() const noexcept { return records_.size(); }
+
+    /// Forget every view, keeping the storage: the next ids handed out
+    /// are those of a fresh arena.
+    void clear() noexcept;
+
+    /// The id in this arena of the view structurally equal to `other`'s
+    /// view `v` (same owner, depth, input and children, recursively), or
+    /// nullopt if this arena holds no such view. Read-only: safe to call
+    /// concurrently on a shared arena.
+    std::optional<ViewId> find_equal(const ViewArena& other, ViewId v) const;
 
     /// The set of processes appearing anywhere inside the view (the
     /// transitive "has seen" set; always contains the owner).
@@ -72,27 +93,44 @@ public:
     std::string to_string(ViewId id) const;
 
 private:
-    struct NodeHash {
-        std::size_t operator()(const ViewNode& n) const noexcept {
-            std::size_t seed = std::hash<ProcessId>{}(n.owner);
-            hash_combine(seed, static_cast<std::size_t>(n.depth));
-            hash_combine(seed, n.input ? 1 + static_cast<std::size_t>(*n.input)
-                                       : 0);
-            hash_combine(seed, hash_range(n.seen));
-            return seed;
-        }
+    struct Record {
+        std::size_t hash = 0;
+        std::uint32_t seen_begin = 0;  // offset into pool_
+        std::uint32_t seen_size = 0;
+        ProcessId owner = 0;
+        int depth = 0;
+        std::optional<topo::VertexId> input;
     };
 
     static constexpr ViewId kNoView = ~ViewId{0};
 
-    // The intern index is an open-addressing table of ids into nodes_,
-    // so each node, with its `seen` list, is stored once.
-    std::vector<ViewNode> nodes_;
-    std::vector<std::size_t> hashes_;  // NodeHash of each node
+    static std::size_t hash_of(ProcessId owner, int depth,
+                               std::optional<topo::VertexId> input,
+                               std::span<const ViewId> seen) noexcept {
+        std::size_t seed = std::hash<ProcessId>{}(owner);
+        hash_combine(seed, static_cast<std::size_t>(depth));
+        hash_combine(seed, input ? 1 + static_cast<std::size_t>(*input) : 0);
+        hash_combine(seed, hash_range(seen));
+        return seed;
+    }
+
+    // The intern index is an open-addressing table of ids into records_.
+    std::vector<Record> records_;
+    std::vector<ViewId> pool_;         // every record's seen ids
     std::vector<ViewId> slots_;        // power-of-two size, kNoView = free
     mutable std::vector<std::optional<ProcessSet>> processes_cache_;
 
-    ViewId intern(ViewNode n);
+    std::span<const ViewId> seen_of(const Record& r) const noexcept {
+        return {pool_.data() + r.seen_begin, r.seen_size};
+    }
+    /// The probe slot holding the node, or the free slot ending its probe.
+    std::size_t probe(std::size_t hash, ProcessId owner, int depth,
+                      std::optional<topo::VertexId> input,
+                      std::span<const ViewId> seen) const noexcept;
+    /// `seen` is sorted and deduplicated.
+    ViewId intern(ProcessId owner, int depth,
+                  std::optional<topo::VertexId> input,
+                  std::span<const ViewId> seen);
     std::size_t home_slot(std::size_t hash) const noexcept;
     void grow_slots();
 };

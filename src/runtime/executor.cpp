@@ -3,33 +3,16 @@
 #include <algorithm>
 
 #include "iis/projection.h"
-#include "sm/iis_executor.h"
 #include "util/require.h"
 
 namespace gact::runtime {
 
-std::string canonical_view_key(const iis::ViewArena& arena, iis::ViewId v) {
-    const iis::ViewNode& node = arena.node(v);
-    std::string out = std::to_string(node.owner);
-    if (node.depth == 0) {
-        out += node.input ? "i" + std::to_string(*node.input) : "i-";
-        return out;
-    }
-    // Seen sub-views are owned by distinct processes; ordering the child
-    // keys by owner (never by arena-local id) makes the key canonical.
-    std::vector<std::pair<ProcessId, iis::ViewId>> children;
-    children.reserve(node.seen.size());
-    for (iis::ViewId s : node.seen) {
-        children.emplace_back(arena.node(s).owner, s);
-    }
-    std::sort(children.begin(), children.end());
-    out += "(";
-    for (std::size_t i = 0; i < children.size(); ++i) {
-        if (i > 0) out += ",";
-        out += canonical_view_key(arena, children[i].second);
-    }
-    out += ")";
-    return out;
+void TableRule::insert(iis::ViewId view, topo::VertexId output) {
+    require(static_cast<std::size_t>(arena_.node(view).depth) == depth_,
+            "TableRule: entry view is not at the table's depth");
+    if (outputs_.size() <= view) outputs_.resize(view + 1);
+    if (!outputs_[view].has_value()) ++size_;
+    outputs_[view] = output;
 }
 
 std::optional<topo::VertexId> TableRule::decide(
@@ -42,7 +25,7 @@ std::optional<topo::VertexId> TableRule::decide(
     // Descend p's own sub-view chain to depth d (p always sees itself).
     iis::ViewId current = view;
     while (static_cast<std::size_t>(arena.node(current).depth) > depth_) {
-        const iis::ViewNode& node = arena.node(current);
+        const iis::ViewNode node = arena.node(current);
         bool found = false;
         for (iis::ViewId s : node.seen) {
             if (arena.node(s).owner == p) {
@@ -56,9 +39,9 @@ std::optional<topo::VertexId> TableRule::decide(
                                   " has no own sub-view");
         }
     }
-    const auto it = table_.find(canonical_view_key(arena, current));
-    if (it == table_.end()) return std::nullopt;
-    return it->second;
+    const std::optional<iis::ViewId> entry = arena_.find_equal(arena, current);
+    if (!entry.has_value() || *entry >= outputs_.size()) return std::nullopt;
+    return outputs_[*entry];
 }
 
 LandingDecisionRule::LandingDecisionRule(
@@ -78,20 +61,20 @@ std::optional<topo::VertexId> LandingDecisionRule::decide(
     return rule_.value(p, k, seen_positions);
 }
 
-ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
-                        const Schedule& schedule,
-                        const std::vector<std::optional<topo::VertexId>>& inputs,
-                        const topo::SimplicialComplex& allowed,
-                        const ExecutionConfig& config) {
+ExecutionResult Executor::run(
+    const tasks::Task& task, const DecisionRule& rule,
+    const Schedule& schedule,
+    const std::vector<std::optional<topo::VertexId>>& inputs,
+    const topo::SimplicialComplex& allowed, const ExecutionConfig& config) {
     const std::uint32_t n = task.num_processes;
     require(schedule.num_processes == n,
             "execute: schedule process count does not match task");
     require(inputs.size() == n, "execute: inputs size mismatch");
     require(config.horizon >= 1, "execute: zero horizon");
 
-    const iis::Run run = schedule.to_run();
-    const ProcessSet participants = run.participants();
-    const ProcessSet infinite = run.infinite_participants();
+    schedule.validate();
+    const ProcessSet participants = schedule.participants();
+    const ProcessSet infinite = schedule.cycle.support();
 
     ExecutionResult result;
     result.outputs.assign(n, std::nullopt);
@@ -99,8 +82,10 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
         result.violations.push_back(what);
     };
 
-    iis::ViewArena arena;
-    sm::IisExecution exec(n, participants, arena, &inputs);
+    // Every run starts from an empty arena and fresh boards, whatever
+    // the previous run left behind.
+    arena_.clear();
+    exec_.reset(n, participants, &inputs);
 
     // Analytic companions of the substrate execution: positions feed the
     // landing rule; the view rows are the SM -> IIS cross-check.
@@ -109,28 +94,27 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
     // the whole horizon up front: each round divides denominators by
     // another (2c-1), so a full-horizon table can overflow the exact
     // rational arithmetic even though every admissible run lands (and
-    // the execution stops) rounds earlier. `positions_row` holds row
+    // the execution stops) rounds earlier. `positions_` holds row
     // `pos_row` of iis::view_positions' table.
     const bool use_positions = rule.needs_positions();
-    std::vector<std::optional<topo::BaryPoint>> positions_row;
     std::size_t pos_row = 0;
     if (use_positions) {
-        positions_row.resize(n);
+        positions_.assign(n, std::nullopt);
         for (ProcessId p : participants.members()) {
-            positions_row[p] = topo::BaryPoint::vertex(
+            positions_[p] = topo::BaryPoint::vertex(
                 inputs[p].value_or(static_cast<topo::VertexId>(p)));
         }
     }
-    const auto advance_positions = [&run, &positions_row, &pos_row] {
+    const auto advance_positions = [this, &schedule, &pos_row] {
+        iis::next_view_positions(schedule.round(pos_row), positions_,
+                                 positions_next_);
+        positions_.swap(positions_next_);
         ++pos_row;
-        positions_row = iis::next_view_positions(run, pos_row, positions_row);
     };
     // The SM -> IIS cross-check: row k of Run::view_table, built from row
     // k-1 as round k executes, so only the rounds that run are interned.
-    std::vector<std::optional<iis::ViewId>> expected;
-    std::vector<std::optional<iis::ViewId>> expected_next;
     if (config.check_views) {
-        expected = iis::initial_view_row(n, arena, &inputs);
+        iis::initial_view_row(n, arena_, &inputs, expected_);
     }
 
     ProcessSet decided_ever;
@@ -159,11 +143,11 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
         return decided_ever.contains_all(infinite);
     };
 
-    // Round 0: initial views (a depth-0 table rule decides here). `seen`
+    // Round 0: initial views (a depth-0 table rule decides here). `seen_`
     // holds the positions a round's snapshot sees, none before round 1.
-    std::vector<topo::BaryPoint> seen;
+    seen_.clear();
     for (ProcessId p : participants) {
-        record(p, 0, rule.decide(p, 0, exec.view_of(p), arena, seen));
+        record(p, 0, rule.decide(p, 0, exec_.view_of(p), arena_, seen_));
     }
 
     std::optional<std::size_t> decided_at;
@@ -191,34 +175,34 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
                 break;
             }
         }
-        const iis::OrderedPartition& round = run.round(k - 1);
+        const iis::OrderedPartition& round = schedule.round(k - 1);
         if (config.check_views) {
-            iis::next_view_row(round, expected, arena, expected_next);
-            expected.swap(expected_next);
+            iis::next_view_row(round, expected_, arena_, expected_next_);
+            expected_.swap(expected_next_);
         }
-        exec.run_partition_round(round);
+        exec_.run_partition_round(round);
         for (ProcessId p : round.support()) {
-            const iis::ViewId view = exec.view_of(p);
+            const iis::ViewId view = exec_.view_of(p);
             if (config.check_views) {
-                ensure(expected[p].has_value(),
+                ensure(expected_[p].has_value(),
                        "execute: analytic view row missing entry");
-                if (*expected[p] != view) {
+                if (*expected_[p] != view) {
                     violation("p" + std::to_string(p) +
                               " substrate view differs from run semantics "
                               "at round " +
                               std::to_string(k));
                 }
             }
-            seen.clear();
+            seen_.clear();
             if (use_positions) {
                 for (ProcessId q : round.snapshot_of(p)) {
-                    ensure(positions_row[q].has_value(),
+                    ensure(positions_[q].has_value(),
                            "execute: missing position for seen process");
-                    seen.push_back(*positions_row[q]);
+                    seen_.push_back(*positions_[q]);
                 }
             }
             try {
-                record(p, k, rule.decide(p, k, view, arena, seen));
+                record(p, k, rule.decide(p, k, view, arena_, seen_));
             } catch (const gact::overflow_error&) {
                 // Containment tests on ever-finer positions can exhaust
                 // the exact arithmetic too; same report as above.
@@ -258,6 +242,14 @@ ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
                   participants.to_string());
     }
     return result;
+}
+
+ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
+                        const Schedule& schedule,
+                        const std::vector<std::optional<topo::VertexId>>& inputs,
+                        const topo::SimplicialComplex& allowed,
+                        const ExecutionConfig& config) {
+    return Executor{}.run(task, rule, schedule, inputs, allowed, config);
 }
 
 }  // namespace gact::runtime

@@ -9,30 +9,29 @@
 // decision rule on the views the substrate actually produced, and records
 // every violation of the protocol conditions — decision stability, output
 // colors, and outputs landing inside Delta of the participants' inputs.
-// Rules are arena-independent: table rules key on a canonical structural
-// encoding of views, so executions can run in parallel with private
-// arenas and still agree bit-for-bit.
+// Rules are arena-independent: a table rule looks a view up structurally
+// in its own arena (ViewArena::find_equal), so executions can run in
+// parallel with private arenas and still agree bit-for-bit.
+//
+// An Executor owns the per-execution state — the view arena, the SM
+// boards, the analytic view and position rows — and resets it at the
+// start of every run, so a fuzz worker keeps one and reuses its storage
+// for every schedule it executes.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/terminating_subdivision.h"
 #include "protocol/gact_protocol.h"
 #include "runtime/schedule.h"
+#include "sm/iis_executor.h"
 #include "tasks/task.h"
 #include "topology/geometry.h"
 
 namespace gact::runtime {
-
-/// Canonical, arena-independent structural key of a view: owners and
-/// depth-0 inputs, with seen sub-views ordered by owner (ids are
-/// arena-local and never enter the key). Two views in different arenas
-/// get equal keys iff they are structurally the same view.
-std::string canonical_view_key(const iis::ViewArena& arena, iis::ViewId v);
 
 /// A decision rule: the executable form of a protocol. The executor asks
 /// it, after every round, what each participating process decides given
@@ -57,21 +56,25 @@ public:
         const std::vector<topo::BaryPoint>& seen_positions) const = 0;
 };
 
-/// Wait-free witnesses as a rule: a finite table from canonical keys of
-/// depth-d views to outputs (eta of Corollary 7.1 via the view <-> Chr^d
-/// vertex bijection). At depth k > d a process decides on its *own*
-/// depth-d sub-view — the "remember your round-d state" protocol — which
-/// makes decisions stable by construction; below depth d it withholds.
+/// Wait-free witnesses as a rule: a finite table from depth-d views to
+/// outputs (eta of Corollary 7.1 via the view <-> Chr^d vertex
+/// bijection), the views interned in the rule's own arena. At depth
+/// k > d a process decides on its *own* depth-d sub-view — the "remember
+/// your round-d state" protocol — which makes decisions stable by
+/// construction; below depth d it withholds.
 class TableRule final : public DecisionRule {
 public:
     TableRule(std::string name, std::size_t depth)
         : name_(std::move(name)), depth_(depth) {}
 
-    void insert(std::string canonical_key, topo::VertexId output) {
-        table_[std::move(canonical_key)] = output;
-    }
+    /// The arena the table's views live in: intern a view here, then
+    /// insert() it.
+    iis::ViewArena& arena() noexcept { return arena_; }
 
-    std::size_t size() const noexcept { return table_.size(); }
+    /// Map `view`, a depth-d view of arena(), to `output`.
+    void insert(iis::ViewId view, topo::VertexId output);
+
+    std::size_t size() const noexcept { return size_; }
     std::size_t depth() const noexcept { return depth_; }
 
     std::string name() const override { return name_; }
@@ -84,7 +87,10 @@ public:
 private:
     std::string name_;
     std::size_t depth_;
-    std::unordered_map<std::string, topo::VertexId> table_;
+    iis::ViewArena arena_;
+    /// Output per view id of arena_ (nullopt: not a table entry).
+    std::vector<std::optional<topo::VertexId>> outputs_;
+    std::size_t size_ = 0;
 };
 
 /// General-route witnesses as a rule: the view-local landing rule of
@@ -133,13 +139,45 @@ struct ExecutionResult {
     std::size_t rounds = 0;
     /// Every infinitely participating process decided within the horizon.
     bool all_decided = false;
+
+    friend bool operator==(const ExecutionResult&,
+                           const ExecutionResult&) = default;
 };
 
-/// Execute `rule` under `schedule` on the SM substrate and check the
-/// protocol conditions. `inputs[p]` is p's input vertex (nullopt
-/// everywhere for inputless tasks); `allowed` is Delta(omega ∩
-/// chi^{-1}(participants)) — exactly the simplex set the verifier uses
-/// for condition (2).
+/// Executes rules under schedules, reusing its storage from one run to
+/// the next. Not thread-safe: give each thread its own.
+class Executor {
+public:
+    Executor() = default;
+    // The SM execution points into the arena.
+    Executor(const Executor&) = delete;
+    Executor& operator=(const Executor&) = delete;
+
+    /// Execute `rule` under `schedule` on the SM substrate and check the
+    /// protocol conditions. `inputs[p]` is p's input vertex (nullopt
+    /// everywhere for inputless tasks); `allowed` is Delta(omega ∩
+    /// chi^{-1}(participants)) — exactly the simplex set the verifier
+    /// uses for condition (2). The result depends on the arguments only,
+    /// never on earlier runs (one that threw included).
+    ExecutionResult run(const tasks::Task& task, const DecisionRule& rule,
+                        const Schedule& schedule,
+                        const std::vector<std::optional<topo::VertexId>>& inputs,
+                        const topo::SimplicialComplex& allowed,
+                        const ExecutionConfig& config = {});
+
+private:
+    iis::ViewArena arena_;
+    sm::IisExecution exec_{0, ProcessSet(), arena_};
+    // Analytic companions of the substrate execution, one row per round:
+    // the SM -> IIS view cross-check and the landing rule's positions.
+    std::vector<std::optional<iis::ViewId>> expected_;
+    std::vector<std::optional<iis::ViewId>> expected_next_;
+    std::vector<std::optional<topo::BaryPoint>> positions_;
+    std::vector<std::optional<topo::BaryPoint>> positions_next_;
+    std::vector<topo::BaryPoint> seen_;
+};
+
+/// One run on a fresh Executor.
 ExecutionResult execute(const tasks::Task& task, const DecisionRule& rule,
                         const Schedule& schedule,
                         const std::vector<std::optional<topo::VertexId>>& inputs,

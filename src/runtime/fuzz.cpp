@@ -1,10 +1,12 @@
 #include "runtime/fuzz.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "engine/executable.h"
 #include "exec/for_index.h"
+#include "exec/scheduler.h"
 #include "runtime/executor.h"
 #include "util/require.h"
 
@@ -166,7 +168,8 @@ FuzzResult fuzz(const engine::Scenario& scenario,
 
     // One execution of `s` under input facet `omega_index`, with the
     // verifier's allowed-output complex for the drawn participants.
-    const auto run_one = [&](const Schedule& s, std::size_t omega_index) {
+    const auto run_one = [&](Executor& executor, const Schedule& s,
+                             std::size_t omega_index) {
         std::vector<std::optional<topo::VertexId>> inputs(n);
         topo::Simplex face;
         if (inputless) {
@@ -186,7 +189,7 @@ FuzzResult fuzz(const engine::Scenario& scenario,
         ec.horizon = s.prefix.size() + base_rounds + config.horizon_slack;
         ec.stability_tail = config.stability_tail;
         ec.check_views = config.check_views;
-        return execute(task, *rule, s, inputs, task.delta.at(face), ec);
+        return executor.run(task, *rule, s, inputs, task.delta.at(face), ec);
     };
 
     struct Slot {
@@ -195,13 +198,20 @@ FuzzResult fuzz(const engine::Scenario& scenario,
     };
     std::vector<Slot> slots(config.iterations);
 
-    exec::for_index(exec::Scheduler::shared(), config.iterations,
-                    config.threads, [&](std::size_t i) {
+    // One executor per loop slot, reused for every schedule (and every
+    // shrink candidate) the slot runs.
+    const unsigned threads = std::min(config.threads, exec::kMaxWorkers);
+    const auto executors = std::make_unique<Executor[]>(
+        exec::for_index_slots(config.iterations, threads));
+
+    exec::for_index(exec::Scheduler::shared(), config.iterations, threads,
+                    [&](std::size_t i, unsigned slot) {
+        Executor& executor = executors[slot];
         SplitMix64 rng(mix_seed(config.seed, i));
         const Schedule s = generator.next(rng);
         const std::size_t omega_index =
             facets.empty() ? 0 : rng.below(facets.size());
-        const ExecutionResult r = run_one(s, omega_index);
+        const ExecutionResult r = run_one(executor, s, omega_index);
         slots[i].digest = digest_of(r);
         if (!r.violations.empty()) {
             auto v = std::make_unique<FuzzViolation>();
@@ -211,7 +221,8 @@ FuzzResult fuzz(const engine::Scenario& scenario,
             v->detail = r.violations.front();
             v->shrunk = shrink_schedule(
                 s, model, config.shrink_budget, [&](const Schedule& c) {
-                    return !run_one(c, omega_index).violations.empty();
+                    return !run_one(executor, c, omega_index)
+                                .violations.empty();
                 });
             slots[i].violation = std::move(v);
         }

@@ -25,8 +25,8 @@ namespace gact::runtime {
 struct FuzzConfig {
     std::uint64_t seed = 1;
     std::size_t iterations = 200;
-    /// Shard threads (exec::for_index); results are thread-count
-    /// independent.
+    /// Shard threads (exec::for_index), capped at exec::kMaxWorkers;
+    /// results are thread-count independent.
     unsigned threads = 1;
     /// Longest random prefix before the cycle round.
     std::uint32_t max_prefix_rounds = 3;

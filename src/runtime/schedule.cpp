@@ -28,6 +28,11 @@ iis::Run Schedule::to_run() const {
     return iis::Run(num_processes, prefix, {cycle});
 }
 
+void Schedule::validate() const {
+    require(!cycle.empty(), "Schedule: empty cycle round");
+    iis::validate_rounds(num_processes, prefix, std::span(&cycle, 1));
+}
+
 std::string Schedule::to_string() const {
     std::string out = "p=";
     if (prefix.empty()) out += "-";

@@ -61,6 +61,10 @@ struct Schedule {
     /// The eventually-periodic run this schedule describes.
     iis::Run to_run() const;
 
+    /// The checks to_run() makes, without building the run (throws
+    /// precondition_error).
+    void validate() const;
+
     ProcessSet participants() const {
         return prefix.empty() ? cycle.support() : prefix.front().support();
     }

@@ -12,12 +12,35 @@ IisExecution::IisExecution(
     iis::ViewArena& arena,
     const std::vector<std::optional<topo::VertexId>>* inputs)
     : num_processes_(num_processes), arena_(&arena) {
+    reset(num_processes, participants, inputs);
+}
+
+void IisExecution::reset(
+    std::uint32_t num_processes, ProcessSet participants,
+    const std::vector<std::optional<topo::VertexId>>* inputs) {
     require(ProcessSet::full(num_processes).contains_all(participants),
             "IisExecution: participants out of range");
-    procs_.reserve(num_processes);
-    for (ProcessId p = 0; p < num_processes; ++p) {
-        procs_.push_back(PerProcess{IsProcess(p, 0, num_processes)});
+    if (procs_.size() != num_processes) {
+        procs_.clear();
+        procs_.reserve(num_processes);
+        for (ProcessId p = 0; p < num_processes; ++p) {
+            procs_.push_back(PerProcess{IsProcess(p, 0, num_processes)});
+        }
+    } else {
+        // A machine is restarted whenever it enters a level, so only the
+        // per-process bookkeeping needs resetting.
+        for (PerProcess& pp : procs_) {
+            pp.in_instance = false;
+            pp.level = 0;
+            pp.view = 0;
+            pp.participating = false;
+        }
     }
+    num_processes_ = num_processes;
+    levels_.clear();
+    floor_cells_.clear();
+    value_cells_.clear();
+    result_sets_.clear();
     for (ProcessId p : participants) {
         std::optional<topo::VertexId> input;
         if (inputs != nullptr) {
@@ -25,7 +48,7 @@ IisExecution::IisExecution(
             input = (*inputs)[p];
         }
         procs_[p].participating = true;
-        procs_[p].view = arena.make_initial(p, input);
+        procs_[p].view = arena_->make_initial(p, input);
     }
 }
 
@@ -60,16 +83,16 @@ void IisExecution::step(ProcessId p) {
         // Collect the seen views and form the next view.
         const ProcessSet result_set = pp.machine.result_set();
         const auto& values = pp.machine.result_values();
-        std::vector<iis::ViewId> seen;
-        seen.reserve(result_set.size());
+        std::array<iis::ViewId, kMaxProcesses> seen;
+        std::size_t count = 0;
         for (ProcessId q : result_set) {
             ensure(values[q].has_value(),
                    "IisExecution: result set member without value");
-            seen.push_back(static_cast<iis::ViewId>(*values[q]));
+            seen[count++] = static_cast<iis::ViewId>(*values[q]);
         }
         level.finished = level.finished.with(p);
         result_sets_[base + p] = result_set;
-        pp.view = arena_->make_view(p, std::move(seen));
+        pp.view = arena_->make_view(p, std::span(seen.data(), count));
         pp.in_instance = false;
         ++pp.level;
     }

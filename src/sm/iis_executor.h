@@ -26,6 +26,13 @@ public:
                  const std::vector<std::optional<topo::VertexId>>* inputs =
                      nullptr);
 
+    /// Start over as a fresh execution with these processes, interning
+    /// the initial views in the same arena, and keep the boards' and
+    /// machines' storage for the new run.
+    void reset(std::uint32_t num_processes, ProcessSet participants,
+               const std::vector<std::optional<topo::VertexId>>* inputs =
+                   nullptr);
+
     /// One atomic step of process p (skipped if p is not a participant).
     void step(ProcessId p);
 

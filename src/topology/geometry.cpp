@@ -1,6 +1,7 @@
 #include "topology/geometry.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <ostream>
 
@@ -63,21 +64,55 @@ BaryPoint BaryPoint::combination(const std::vector<BaryPoint>& points,
                                  const std::vector<Rational>& weights) {
     require(points.size() == weights.size(),
             "BaryPoint::combination: size mismatch");
-    std::map<VertexId, Rational> acc;
+    std::vector<const BaryPoint*> at;
+    at.reserve(points.size());
+    for (const BaryPoint& p : points) at.push_back(&p);
+    return combination(at, weights);
+}
+
+BaryPoint BaryPoint::combination(std::span<const BaryPoint* const> points,
+                                 std::span<const Rational> weights) {
+    require(points.size() == weights.size(),
+            "BaryPoint::combination: size mismatch");
     Rational total;
     for (std::size_t i = 0; i < points.size(); ++i) {
         require(!weights[i].is_negative(),
                 "BaryPoint::combination: negative weight");
         total += weights[i];
-        for (const auto& [v, w] : points[i].coords_) {
-            acc[v] += weights[i] * w;
-        }
     }
-    require(total == Rational(1), "BaryPoint::combination: weights must sum to 1");
+    // Merge the sorted coordinate lists: each round takes the smallest
+    // vertex left and sums its terms in point order, the order in which
+    // a per-vertex accumulator would add them.
+    std::array<std::size_t, 64> local{};
+    std::vector<std::size_t> spill;
+    if (points.size() > local.size()) spill.assign(points.size(), 0);
+    const std::span<std::size_t> next =
+        spill.empty() ? std::span(local.data(), points.size())
+                      : std::span(spill);
     BaryPoint p;
-    for (const auto& [v, w] : acc) {
+    while (true) {
+        bool any = false;
+        VertexId v = 0;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const auto& coords = points[i]->coords_;
+            if (next[i] < coords.size() &&
+                (!any || coords[next[i]].first < v)) {
+                v = coords[next[i]].first;
+                any = true;
+            }
+        }
+        if (!any) break;
+        Rational w;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const auto& coords = points[i]->coords_;
+            if (next[i] < coords.size() && coords[next[i]].first == v) {
+                w += weights[i] * coords[next[i]].second;
+                ++next[i];
+            }
+        }
         if (!w.is_zero()) p.coords_.emplace_back(v, w);
     }
+    require(total == Rational(1), "BaryPoint::combination: weights must sum to 1");
     return p;
 }
 

@@ -8,6 +8,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,9 @@ public:
     /// to 1 and be non-negative.
     static BaryPoint combination(const std::vector<BaryPoint>& points,
                                  const std::vector<Rational>& weights);
+    /// The same, over points held elsewhere (no copies).
+    static BaryPoint combination(std::span<const BaryPoint* const> points,
+                                 std::span<const Rational> weights);
 
     /// The barycenter of the base simplex s.
     static BaryPoint barycenter(const Simplex& s);

@@ -1,7 +1,8 @@
 // exec::for_index exception semantics, pinned (exec/for_index.h): one
 // recorded exception per worker, lowest-worker-index rethrow after the
 // join, stop-flag cancellation of unclaimed units, and the inline
-// (sequential) path's exact prefix behavior. These used to be
+// (sequential) path's exact prefix behavior, and the loop slot a
+// two-argument callable is given. These used to be
 // accidental properties; the header now documents them and this file
 // keeps them true.
 #include <gtest/gtest.h>
@@ -28,6 +29,40 @@ TEST(ParallelForIndex, RunsEveryIndexExactlyOnce) {
     for (std::size_t i = 0; i < kN; ++i) {
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     }
+}
+
+TEST(ParallelForIndex, SlotsAreInRangeAndRunOneUnitAtATime) {
+    // A callable taking (i, slot) learns its loop slot: always below
+    // for_index_slots, 0 on the inline path, and never running two units
+    // at once — what lets a caller keep per-slot scratch state.
+    constexpr std::size_t kN = 2000;
+    EXPECT_EQ(exec::for_index_slots(kN, 1), 1u);
+    EXPECT_EQ(exec::for_index_slots(1, 4), 1u);
+    EXPECT_EQ(exec::for_index_slots(3, 8), 3u);
+    const unsigned slots = exec::for_index_slots(kN, 4);
+    ASSERT_EQ(slots, 4u);
+    std::vector<std::atomic<int>> busy(slots);
+    for (auto& b : busy) b.store(0);
+    std::atomic<bool> overlap{false};
+    std::atomic<bool> out_of_range{false};
+    exec::for_index(exec::Scheduler::shared(), kN, 4,
+                    [&](std::size_t, unsigned slot) {
+        if (slot >= slots) {
+            out_of_range.store(true);
+            return;
+        }
+        if (busy[slot].fetch_add(1) != 0) overlap.store(true);
+        busy[slot].fetch_sub(1);
+    });
+    EXPECT_FALSE(out_of_range.load());
+    EXPECT_FALSE(overlap.load());
+
+    std::set<unsigned> inline_slots;
+    exec::for_index(exec::Scheduler::shared(), 10, 1,
+                    [&](std::size_t, unsigned slot) {
+        inline_slots.insert(slot);
+    });
+    EXPECT_EQ(inline_slots, std::set<unsigned>{0});
 }
 
 TEST(ParallelForIndex, SequentialPathStopsAtTheThrowingIndex) {

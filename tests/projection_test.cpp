@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "engine/scenario_registry.h"
 #include "iis/run_enumeration.h"
+#include "runtime/schedule.h"
 #include "topology/geometry.h"
 
 namespace gact::iis {
@@ -156,6 +160,90 @@ TEST(Projection, CompactnessDiagonalArgument) {
                       Rational(1, static_cast<std::int64_t>(depth) + 2));
         }
     }
+}
+
+/// The std::map-based affine combination that BaryPoint::combination's
+/// merge replaced, kept as the oracle: accumulate every point's terms per
+/// vertex, in point order.
+topo::BaryPoint map_combination(const std::vector<topo::BaryPoint>& points,
+                                const std::vector<Rational>& weights) {
+    std::map<topo::VertexId, Rational> acc;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        for (const auto& [v, w] : points[i].coords()) acc[v] += weights[i] * w;
+    }
+    std::vector<std::pair<topo::VertexId, Rational>> coords;
+    for (const auto& [v, w] : acc) {
+        if (!w.is_zero()) coords.emplace_back(v, w);
+    }
+    return topo::BaryPoint(std::move(coords));
+}
+
+/// Row m of view_positions' table the way it was computed before rows
+/// reused their buffers: per process, copies of its snapshot's points.
+std::vector<std::optional<topo::BaryPoint>> map_next_row(
+    const iis::Run& run, std::size_t m,
+    const std::vector<std::optional<topo::BaryPoint>>& previous) {
+    const OrderedPartition& round = run.round(m - 1);
+    std::vector<std::optional<topo::BaryPoint>> row(previous.size());
+    for (ProcessId p : round.support().members()) {
+        const ProcessSet snap = round.snapshot_of(p);
+        const auto c = static_cast<std::int64_t>(snap.size());
+        std::vector<topo::BaryPoint> pts;
+        std::vector<Rational> weights;
+        for (ProcessId q : snap.members()) {
+            pts.push_back(*previous[q]);
+            weights.emplace_back(q == p ? 1 : 2, 2 * c - 1);
+        }
+        row[p] = map_combination(pts, weights);
+    }
+    return row;
+}
+
+TEST(Projection, PositionRowsEqualTheMapBasedOracleOnDrawnRuns) {
+    // Over the runs the fuzzer draws for three seeds on the quick
+    // registry's n = 2 and n = 3 tasks, every view_positions row — until
+    // the exact arithmetic overflows, which both sides must then do at
+    // the same round — comes out coordinate for coordinate identical.
+    constexpr std::size_t kDraws = 40;
+    constexpr std::size_t kRoundsPastPrefix = 16;
+    std::size_t rows = 0;
+    for (const engine::Scenario& scenario :
+         engine::ScenarioRegistry::standard().quick()) {
+        const std::uint32_t n = scenario.task.num_processes;
+        if (n != 2 && n != 3) continue;
+        const runtime::ScheduleGenerator gen(n, scenario.model, 3);
+        for (std::uint64_t seed : {1, 2, 3}) {
+            for (std::size_t i = 0; i < kDraws; ++i) {
+                runtime::SplitMix64 rng(runtime::mix_seed(seed, i));
+                const runtime::Schedule s = gen.next(rng);
+                const iis::Run run = s.to_run();
+                std::vector<std::optional<topo::BaryPoint>> row(n);
+                for (ProcessId p = 0; p < n; ++p) {
+                    row[p] = topo::BaryPoint::vertex(10 + p);
+                }
+                std::vector<std::optional<topo::BaryPoint>> next;
+                for (std::size_t m = 1;
+                     m <= s.prefix.size() + kRoundsPastPrefix; ++m) {
+                    std::vector<std::optional<topo::BaryPoint>> want;
+                    try {
+                        want = map_next_row(run, m, row);
+                    } catch (const overflow_error&) {
+                        EXPECT_THROW(next_view_positions(run.round(m - 1), row,
+                                                         next),
+                                     overflow_error)
+                            << scenario.name << " " << s.to_string();
+                        break;
+                    }
+                    next_view_positions(run.round(m - 1), row, next);
+                    ASSERT_EQ(next, want) << scenario.name << " "
+                                          << s.to_string() << " round " << m;
+                    row.swap(next);
+                    ++rows;
+                }
+            }
+        }
+    }
+    EXPECT_GT(rows, 0u);
 }
 
 }  // namespace

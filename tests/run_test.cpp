@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "iis/run_enumeration.h"
 
 namespace gact::iis {
@@ -208,7 +210,7 @@ TEST(Run, SameBlockProcessesShareViewContent) {
     const ViewId v0 = r.view(0, 2, arena);
     const ViewId v1 = r.view(1, 2, arena);
     EXPECT_NE(v0, v1);  // owners differ
-    EXPECT_EQ(arena.node(v0).seen, arena.node(v1).seen);
+    EXPECT_TRUE(std::ranges::equal(arena.node(v0).seen, arena.node(v1).seen));
 }
 
 TEST(Run, ViewWithInputs) {

@@ -249,6 +249,7 @@ TEST(StableLocation, ViewRuleMatchesTheScanUpToTheFuzzHorizon) {
                                         scenario.options.max_landing_round +
                                         fuzz.horizon_slack;
             auto row = iis::view_positions(run, 0, inputs)[0];
+            std::vector<std::optional<topo::BaryPoint>> next;
             ProcessSet decided;
             std::optional<std::size_t> decided_at;
             for (std::size_t k = 1; k <= horizon; ++k) {
@@ -256,7 +257,10 @@ TEST(StableLocation, ViewRuleMatchesTheScanUpToTheFuzzHorizon) {
                     k > *decided_at + fuzz.stability_tail) {
                     break;
                 }
-                if (k > 1) row = iis::next_view_positions(run, k - 1, row);
+                if (k > 1) {
+                    iis::next_view_positions(run.round(k - 2), row, next);
+                    row.swap(next);
+                }
                 const iis::OrderedPartition& round = run.round(k - 1);
                 for (ProcessId p : round.support().members()) {
                     std::vector<topo::BaryPoint> seen;

@@ -10,7 +10,7 @@
 #      start
 #   2  usage error: a missing or unknown subcommand, an unknown flag, a
 #      flag without its value, an unknown scenario, contradictory flags,
-#      a --threads value that is not a positive integer, any other
+#      a --threads value that is not a count in 1..1024, any other
 #      malformed or out-of-range numeric flag
 #   3  internal/transport error: an exception escaped, or the server
 #      reply never arrived
@@ -91,6 +91,29 @@ expect_exit(2 "solve contradictory flags"
 foreach(bad abc 0 -1 4294967296 2x)
   expect_exit(2 "solve --threads ${bad}"
     "${GACT}" solve --threads ${bad} --no-pool consensus-2-wf)
+endforeach()
+
+# solve, sweep and fuzz cap --threads at exec::kMaxWorkers, as serve
+# does: a count past it is a usage error that names the range (it used
+# to reach Engine::solve_batch and runtime::fuzz unchecked, and fuzz
+# keeps one executor per thread). Only values rejected at parse time are
+# tried here.
+foreach(bad 1025 4294967295)
+  expect_exit(2 "solve --threads ${bad}"
+    "${GACT}" solve --threads ${bad} --no-pool consensus-2-wf)
+  if(NOT last_err MATCHES "want 1..1024")
+    message(FATAL_ERROR "solve --threads ${bad}: no range diagnostic:\n${last_err}")
+  endif()
+  expect_exit(2 "sweep --threads ${bad}"
+    "${GACT}" sweep --family wf-is --param n=1..2 --threads ${bad})
+  if(NOT last_err MATCHES "want 1..1024")
+    message(FATAL_ERROR "sweep --threads ${bad}: no range diagnostic:\n${last_err}")
+  endif()
+  expect_exit(2 "fuzz --threads ${bad}"
+    "${GACT}" fuzz --scenario ksa-2p-k2-wf --iters 5 --threads ${bad})
+  if(NOT last_err MATCHES "want 1..1024")
+    message(FATAL_ERROR "fuzz --threads ${bad}: no range diagnostic:\n${last_err}")
+  endif()
 endforeach()
 
 # --- gact fuzz -------------------------------------------------------------

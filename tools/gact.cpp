@@ -118,7 +118,7 @@ int run_solve(ArgCursor& args) {
         if (args.flag("--json", json_output) ||
             args.flag("--no-pool", no_pool) ||
             args.value("--pool-file", pool_file) ||
-            args.count("--threads", threads, 1)) {
+            args.count("--threads", threads, 1, exec::kMaxWorkers)) {
             continue;
         }
         scenarios.push_back(resolve(args.operand()));
@@ -323,7 +323,7 @@ int run_sweep(ArgCursor& args) {
                    !args.flag("--stats", exec_stats) &&
                    !args.value("--preset", preset) &&
                    !args.value("--family", family) &&
-                   !args.count("--threads", threads, 1)) {
+                   !args.count("--threads", threads, 1, exec::kMaxWorkers)) {
             args.unknown();
         }
     }
@@ -418,7 +418,8 @@ int run_fuzz(ArgCursor& args) {
         } else if (!args.count("--seed", config.seed) &&
                    !args.count("--iters", config.iterations, 0,
                                kMaxIterations) &&
-                   !args.count("--threads", config.threads, 1) &&
+                   !args.count("--threads", config.threads, 1,
+                               exec::kMaxWorkers) &&
                    !args.decimal("--seconds", seconds) &&
                    !args.count("--slack", config.horizon_slack, 0,
                                kMaxRounds) &&
